@@ -19,6 +19,7 @@ from .cone import (
 )
 from .linsys import (
     LinearSolveError,
+    NewtonAssembly,
     NewtonSystem,
     SparseSymmetric,
     assemble_linear,
@@ -77,8 +78,8 @@ __all__ = [
     "Block", "ConeSpec", "JacobianElement", "SocCase",
     "apply_jacobian", "dist_to_cone", "jacobian_element", "make_jacobian",
     "project",
-    "LinearSolveError", "NewtonSystem", "SparseSymmetric", "assemble_linear",
-    "estimate_lambda_max", "solve_quadratic", "solve_spd",
+    "LinearSolveError", "NewtonAssembly", "NewtonSystem", "SparseSymmetric",
+    "assemble_linear", "estimate_lambda_max", "solve_quadratic", "solve_spd",
     "InnerState", "NewtonParams", "line_search", "make_state",
     "newton_direction", "psi_and_grad", "run_inner",
     "AlmOptions", "Iterate", "ProblemData", "SolveResult",

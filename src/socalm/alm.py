@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from . import ssn
 from .cone import ConeSpec, project
-from .linsys import SparseSymmetric
+from .linsys import NewtonAssembly, SparseSymmetric
 from .ssn import NewtonParams, make_state, run_inner
 
 OPTIMAL = "Optimal"
@@ -35,7 +35,9 @@ class ProblemData:
 
     ``H`` must be symmetric positive semidefinite (symmetry is enforced at
     construction; definiteness is a documented trust assumption, violations
-    surface as inner line-search failures).
+    surface as inner line-search failures).  ``assembly`` holds the
+    linear-case Newton structure of ``(A, cone)``, built at the first Newton
+    step that needs it.
     """
 
     def __init__(self, H, A, b, c, cone: ConeSpec):
@@ -61,6 +63,7 @@ class ProblemData:
         self.n = n
         self.is_quadratic = not self.H.is_zero
         self.a_fro = float(np.sqrt((self.A.data ** 2).sum())) if self.A.nnz else 0.0
+        self.assembly = NewtonAssembly(self.A, cone)
 
     def __repr__(self):
         kind = "quadratic" if self.is_quadratic else "linear"

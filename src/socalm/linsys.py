@@ -3,15 +3,28 @@
 The inner Newton matrix for the linear case is ``eps*I + sum_i A_i V_i A_i'``
 with V one generalized-Jacobian element of the cone projection.  Each Lorentz
 block splits into a scaled ``A_i A_i'`` part plus at most two rank-one columns,
-so the whole operator is a sparse matrix plus a tall-skinny low-rank update.
-Solves go through an augmented sparse system (the low-rank update is never
-densified), a dense factorization when the update is wide, or a matrix-free
-preconditioned symmetric QMR iteration.  The quadratic case solves the
+so the whole operator is a symmetric matrix ``M_sp`` plus a tall-skinny
+low-rank update.
+
+Assembly goes through a per-problem :class:`NewtonAssembly`, built on first
+use.  It keeps every Lorentz block's ``A_i A_i'`` on one fixed pattern, so the
+Lorentz part of ``M_sp`` is a single sparse mat-vec with the block weights,
+and forms the nonneg block's Gram from its active columns only, with BLAS when
+those columns are stored dense.  ``M_sp`` is stored dense (a CSR matrix that
+keeps every entry) when that takes no more memory than its sparse pattern.
+
+Solves factor ``M_sp`` (dense Cholesky when it is stored dense, sparse LU
+otherwise) and add the low-rank columns through the Schur complement of an
+augmented system, refined by preconditioned symmetric QMR; when the update is
+at least as wide as the system the whole matrix is densified instead.  A
+matrix-free QMR iteration with a diagonal preconditioner is the fallback when
+a direct solve misses its tolerance.  The quadratic case solves the
 unsymmetric two-by-two block system directly or with BiCGStab.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +37,8 @@ from .cone import JacobianElement, SocCase, apply_jacobian
 # low-rank eigenvalue below this is dropped from the update (rank degenerates)
 _DROP_TOL = 1e-14
 _TINY = 1e-300
+# column-pair products held at once while the Lorentz block Grams are built
+_PAIR_CHUNK = 1 << 18
 
 
 class LinearSolveError(RuntimeError):
@@ -311,8 +326,9 @@ def jacobian_sparse_matrix(J: JacobianElement) -> sp.csr_matrix:
 class NewtonSystem:
     """The operator ``eps*I_m + sum_i A_i V_i A_i'`` in assembled or operator form.
 
-    Assembled systems carry ``M_sp`` (sparse part), ``U`` (m x k columns) and
-    the diagonal weights ``d`` with operator ``M_sp + U diag(d) U'``.
+    Assembled systems carry ``M_sp`` (the symmetric part, a CSR matrix that
+    stores every entry when it is dense), ``U`` (m x k columns) and the
+    diagonal weights ``d`` with operator ``M_sp + U diag(d) U'``.
     """
 
     m: int
@@ -378,76 +394,261 @@ class NewtonSystem:
         return M
 
 
+def _dense_is_smaller(rows, cols, nnz):
+    """Whether dense storage of a matrix takes no more memory than CSR.
+
+    Counts 8-byte values and 4-byte indices.
+    """
+    return 8 * rows * cols <= 12 * nnz + 4 * (rows + 1)
+
+
+def _column_pairs(Ac, cols):
+    """Ordered pairs of nonzeros that share a column, over the given columns.
+
+    Returns ``(left, right, owner)``: positions in ``Ac.data`` of the two
+    nonzeros of each pair and the index into ``cols`` of their column.
+    """
+    cnt = np.diff(Ac.indptr)[cols]
+    start = Ac.indptr[cols]
+    nz_col = np.repeat(np.arange(cols.size), cnt)
+    nz = np.repeat(start - (np.cumsum(cnt) - cnt), cnt) + np.arange(nz_col.size)
+    reps = cnt[nz_col]
+    left = np.repeat(nz, reps)
+    right = (np.repeat(start[nz_col] - (np.cumsum(reps) - reps), reps)
+             + np.arange(left.size))
+    return left, right, np.repeat(nz_col, reps)
+
+
+def _block_grams(Ac, block_of_col, nblocks):
+    """Every Lorentz block's ``A_b A_b'`` on one pattern that holds the diagonal.
+
+    Returns ``(keys, G)``: the pattern as sorted row-major positions
+    ``r*m + c`` and ``G[p, b] = (A_b A_b')[keys[p]]``.  Column pairs are
+    expanded in chunks of at most ``_PAIR_CHUNK`` products (or one column).
+    """
+    m = Ac.shape[0]
+    counts = np.diff(Ac.indptr)
+    cols = np.flatnonzero((block_of_col >= 0) & (counts > 0))
+    pairs = np.cumsum(counts[cols].astype(np.int64) ** 2)
+    total = int(pairs[-1]) if pairs.size else 0
+    cuts = np.searchsorted(pairs, np.arange(_PAIR_CHUNK, total, _PAIR_CHUNK),
+                           side="right")
+    keys, blks, vals = [], [], []
+    for chunk in np.split(cols, cuts):
+        if not chunk.size:
+            continue
+        left, right, owner = _column_pairs(Ac, chunk)
+        key = Ac.indices[left].astype(np.int64) * m + Ac.indices[right]
+        ukey, inv = np.unique(key, return_inverse=True)
+        part = sp.coo_matrix(
+            (Ac.data[left] * Ac.data[right], (inv, block_of_col[chunk][owner])),
+            shape=(ukey.size, nblocks))
+        part.sum_duplicates()
+        keys.append(ukey[part.row])
+        blks.append(part.col)
+        vals.append(part.data)
+    diag = np.arange(m, dtype=np.int64) * (m + 1)
+    key = np.concatenate(keys + [np.zeros(0, np.int64)])
+    pattern = np.union1d(key, diag)
+    G = sp.coo_matrix(
+        (np.concatenate(vals + [np.zeros(0)]),
+         (np.searchsorted(pattern, key), np.concatenate(blks + [np.zeros(0, int)]))),
+        shape=(pattern.size, nblocks)).tocsr()
+    return pattern, G
+
+
+@dataclass(frozen=True)
+class _GramStructure:
+    """What :class:`NewtonAssembly` keeps between assemblies."""
+
+    keys: np.ndarray         # row-major positions r*m + c of the Lorentz pattern
+    indptr: np.ndarray       # that pattern in CSR form
+    indices: np.ndarray
+    diag: np.ndarray         # positions of the diagonal among ``keys``
+    G: sp.csr_matrix         # G[p, b] = (A_b A_b')[keys[p]], one column per block
+    Ac: sp.csc_matrix        # A by columns, for the low-rank columns A @ W
+    A0t: np.ndarray | sp.csr_matrix | None  # nonneg columns of A, transposed
+    full: tuple | None       # (indptr, indices) of a full pattern when M is dense
+
+
+class NewtonAssembly:
+    """Per-problem structure of the linear-case Newton matrix.
+
+    Nothing is computed at construction.  The first :meth:`assemble` builds
+    the Lorentz block Grams, the storage of the nonneg columns and the
+    storage decision for ``M_sp``, once, under a lock; every later call
+    reuses them.  The structure is never modified once built, so threads may
+    assemble concurrently.  A pickled copy starts unbuilt.
+    """
+
+    def __init__(self, A, cone):
+        self.A = sp.csr_matrix(A)
+        self.cone = cone
+        if self.A.shape[1] != cone.total_dim:
+            raise ValueError(
+                f"A has {self.A.shape[1]} columns, cone total_dim is "
+                f"{cone.total_dim}")
+        self._structure = None
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        return NewtonAssembly, (self.A, self.cone)
+
+    def _build(self) -> _GramStructure:
+        A, cone = self.A, self.cone
+        m = A.shape[0]
+        Ac = A.tocsc()
+        block_of_col = np.full(cone.total_dim, -1, dtype=np.int64)
+        nblocks = 0
+        for g in cone.soc_groups:
+            ids = nblocks + np.arange(g.count)
+            g.scatter(block_of_col, np.broadcast_to(ids[:, None], (g.count, g.dim)))
+            nblocks += g.count
+        keys, G = _block_grams(Ac, block_of_col, nblocks)
+        rows, cols = np.divmod(keys, m)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
+        diag = np.searchsorted(keys, np.arange(m, dtype=np.int64) * (m + 1))
+
+        # nnz of M when every block is active decides its storage
+        A0t = None
+        nnz_full = keys.size
+        if cone.nonneg_dim:
+            s = cone.nonneg_start
+            A0 = Ac[:, s:s + cone.nonneg_dim]
+            if _dense_is_smaller(m, A0.shape[1], A0.nnz):
+                A0t = A0.T.toarray()
+                used = np.any(A0t != 0.0, axis=0)
+                nnz_full = (int(used.sum()) ** 2
+                            + int(np.count_nonzero(~(used[rows] & used[cols]))))
+            elif A0.nnz:
+                A0t = A0.T.tocsr()
+                P = (abs(A0) @ abs(A0t)).tocoo()
+                nnz_full = np.union1d(keys, P.row.astype(np.int64) * m + P.col).size
+        full = None
+        if _dense_is_smaller(m, m, nnz_full):
+            F = sp.csr_matrix(np.ones((m, m)))
+            full = (F.indptr, F.indices)
+        return _GramStructure(keys, indptr, cols, diag, G, Ac, A0t, full)
+
+    def assemble(self, J: JacobianElement, sigma, eps) -> NewtonSystem:
+        """The Newton system ``eps*I + sum_i A_i V_i A_i'`` at one element J."""
+        if J.cone is not self.cone and J.cone != self.cone:
+            raise ValueError("Jacobian element belongs to a different cone")
+        st = self._structure
+        if st is None:
+            with self._lock:
+                if self._structure is None:
+                    self._structure = self._build()
+                st = self._structure
+        m = self.A.shape[0]
+        w = np.concatenate([0.5 * (1.0 + gj.rho) for gj in J.soc] + [np.zeros(0)])
+        lorentz = st.G @ w
+        lorentz[st.diag] += eps
+        gram0 = None
+        if st.A0t is not None:
+            X = st.A0t[np.flatnonzero(J.nonneg_mask)]
+            if X.shape[0]:
+                gram0 = X.T @ X
+        if st.full is not None:
+            M = np.zeros((m, m)) if gram0 is None else gram0
+            if sp.issparse(M):
+                M = M.toarray(order="C")
+            M.reshape(-1)[st.keys] += lorentz
+            M_sp = sp.csr_matrix((M.reshape(-1), st.full[1], st.full[0]),
+                                 shape=(m, m))
+        else:
+            M_sp = sp.csr_matrix((lorentz, st.indices, st.indptr), shape=(m, m))
+            if gram0 is not None:
+                M_sp = (M_sp + sp.csr_matrix(gram0)).tocsr()
+        W, d = _jacobian_lowrank(J)
+        if d.size:
+            # by columns the product touches only the columns W selects
+            U = st.Ac @ W
+            U.sort_indices()
+        else:
+            U = sp.csc_matrix((m, 0))
+        return NewtonSystem(m=m, sigma=sigma, eps=eps, A=self.A, J=J,
+                            M_sp=M_sp, U=U, d=d)
+
+
 def assemble_linear(A, J: JacobianElement, sigma, eps, mode="assembled") -> NewtonSystem:
     """Assemble ``eps*I_m + sum_i A_i V_i A_i'`` from A and a Jacobian element.
 
-    Lorentz blocks split into the sparse part ``(1+r)/2 * A_i A_i'`` plus low
-    rank columns built from A_i's first column and ``A_{i,2} w_i``; identity
-    blocks contribute ``A_i A_i'`` whole, zero blocks nothing, and the nonneg
-    block a column-masked ``A_0 A_0'``.  ``mode="operator"`` skips assembly
-    and keeps the operator matrix-free.
+    ``A`` is a matrix or the :class:`NewtonAssembly` of a problem
+    (``ProblemData.assembly``); a plain matrix gets a structure built for this
+    one call.  Lorentz blocks split into the part ``(1+r)/2 * A_i A_i'`` plus
+    low-rank columns built from A_i's first column and ``A_{i,2} w_i``;
+    identity blocks contribute ``A_i A_i'`` whole, zero blocks nothing, and
+    the nonneg block the Gram of its active columns.  ``mode="operator"``
+    skips assembly and keeps the operator matrix-free.
     """
-    A = sp.csr_matrix(A)
-    if A.shape[1] != J.cone.total_dim:
-        raise ValueError(
-            f"A has {A.shape[1]} columns, cone total_dim is {J.cone.total_dim}")
-    m = A.shape[0]
-    scale = _jacobian_scale(J)
+    asm = A if isinstance(A, NewtonAssembly) else NewtonAssembly(A, J.cone)
     if mode == "operator":
-        return NewtonSystem(m=m, sigma=sigma, eps=eps, A=A, J=J,
-                            matrix_free=True, _scale=scale)
+        return NewtonSystem(m=asm.A.shape[0], sigma=sigma, eps=eps, A=asm.A, J=J,
+                            matrix_free=True, _scale=_jacobian_scale(J))
     if mode != "assembled":
         raise ValueError(f"unknown mode {mode!r}")
-    As = A.multiply(scale[None, :]).tocsr()
-    M_sp = (As @ A.T).tocsr()
-    M_sp = (M_sp + sp.identity(m, format="csr") * eps).tocsr()
-    W, d = _jacobian_lowrank(J)
-    U = (A @ W).tocsc() if d.size else sp.csc_matrix((m, 0))
-    return NewtonSystem(m=m, sigma=sigma, eps=eps, A=A, J=J,
-                        M_sp=M_sp, U=U, d=d, _scale=scale)
+    return asm.assemble(J, sigma, eps)
+
+
+def _dense_view(M):
+    """Row-major array view of a CSR matrix that stores every entry, else None."""
+    m, n = M.shape
+    if M.format != "csr" or M.nnz != m * n or not M.has_canonical_format:
+        return None
+    return M.data.reshape(m, n)
+
+
+def _dense_factor(M):
+    """Solve function of a dense factorization: Cholesky, LU if that fails."""
+    try:
+        cho = scipy.linalg.cho_factor(M, check_finite=False)
+        return lambda r: scipy.linalg.cho_solve(cho, r, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        lu = scipy.linalg.lu_factor(M, check_finite=False)
+        return lambda r: scipy.linalg.lu_solve(lu, r, check_finite=False)
 
 
 def _solve_dense(sys_, rhs, stop):
-    M = sys_.densify()
-    try:
-        cho = scipy.linalg.cho_factor(M, check_finite=False)
-        x = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-        refine = lambda r: scipy.linalg.cho_solve(cho, r, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        lu = scipy.linalg.lu_factor(M, check_finite=False)
-        x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-        refine = lambda r: scipy.linalg.lu_solve(lu, r, check_finite=False)
+    solve = _dense_factor(sys_.densify())
+    x = solve(rhs)
     res = rhs - sys_.matvec(x)
     for _ in range(2):
         if np.linalg.norm(res) <= stop:
             break
-        x = x + refine(res)
+        x = x + solve(res)
         res = rhs - sys_.matvec(x)
     return x, float(np.linalg.norm(res)), SolveStats("dense")
 
 
-def _solve_augmented(sys_, rhs, stop, max_iter):
-    """Direct solve through the sparse augmented system plus PSQMR refinement."""
+def _solve_lowrank(sys_, rhs, stop, max_iter, solve_M, method):
+    """Direct solve through the augmented system plus PSQMR refinement.
+
+    ``solve_M`` applies the inverse of ``M_sp``; the low-rank columns enter
+    through the k x k Schur complement of the augmented system.
+    """
     m, k = sys_.m, sys_.k
-    Msp_lu = spla.splu(sys_.M_sp.tocsc())
     U = sys_.U
-    Ud = U.toarray()
     dinv = 1.0 / sys_.d
-    # S = D^{-1} + U' M_sp^{-1} U, dense k x k
-    MiU = Msp_lu.solve(Ud)
-    S = MiU.T @ Ud
-    S[np.diag_indices(k)] += dinv
-    S_lu = scipy.linalg.lu_factor(S, check_finite=False)
+    if k:
+        Ud = U.toarray()
+        # S = D^{-1} + U' M_sp^{-1} U, dense k x k
+        MiU = solve_M(Ud)
+        S = MiU.T @ Ud
+        S[np.diag_indices(k)] += dinv
+        S_lu = scipy.linalg.lu_factor(S, check_finite=False)
 
     def block_inverse(h1, h2):
-        lam1 = Msp_lu.solve(h1)
+        lam1 = solve_M(h1)
+        if not k:
+            return lam1, h2
         lam2 = scipy.linalg.lu_solve(S_lu, U.T @ lam1 - h2, check_finite=False)
         return lam1 - MiU @ lam2, lam2
 
     x, _ = block_inverse(rhs, np.zeros(k))
     res = rhs - sys_.matvec(x)
     resnorm = float(np.linalg.norm(res))
-    stats = SolveStats("augmented")
+    stats = SolveStats(method)
     if resnorm <= stop:
         stats.residual = resnorm
         return x, resnorm, stats
@@ -469,20 +670,22 @@ def _solve_augmented(sys_, rhs, stop, max_iter):
     stats.iterations = pst.iterations
     stats.quasi_residuals = pst.quasi_residuals
     stats.residual = resnorm
-    stats.method = "augmented+psqmr"
+    stats.method = method + "+psqmr"
     return x, resnorm, stats
 
 
-def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto", max_iter=500,
-              dense_col_cap=None):
+def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto", max_iter=500):
     """Solve the assembled SPD operator to ``||M d - rhs|| <= tol`` (absolute).
 
-    Route selection for ``strategy="auto"``: pure sparse factorization when
-    there are no low-rank columns; dense factorization when the update is at
-    least as wide as the system; the augmented sparse solve (with the
-    analytic block-inverse preconditioner and PSQMR refinement) while the
-    column count stays under ``dense_col_cap``; matrix-free PSQMR with a
-    diagonal preconditioner otherwise.  Raises :class:`LinearSolveError` on
+    Route selection for ``strategy="auto"``: ``"dense"`` when ``M_sp`` is
+    stored dense or the low-rank update is at least as wide as the system,
+    ``"sparse"`` (sparse LU) when there are no low-rank columns, and
+    ``"augmented"`` (sparse LU of ``M_sp`` with the Schur complement of the
+    columns) otherwise.  ``"dense"`` densifies the whole matrix when the
+    update is that wide and otherwise factors ``M_sp`` by dense Cholesky and
+    adds the columns like ``"augmented"``.  ``"krylov"`` is matrix-free PSQMR
+    with a diagonal preconditioner, which is also where every direct route
+    goes when it misses the tolerance.  Raises :class:`LinearSolveError` on
     Krylov non-convergence, carrying the best iterate.
     """
     rhs = np.asarray(rhs, dtype=float)
@@ -490,22 +693,17 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto", max_iter=500,
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({sys_.m},)")
     stop = max(float(tol), 1e-12 * float(np.linalg.norm(rhs)))
     k = sys_.k
-    if dense_col_cap is None:
-        nsoc = sys_.J.cone.num_soc if sys_.J is not None else k
-        dense_col_cap = 2 * nsoc + 50
 
     if sys_.matrix_free:
         strategy = "krylov" if strategy in ("auto", "sparse", "augmented") \
             else strategy
     elif strategy == "auto":
-        if k == 0:
-            strategy = "sparse"
-        elif k >= sys_.m:
+        if k >= sys_.m or _dense_view(sys_.M_sp) is not None:
             strategy = "dense"
-        elif k <= dense_col_cap:
-            strategy = "augmented"
+        elif k == 0:
+            strategy = "sparse"
         else:
-            strategy = "krylov"
+            strategy = "augmented"
 
     if strategy == "sparse":
         try:
@@ -526,7 +724,13 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto", max_iter=500,
         return _finish_krylov(sys_, rhs, stop, max_iter, x0=x)
 
     if strategy == "dense":
-        x, resnorm, stats = _solve_dense(sys_, rhs, stop)
+        if k >= sys_.m:
+            x, resnorm, stats = _solve_dense(sys_, rhs, stop)
+        else:
+            M = _dense_view(sys_.M_sp)
+            solve_M = _dense_factor(sys_.M_sp.toarray() if M is None else M)
+            x, resnorm, stats = _solve_lowrank(sys_, rhs, stop, max_iter,
+                                               solve_M, "dense")
         stats.residual = resnorm
         if resnorm <= stop:
             return x, stats
@@ -534,9 +738,11 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto", max_iter=500,
 
     if strategy == "augmented":
         try:
-            x, resnorm, stats = _solve_augmented(sys_, rhs, stop, max_iter)
+            solve_M = spla.splu(sys_.M_sp.tocsc()).solve
         except RuntimeError:
             return _finish_krylov(sys_, rhs, stop, max_iter)
+        x, resnorm, stats = _solve_lowrank(sys_, rhs, stop, max_iter, solve_M,
+                                           "augmented")
         if resnorm <= stop:
             return x, stats
         return _finish_krylov(sys_, rhs, stop, max_iter, x0=x)

@@ -165,7 +165,7 @@ def newton_direction(problem, state: InnerState, sigma, params: NewtonParams):
                 d1, d2, stats = solve_quadratic(
                     problem.H, problem.A, J, sigma, eps_j, R1, R2, nu_j)
             else:
-                sys_ = assemble_linear(problem.A, J, sigma, eps_j / sigma)
+                sys_ = assemble_linear(problem.assembly, J, sigma, eps_j / sigma)
                 d2, stats = solve_spd(sys_, -state.g2 / sigma, nu_j / sigma)
                 d1 = np.zeros_like(state.x1)
             return d1, d2, eps_j, nu_j, stats

@@ -1,11 +1,17 @@
 """Newton-system assembly and solve routes against dense factorization oracles."""
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import socalm
 from socalm import (
     ConeSpec,
+    NewtonAssembly,
     NewtonSystem,
     SocCase,
     SparseSymmetric,
@@ -143,6 +149,254 @@ class TestAssembly:
         v = rng.standard_normal(6)
         ref = 0.1 * v + A @ apply_jacobian(J, A.T @ v)
         assert np.linalg.norm(sys_.matvec(v) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def assembly_reference(A, J, eps):
+    """``eps*I + A V A'`` densified, with V realized from the Jacobian element."""
+    A = sp.csr_matrix(A)
+    return eps * np.eye(A.shape[0]) + (A @ jacobian_sparse_matrix(J) @ A.T).toarray()
+
+
+def assert_assembly_matches(asm, J, eps):
+    got = asm.assemble(J, 1.0, eps).densify()
+    ref = assembly_reference(asm.A, J, eps)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def unit(rng, n):
+    w = rng.standard_normal(n)
+    return w / np.linalg.norm(w)
+
+
+def every_case_jacobian(cone, rng, mask):
+    """Element with the Lorentz blocks cycling through every SocCase."""
+    cases = {}
+    for i, blk_id in enumerate(cone.soc_block_ids):
+        case = list(SocCase)[i % len(SocCase)]
+        dim = cone.blocks[blk_id].dim
+        rho = rng.uniform(-0.9, 0.9) if case == SocCase.MIDDLE else None
+        w = unit(rng, dim - 1) if case >= SocCase.MIDDLE else None
+        cases[blk_id] = (case, rho, w)
+    return make_jacobian(cone, nonneg_mask=mask, soc_cases=cases)
+
+
+def orthant_matrix(rng, m, cone, a0):
+    """Random A whose nonneg columns follow one of the storage cases below.
+
+    Each Lorentz column holds one entry, so the Lorentz Grams are diagonal
+    and the nonneg columns alone decide how M is stored.
+    """
+    n0 = cone.nonneg_dim
+    A = np.zeros((m, cone.total_dim))
+    A[rng.integers(0, m, cone.total_dim), np.arange(cone.total_dim)] = (
+        rng.standard_normal(cone.total_dim))
+    A0 = rng.standard_normal((m, n0))   # a0 == "dense" keeps it whole
+    if a0 == "dense_rows":
+        A0[7:] = 0.0           # stored dense, but its Gram fills 7 of m rows
+    elif a0 == "sparse":
+        A0 *= rng.random((m, n0)) < 0.1
+    elif a0 == "sparse_wide_gram":
+        A0 *= rng.random((m, n0)) < 0.02
+        A0[:, :2] = rng.standard_normal((m, 2))  # two dense columns
+    A[:, :n0] = A0
+    return sp.csr_matrix(A)
+
+
+class TestNewtonAssembly:
+    # (A_0 case, m, nonneg dim, whether A_0 is stored dense, whether M is)
+    STORAGE = [("dense", 12, 6, True, True),
+               ("dense_rows", 10, 6, True, False),
+               ("sparse", 30, 10, False, False),
+               ("sparse_wide_gram", 12, 30, False, True)]
+
+    @pytest.mark.parametrize("a0, m, n0, a0_dense, m_dense", STORAGE)
+    @pytest.mark.parametrize("mask", ["random", "zeros", "ones"])
+    def test_matches_reference_on_both_sides_of_storage_rule(
+            self, a0, m, n0, a0_dense, m_dense, mask):
+        rng = np.random.default_rng(len(a0) + m)
+        cone = ConeSpec.make(nonneg=n0, soc=(3, 4, 3, 5))
+        A = orthant_matrix(rng, m, cone, a0)
+        masks = {"random": (rng.random(n0) < 0.5) * 1.0,
+                 "zeros": np.zeros(n0), "ones": np.ones(n0)}
+        J = every_case_jacobian(cone, rng, masks[mask])
+        asm = NewtonAssembly(A, cone)
+        assert_assembly_matches(asm, J, 0.3)
+        st = asm._structure
+        assert isinstance(st.A0t, np.ndarray) == a0_dense
+        assert (st.full is not None) == m_dense
+        M_sp = asm.assemble(J, 1.0, 0.3).M_sp
+        assert (M_sp.nnz == m * m) == m_dense
+
+    def test_no_nonneg_block(self):
+        rng = np.random.default_rng(1)
+        cone = ConeSpec.make(soc=(3, 3, 4, 2, 5))
+        A = sp.random(7, cone.total_dim, density=0.4, random_state=1, format="csr")
+        assert_assembly_matches(NewtonAssembly(A, cone),
+                                every_case_jacobian(cone, rng, None), 0.2)
+
+    def test_no_lorentz_block(self):
+        rng = np.random.default_rng(2)
+        cone = ConeSpec.make(nonneg=9)
+        for density in (0.2, 1.0):
+            A = sp.random(6, 9, density=density, random_state=2, format="csr")
+            J = make_jacobian(cone, nonneg_mask=(rng.random(9) < 0.5) * 1.0)
+            assert_assembly_matches(NewtonAssembly(A, cone), J, 0.1)
+
+    def test_every_soc_case_in_equal_dimension_groups(self):
+        rng = np.random.default_rng(3)
+        # interleaved dimensions: the groups are not contiguous in A
+        cone = ConeSpec.make(nonneg=2, soc=(3, 4, 3, 4, 3, 4, 3, 4, 3, 4, 6))
+        A = sp.csr_matrix(rng.standard_normal((9, cone.total_dim)))
+        J = every_case_jacobian(cone, rng, np.array([1.0, 0.0]))
+        codes = np.concatenate([gj.codes for gj in J.soc])
+        assert set(codes) == set(SocCase)
+        assert len(cone.soc_groups) == 3
+        assert_assembly_matches(NewtonAssembly(A, cone), J, 0.05)
+
+    def test_structure_reused_across_assemblies(self):
+        rng = np.random.default_rng(4)
+        cone = ConeSpec.make(nonneg=5, soc=(3, 4, 4))
+        A = sp.random(8, cone.total_dim, density=0.5, random_state=4, format="csr")
+        asm = NewtonAssembly(A, cone)
+        structure = None
+        for trial in range(6):
+            if trial % 2:
+                J = jacobian_element(cone, rng.standard_normal(cone.total_dim))
+            else:
+                J = every_case_jacobian(cone, rng, (rng.random(5) < 0.5) * 1.0)
+            assert_assembly_matches(asm, J, rng.uniform(0.01, 1.0))
+            structure = structure or asm._structure
+            assert asm._structure is structure
+
+    def test_pair_chunks_cover_every_column(self, monkeypatch):
+        import socalm.linsys as linsys
+        rng = np.random.default_rng(5)
+        cone = ConeSpec.make(soc=(4, 5, 4, 6))
+        A = sp.random(10, cone.total_dim, density=0.6, random_state=5, format="csr")
+        J = every_case_jacobian(cone, rng, None)
+        monkeypatch.setattr(linsys, "_PAIR_CHUNK", 7)
+        assert_assembly_matches(NewtonAssembly(A, cone), J, 0.1)
+
+    def test_rejects_element_of_another_cone(self):
+        cone = ConeSpec.make(soc=(3,))
+        asm = NewtonAssembly(sp.csr_matrix(np.ones((2, 3))), cone)
+        J = jacobian_element(ConeSpec.make(nonneg=3), np.ones(3))
+        with pytest.raises(ValueError):
+            asm.assemble(J, 1.0, 0.1)
+
+    def test_dense_storage_takes_dense_cholesky_route(self):
+        rng = np.random.default_rng(6)
+        cone = ConeSpec.make(nonneg=6, soc=(5,))
+        A = sp.csr_matrix(rng.standard_normal((8, cone.total_dim)))
+        J = make_jacobian(cone, nonneg_mask=np.ones(6), soc_cases={
+            1: (SocCase.MIDDLE, 0.3, unit(rng, 4))})
+        sys_ = assemble_linear(A, J, 1.0, 0.1)
+        assert sys_.M_sp.nnz == 64 and sys_.k == 2
+        rhs = rng.standard_normal(8)
+        d, stats = solve_spd(sys_, rhs, 1e-12)
+        assert stats.method == "dense"
+        np.testing.assert_allclose(d, np.linalg.solve(sys_.densify(), rhs),
+                                   rtol=1e-10, atol=1e-12)
+
+
+def small_srlasso(seed=0, m=30, d=12):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((m, d))
+    w = B[:, :3] @ np.full(3, 2.0) + 0.1 * rng.standard_normal(m)
+    return socalm.build_srlasso(B, w, socalm.lambda_from_lambda_c(1.0, d))[1]
+
+
+class TestAssemblyCache:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count structure builds of every NewtonAssembly."""
+        calls = []
+        original = NewtonAssembly._build
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(NewtonAssembly, "_build", counted)
+        return calls
+
+    def test_problem_construction_builds_nothing(self, builds):
+        small_srlasso()
+        assert builds == []
+
+    def test_quadratic_solve_builds_nothing(self, builds):
+        _, problem = socalm.gen_trs(6, 1)
+        result = socalm.solve(problem)
+        assert result.newton_iters > 0
+        assert builds == []
+
+    def test_linear_solve_builds_once(self, builds):
+        problem = small_srlasso()
+        result = socalm.solve(problem)
+        assert result.status == "Optimal"
+        assert result.newton_iters > 1
+        assert builds == [problem.assembly]
+        socalm.solve(problem)
+        assert len(builds) == 1
+
+    def test_concurrent_first_assemblies_build_once(self, builds):
+        rng = np.random.default_rng(7)
+        cone = ConeSpec.make(nonneg=20, soc=(3,) * 40)
+        A = sp.random(30, cone.total_dim, density=0.3, random_state=7,
+                      format="csr")
+        J = jacobian_element(cone, rng.standard_normal(cone.total_dim))
+        asm = NewtonAssembly(A, cone)
+        barrier = threading.Barrier(6)
+        results = [None] * 6
+
+        def run(i):
+            barrier.wait()
+            results[i] = asm.assemble(J, 1.0, 0.1).densify()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert builds == [asm]
+        for M in results:
+            assert np.array_equal(M, results[0])
+
+    def test_pickled_problem_starts_unbuilt(self):
+        problem = small_srlasso()
+        socalm.solve(problem)
+        copy = pickle.loads(pickle.dumps(problem))
+        assert problem.assembly._structure is not None
+        assert copy.assembly._structure is None
+        assert socalm.solve(copy).status == "Optimal"
+
+    def test_concurrent_solves_of_one_problem_agree_bitwise(self):
+        problem = small_srlasso(seed=3)
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def run(i):
+            barrier.wait()
+            results[i] = socalm.solve(problem)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        serial = socalm.solve(problem)
+        for r in results:
+            assert r.status == serial.status == "Optimal"
+            assert r.newton_iters == serial.newton_iters
+            for name in ("x1", "x2", "x3", "y"):
+                assert np.array_equal(getattr(r, name), getattr(serial, name))
 
 
 class TestSolveSpd:
