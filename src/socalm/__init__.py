@@ -33,7 +33,6 @@ from .ssn import (
     line_search,
     make_state,
     newton_direction,
-    psi_and_grad,
     run_inner,
 )
 from .alm import (
@@ -81,7 +80,7 @@ __all__ = [
     "LinearSolveError", "NewtonAssembly", "NewtonSystem", "SparseSymmetric",
     "assemble_linear", "estimate_lambda_max", "solve_quadratic", "solve_spd",
     "InnerState", "NewtonParams", "line_search", "make_state",
-    "newton_direction", "psi_and_grad", "run_inner",
+    "newton_direction", "run_inner",
     "AlmOptions", "Iterate", "ProblemData", "SolveResult",
     "diagnose_strict_complementarity", "kkt_residuals", "natural_map",
     "outer_step", "solve",

@@ -267,6 +267,7 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
     krylov = 0
     accepted = False
     inner_status = ssn.CONVERGED
+    x3 = None
     for _ in range(_MAX_FIXED_POINT_ROUNDS):
         if state.grad_norm == 0.0:
             accepted = True
@@ -275,6 +276,7 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
         newton += res.newton_iters
         krylov += res.krylov_iters
         state = res.state
+        x3 = res.x3
         inner_status = res.status
         rhs_a, rhs_b = _criterion_rhs(problem, state, y, sigma, ehat, dhat,
                                       options.use_criterion_b)
@@ -285,7 +287,8 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
         if res.status != ssn.CONVERGED:
             break
         threshold = min(threshold * 0.5, target)
-    x3 = project(problem.cone, -state.z / sigma)
+    if x3 is None:
+        x3 = project(problem.cone, -state.z / sigma)
     new_iterate = Iterate(state.x1, state.x2, x3, state.proj, sigma)
     info = StepInfo(newton, krylov, state.psi, state.grad_norm, ehat, dhat,
                     rhs_a, rhs_b, y, inner_status, accepted)

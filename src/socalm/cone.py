@@ -128,9 +128,6 @@ class ConeSpec:
         blocks.extend(Block(SOC, int(d)) for d in soc)
         return cls(blocks)
 
-    def block_start(self, i: int) -> int:
-        return int(self._starts[i])
-
     def block_slice(self, i: int) -> slice:
         return slice(int(self._starts[i]), int(self._starts[i + 1]))
 

@@ -13,13 +13,14 @@ and forms the nonneg block's Gram from its active columns only, with BLAS when
 those columns are stored dense.  ``M_sp`` is stored dense (a CSR matrix that
 keeps every entry) when that takes no more memory than its sparse pattern.
 
-Solves factor ``M_sp`` (dense Cholesky when it is stored dense, sparse LU
-otherwise) and add the low-rank columns through the Schur complement of an
-augmented system, refined by preconditioned symmetric QMR; when the update is
-at least as wide as the system the whole matrix is densified instead.  A
-matrix-free QMR iteration with a diagonal preconditioner is the fallback when
-a direct solve misses its tolerance.  The quadratic case solves the
-unsymmetric two-by-two block system directly or with BiCGStab.
+There is one direct solve path: factor ``M_sp`` (dense Cholesky when it is
+stored dense, sparse LU otherwise), add the k low-rank columns (k may be 0)
+through the Schur complement of an augmented system refined by preconditioned
+symmetric QMR, and fall back to QMR on the assembled operator with a diagonal
+preconditioner when the direct solve misses its tolerance.  Only when the
+update is at least as wide as the system is the whole matrix densified
+instead.  The quadratic case solves the unsymmetric two-by-two block system,
+for any H, directly or with BiCGStab.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cone import JacobianElement, SocCase, apply_jacobian
+from .cone import JacobianElement, SocCase
 
 # low-rank eigenvalue below this is dropped from the update (rank degenerates)
 _DROP_TOL = 1e-14
@@ -324,23 +325,18 @@ def jacobian_sparse_matrix(J: JacobianElement) -> sp.csr_matrix:
 
 @dataclass
 class NewtonSystem:
-    """The operator ``eps*I_m + sum_i A_i V_i A_i'`` in assembled or operator form.
+    """The operator ``M_sp + U diag(d) U'`` of ``eps*I_m + sum_i A_i V_i A_i'``.
 
-    Assembled systems carry ``M_sp`` (the symmetric part, a CSR matrix that
-    stores every entry when it is dense), ``U`` (m x k columns) and the
-    diagonal weights ``d`` with operator ``M_sp + U diag(d) U'``.
+    ``M_sp`` is the symmetric part (a CSR matrix that stores every entry when
+    it is dense), ``U`` the m x k low-rank columns and ``d`` their weights.
     """
 
     m: int
     sigma: float
     eps: float
-    A: sp.csr_matrix | None = None
-    J: JacobianElement | None = None
-    M_sp: sp.csr_matrix | None = None
-    U: sp.csc_matrix | None = None
-    d: np.ndarray | None = None
-    matrix_free: bool = False
-    _scale: np.ndarray | None = None
+    M_sp: sp.csr_matrix
+    U: sp.csc_matrix
+    d: np.ndarray
 
     @classmethod
     def from_parts(cls, M_sp, U, d, sigma=1.0, eps=0.0):
@@ -356,22 +352,15 @@ class NewtonSystem:
 
     @property
     def k(self):
-        if self.matrix_free or self.d is None:
-            return 0
         return int(self.d.size)
 
     def matvec(self, v):
-        if self.matrix_free:
-            return self.eps * v + self.A @ apply_jacobian(self.J, self.A.T @ v)
         out = self.M_sp @ v
         if self.k:
             out = out + self.U @ (self.d * (self.U.T @ v))
         return out
 
     def diagonal(self):
-        if self.matrix_free:
-            A2 = self.A.multiply(self.A)
-            return self.eps + A2 @ self._scale
         diag = self.M_sp.diagonal().astype(float, copy=True)
         if self.k:
             U2 = self.U.multiply(self.U)
@@ -379,14 +368,6 @@ class NewtonSystem:
         return diag
 
     def densify(self):
-        if self.matrix_free:
-            M = np.empty((self.m, self.m))
-            e = np.zeros(self.m)
-            for j in range(self.m):
-                e[j] = 1.0
-                M[:, j] = self.matvec(e)
-                e[j] = 0.0
-            return M
         M = self.M_sp.toarray()
         if self.k:
             Ud = self.U.toarray()
@@ -567,11 +548,10 @@ class NewtonAssembly:
             U.sort_indices()
         else:
             U = sp.csc_matrix((m, 0))
-        return NewtonSystem(m=m, sigma=sigma, eps=eps, A=self.A, J=J,
-                            M_sp=M_sp, U=U, d=d)
+        return NewtonSystem(m=m, sigma=sigma, eps=eps, M_sp=M_sp, U=U, d=d)
 
 
-def assemble_linear(A, J: JacobianElement, sigma, eps, mode="assembled") -> NewtonSystem:
+def assemble_linear(A, J: JacobianElement, sigma, eps) -> NewtonSystem:
     """Assemble ``eps*I_m + sum_i A_i V_i A_i'`` from A and a Jacobian element.
 
     ``A`` is a matrix or the :class:`NewtonAssembly` of a problem
@@ -579,15 +559,9 @@ def assemble_linear(A, J: JacobianElement, sigma, eps, mode="assembled") -> Newt
     one call.  Lorentz blocks split into the part ``(1+r)/2 * A_i A_i'`` plus
     low-rank columns built from A_i's first column and ``A_{i,2} w_i``;
     identity blocks contribute ``A_i A_i'`` whole, zero blocks nothing, and
-    the nonneg block the Gram of its active columns.  ``mode="operator"``
-    skips assembly and keeps the operator matrix-free.
+    the nonneg block the Gram of its active columns.
     """
     asm = A if isinstance(A, NewtonAssembly) else NewtonAssembly(A, J.cone)
-    if mode == "operator":
-        return NewtonSystem(m=asm.A.shape[0], sigma=sigma, eps=eps, A=asm.A, J=J,
-                            matrix_free=True, _scale=_jacobian_scale(J))
-    if mode != "assembled":
-        raise ValueError(f"unknown mode {mode!r}")
     return asm.assemble(J, sigma, eps)
 
 
@@ -618,7 +592,8 @@ def _solve_dense(sys_, rhs, stop):
             break
         x = x + solve(res)
         res = rhs - sys_.matvec(x)
-    return x, float(np.linalg.norm(res)), SolveStats("dense")
+    resnorm = float(np.linalg.norm(res))
+    return x, resnorm, SolveStats("dense", residual=resnorm)
 
 
 def _solve_lowrank(sys_, rhs, stop, max_iter, solve_M, method):
@@ -677,80 +652,50 @@ def _solve_lowrank(sys_, rhs, stop, max_iter, solve_M, method):
 def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto", max_iter=500):
     """Solve the assembled SPD operator to ``||M d - rhs|| <= tol`` (absolute).
 
-    Route selection for ``strategy="auto"``: ``"dense"`` when ``M_sp`` is
-    stored dense or the low-rank update is at least as wide as the system,
-    ``"sparse"`` (sparse LU) when there are no low-rank columns, and
-    ``"augmented"`` (sparse LU of ``M_sp`` with the Schur complement of the
-    columns) otherwise.  ``"dense"`` densifies the whole matrix when the
-    update is that wide and otherwise factors ``M_sp`` by dense Cholesky and
-    adds the columns like ``"augmented"``.  ``"krylov"`` is matrix-free PSQMR
-    with a diagonal preconditioner, which is also where every direct route
-    goes when it misses the tolerance.  Raises :class:`LinearSolveError` on
-    Krylov non-convergence, carrying the best iterate.
+    Routes:
+
+    - ``"dense"``: dense Cholesky of ``M_sp`` (LU if that fails), or of the
+      whole densified operator when the low-rank update is at least as wide
+      as the system;
+    - ``"augmented"``: sparse LU of ``M_sp``;
+    - ``"krylov"``: PSQMR with a diagonal preconditioner.
+
+    Both direct routes add the k low-rank columns (k may be 0) through the
+    Schur complement of an augmented system refined by PSQMR, and a direct
+    route that misses the tolerance ends in ``"krylov"`` from its iterate.
+    ``"auto"`` takes ``"dense"`` when ``M_sp`` is stored dense or the update
+    is that wide, and ``"augmented"`` otherwise.  Raises
+    :class:`LinearSolveError` on Krylov non-convergence, carrying the best
+    iterate.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (sys_.m,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({sys_.m},)")
     stop = max(float(tol), 1e-12 * float(np.linalg.norm(rhs)))
-    k = sys_.k
-
-    if sys_.matrix_free:
-        strategy = "krylov" if strategy in ("auto", "sparse", "augmented") \
-            else strategy
-    elif strategy == "auto":
-        if k >= sys_.m or _dense_view(sys_.M_sp) is not None:
-            strategy = "dense"
-        elif k == 0:
-            strategy = "sparse"
-        else:
-            strategy = "augmented"
-
-    if strategy == "sparse":
-        try:
-            lu = spla.splu(sys_.M_sp.tocsc())
-        except RuntimeError:
-            return _finish_krylov(sys_, rhs, stop, max_iter)
-        x = lu.solve(rhs)
-        res = rhs - sys_.matvec(x)
-        for _ in range(2):
-            if np.linalg.norm(res) <= stop:
-                break
-            x = x + lu.solve(res)
-            res = rhs - sys_.matvec(x)
-        resnorm = float(np.linalg.norm(res))
-        stats = SolveStats("sparse", residual=resnorm)
-        if resnorm <= stop:
-            return x, stats
-        return _finish_krylov(sys_, rhs, stop, max_iter, x0=x)
-
-    if strategy == "dense":
-        if k >= sys_.m:
-            x, resnorm, stats = _solve_dense(sys_, rhs, stop)
-        else:
-            M = _dense_view(sys_.M_sp)
-            solve_M = _dense_factor(sys_.M_sp.toarray() if M is None else M)
-            x, resnorm, stats = _solve_lowrank(sys_, rhs, stop, max_iter,
-                                               solve_M, "dense")
-        stats.residual = resnorm
-        if resnorm <= stop:
-            return x, stats
-        return _finish_krylov(sys_, rhs, stop, max_iter, x0=x)
-
-    if strategy == "augmented":
+    if strategy == "auto":
+        dense = sys_.k >= sys_.m or _dense_view(sys_.M_sp) is not None
+        strategy = "dense" if dense else "augmented"
+    if strategy == "krylov":
+        return _finish_krylov(sys_, rhs, stop, max_iter)
+    if strategy == "dense" and sys_.k >= sys_.m:
+        x, resnorm, stats = _solve_dense(sys_, rhs, stop)
+    elif strategy == "dense":
+        M = _dense_view(sys_.M_sp)
+        solve_M = _dense_factor(sys_.M_sp.toarray() if M is None else M)
+        x, resnorm, stats = _solve_lowrank(sys_, rhs, stop, max_iter, solve_M,
+                                           strategy)
+    elif strategy == "augmented":
         try:
             solve_M = spla.splu(sys_.M_sp.tocsc()).solve
         except RuntimeError:
             return _finish_krylov(sys_, rhs, stop, max_iter)
         x, resnorm, stats = _solve_lowrank(sys_, rhs, stop, max_iter, solve_M,
-                                           "augmented")
-        if resnorm <= stop:
-            return x, stats
-        return _finish_krylov(sys_, rhs, stop, max_iter, x0=x)
-
-    if strategy == "krylov":
-        return _finish_krylov(sys_, rhs, stop, max_iter)
-
-    raise ValueError(f"unknown strategy {strategy!r}")
+                                           strategy)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if resnorm <= stop:
+        return x, stats
+    return _finish_krylov(sys_, rhs, stop, max_iter, x0=x)
 
 
 def _finish_krylov(sys_, rhs, stop, max_iter, x0=None):
@@ -787,14 +732,6 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     rhs_scale = np.sqrt(R1 @ R1 + R2 @ R2)
     stop = max(float(tol) / max(1.0, H.lambda_max_estimate()),
                1e-12 * rhs_scale)
-
-    if H.is_zero:
-        # block-triangular: the second row is the linear-case SPD system
-        sys_ = assemble_linear(A, J, sigma, eps / sigma)
-        d2, stats = solve_spd(sys_, R2 / sigma, stop / sigma, max_iter=max_iter)
-        d1 = R1 + sigma * apply_jacobian(J, A.T @ d2)
-        stats.method = "decoupled:" + stats.method
-        return d1, d2, stats
 
     V = jacobian_sparse_matrix(J)
     Hc = H.to_csr()

@@ -6,11 +6,14 @@ For fixed multiplier ``y`` and penalty ``sigma`` the inner problem minimizes
                   + (||P_K(z)||^2 - ||y||^2) / (2 sigma),
 
 where ``z = y + sigma (A' x2 - H x1 - c)`` and ``P_K`` is the cone
-projection.  Directions come from a generalized-Hessian linear system solved
-inexactly (tolerance tied to the gradient norm), globalized by an Armijo
-backtracking line search.  In the linear case (H = 0) the variable ``x1``
-stays identically zero; in the quadratic case the iterate is a range-space
-representative: only ``H x1`` and ``<x1, H x1>`` are ever consumed.
+projection.  :func:`make_state` is the one evaluation of psi, its gradient
+and the cached projection.  Directions come from a generalized-Hessian linear
+system solved inexactly (tolerance tied to the gradient norm), globalized by
+an Armijo backtracking line search whose unit trial is a full evaluation and
+whose shorter trials move ``z`` along the unit step's image, one projection
+each.  In the linear case (H = 0) the variable ``x1`` stays identically zero;
+in the quadratic case the iterate is a range-space representative: only
+``H x1`` and ``<x1, H x1>`` are ever consumed.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import apply_jacobian, jacobian_element, project
+from .cone import jacobian_element, project
 from .linsys import LinearSolveError, assemble_linear, solve_quadratic, solve_spd
 
 logger = logging.getLogger(__name__)
@@ -82,62 +85,37 @@ class InnerState:
     grad_norm: float
 
 
-def _projection_argument(problem, x1, x2, y, sigma):
-    z = y + sigma * (problem.A.T @ x2 - problem.c)
-    if problem.is_quadratic:
-        z = z - sigma * problem.H.matvec(x1)
-    return z
+def _psi(problem, x2, proj, y_sq, sigma, quad):
+    """Inner objective from the projection and ``quad = <x1, H x1>``."""
+    psi = -float(problem.b @ x2) + (proj @ proj - y_sq) / (2.0 * sigma)
+    return float(psi + 0.5 * quad)
 
 
-def psi_and_grad(problem, x1, x2, y, sigma):
-    """Inner objective and its gradient blocks at ``(x1, x2)``.
+def make_state(problem, x1, x2, y, sigma) -> InnerState:
+    """Evaluate the inner objective and gradient at ``(x1, x2)`` for fixed ``(y, sigma)``.
 
-    Returns ``(psi, g1, g2)`` with ``g1 = H x1 - H P_K(z)`` and
-    ``g2 = A P_K(z) - b``.
+    The gradient blocks are ``g1 = H x1 - H P_K(z)`` and ``g2 = A P_K(z) - b``.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    z = _projection_argument(problem, x1, x2, y, sigma)
-    proj = project(problem.cone, z)
-    psi = -float(problem.b @ x2) + (proj @ proj - y @ y) / (2.0 * sigma)
-    if problem.is_quadratic:
-        psi += 0.5 * problem.H.quad(x1)
-        g1 = problem.H.matvec(x1) - problem.H.matvec(proj)
-    else:
-        g1 = np.zeros_like(x1)
-    g2 = problem.A @ proj - problem.b
-    return psi, g1, g2
-
-
-def make_state(problem, x1, x2, y, sigma) -> InnerState:
-    """Evaluate the full inner state at ``(x1, x2)`` for fixed ``(y, sigma)``."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
     y = np.asarray(y, dtype=float)
-    z = _projection_argument(problem, x1, x2, y, sigma)
-    proj = project(problem.cone, z)
-    psi = -float(problem.b @ x2) + (proj @ proj - y @ y) / (2.0 * sigma)
+    z = y + sigma * (problem.A.T @ x2 - problem.c)
     if problem.is_quadratic:
-        psi += 0.5 * problem.H.quad(x1)
-        g1 = problem.H.matvec(x1) - problem.H.matvec(proj)
+        Hx1 = problem.H.matvec(x1)
+        z = z - sigma * Hx1
+        proj = project(problem.cone, z)
+        quad = float(x1 @ Hx1)
+        g1 = Hx1 - problem.H.matvec(proj)
     else:
+        proj = project(problem.cone, z)
+        quad = 0.0
         g1 = np.zeros_like(x1)
+    psi = _psi(problem, x2, proj, float(y @ y), sigma, quad)
     g2 = problem.A @ proj - problem.b
     gnorm = float(np.sqrt(g1 @ g1 + g2 @ g2))
-    return InnerState(x1, x2, y, float(sigma), float(psi), g1, g2, z, proj, gnorm)
-
-
-def _psi_only(problem, x1, x2, y, sigma, y_sq):
-    z = _projection_argument(problem, x1, x2, y, sigma)
-    proj = project(problem.cone, z)
-    psi = -float(problem.b @ x2) + (proj @ proj - y_sq) / (2.0 * sigma)
-    if problem.is_quadratic:
-        psi += 0.5 * problem.H.quad(x1)
-    return float(psi)
+    return InnerState(x1, x2, y, float(sigma), psi, g1, g2, z, proj, gnorm)
 
 
 def newton_direction(problem, state: InnerState, sigma, params: NewtonParams):
@@ -181,58 +159,69 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
     """Armijo backtracking from ``state`` along ``(d1, d2)``.
 
     Falls back to steepest descent when the direction is not a descent
-    direction.  Returns ``(alpha, new_state, info)``; ``info['warned']`` is
-    set when the step budget ran out and the best trial point is returned.
+    direction.  The unit trial is a full :func:`make_state`, which becomes the
+    new state when it is accepted.  Its projection argument gives the
+    direction's image ``dz = z(1) - z``, so each shorter trial costs one
+    projection of ``z + alpha dz`` and no mat-vec.  A point accepted with
+    ``alpha < 1`` is evaluated again by :func:`make_state`, so the returned
+    state is always exact at its own point.  Returns
+    ``(alpha, new_state, info)``; ``info['trials']`` counts the objective
+    values tested, and ``info['warned']`` is set when the full step was taken
+    on gradient decrease alone or the step budget ran out and the best trial
+    point is returned.
     """
     if state.grad_norm == 0.0:
         return 1.0, state, {"gd": 0.0, "trials": 0, "warned": False}
     gd = float(state.g1 @ d1 + state.g2 @ d2)
-    dnorm = float(np.sqrt(d1 @ d1 + d2 @ d2))
-    if gd >= -1e-18 * state.grad_norm * dnorm:
+    if gd >= -1e-18 * state.grad_norm * float(np.sqrt(d1 @ d1 + d2 @ d2)):
         logger.debug("non-descent direction (g.d = %.3e); using steepest descent", gd)
         d1 = -state.g1
         d2 = -state.g2
         gd = -state.grad_norm ** 2
-        dnorm = state.grad_norm
+    x1, x2, y, sigma = state.x1, state.x2, state.y, state.sigma
+    full = make_state(problem, x1 + d1, x2 + d2, y, sigma)
     # when the predicted decrease cannot be resolved in the roundoff of psi,
     # the backtracking test returns noise; fall back to requiring a plain
     # gradient-norm contraction of the full step
     psi_noise = 4.0 * np.finfo(float).eps * (1.0 + abs(state.psi))
-    if params.mu * abs(gd) <= psi_noise:
-        full = make_state(problem, state.x1 + d1, state.x2 + d2, state.y,
-                          state.sigma)
-        if full.grad_norm < state.grad_norm:
-            return 1.0, full, {"gd": gd, "trials": 1, "warned": True}
-    y_sq = float(state.y @ state.y)
-    best = None
+    if params.mu * abs(gd) <= psi_noise and full.grad_norm < state.grad_norm:
+        return 1.0, full, {"gd": gd, "trials": 1, "warned": True}
+    if full.psi <= state.psi + params.mu * gd:
+        return 1.0, full, {"gd": gd, "trials": 1, "warned": False}
+    best = (1.0, full.psi)
+    # z(alpha) = z + alpha dz and <x1 + alpha d1, H (x1 + alpha d1)> are
+    # affine and quadratic in alpha
+    dz = full.z - state.z
+    q0 = q1 = q2 = 0.0
+    if problem.is_quadratic:
+        Hx1 = problem.H.matvec(x1)
+        Hd1 = problem.H.matvec(d1)
+        q0, q1, q2 = float(x1 @ Hx1), 2.0 * float(x1 @ Hd1), float(d1 @ Hd1)
+    y_sq = float(y @ y)
     alpha = 1.0
-    for step in range(params.max_linesearch_steps + 1):
-        psi_t = _psi_only(problem, state.x1 + alpha * d1, state.x2 + alpha * d2,
-                          state.y, state.sigma, y_sq)
-        if psi_t <= state.psi + params.mu * alpha * gd:
-            new = make_state(problem, state.x1 + alpha * d1,
-                             state.x2 + alpha * d2, state.y, state.sigma)
-            return alpha, new, {"gd": gd, "trials": step + 1, "warned": False}
-        if best is None or psi_t < best[1]:
-            best = (alpha, psi_t)
+    for step in range(1, params.max_linesearch_steps + 1):
         alpha *= params.delta
+        proj = project(problem.cone, state.z + alpha * dz)
+        psi_t = _psi(problem, x2 + alpha * d2, proj, y_sq, sigma,
+                     q0 + alpha * (q1 + alpha * q2))
+        if psi_t <= state.psi + params.mu * alpha * gd:
+            new = make_state(problem, x1 + alpha * d1, x2 + alpha * d2, y, sigma)
+            return alpha, new, {"gd": gd, "trials": step + 1, "warned": False}
+        if psi_t < best[1]:
+            best = (alpha, psi_t)
     # near the minimizer the sufficient-decrease margin drowns in the
     # roundoff of psi; prefer the full step whenever it still contracts the
     # gradient, otherwise fall back to the lowest trial value seen
-    full = make_state(problem, state.x1 + d1, state.x2 + d2, state.y,
-                      state.sigma)
+    info = {"gd": gd, "trials": params.max_linesearch_steps + 1, "warned": True}
     if full.grad_norm < state.grad_norm:
         logger.debug("line search exhausted; full step accepted on gradient "
                      "decrease (%.3e -> %.3e)", state.grad_norm, full.grad_norm)
-        return 1.0, full, {"gd": gd, "trials": params.max_linesearch_steps + 1,
-                           "warned": True}
+        return 1.0, full, info
     alpha = best[0]
     logger.warning("line search exhausted %d steps; returning best trial",
                    params.max_linesearch_steps)
-    new = make_state(problem, state.x1 + alpha * d1, state.x2 + alpha * d2,
-                     state.y, state.sigma)
-    return alpha, new, {"gd": gd, "trials": params.max_linesearch_steps + 1,
-                        "warned": True}
+    return alpha, make_state(problem, x1 + alpha * d1, x2 + alpha * d2, y,
+                             sigma), info
 
 
 @dataclass
@@ -252,18 +241,21 @@ def run_inner(problem, y, sigma, start, stop_threshold, params: NewtonParams,
               collect_steps=False) -> InnerResult:
     """Drive the Newton iteration until ``||grad psi|| <= stop_threshold``.
 
-    ``start`` is either an :class:`InnerState` or an ``(x1, x2)`` pair; the
-    state is re-evaluated against the supplied ``(y, sigma)``.  On success the
-    recovered ``x3`` is the projection of the subproblem argument, so it lies
-    in the cone.  The objective never increases across accepted steps.
+    ``start`` is either an :class:`InnerState` or an ``(x1, x2)`` pair.  A
+    state made at this ``(y, sigma)`` is used as it is; any other start is
+    evaluated at them.  On success the recovered ``x3`` is the projection of
+    the subproblem argument, so it lies in the cone.  Steps that pass the
+    sufficient-decrease test lower the objective; a full step taken on
+    gradient decrease alone (see :func:`line_search`) may raise it.
     """
     if stop_threshold <= 0.0:
         raise ValueError("stop_threshold must be positive")
-    if isinstance(start, InnerState):
-        x1, x2 = start.x1, start.x2
+    if (isinstance(start, InnerState) and start.sigma == sigma
+            and np.array_equal(start.y, y)):
+        state = start
     else:
-        x1, x2 = start
-    state = make_state(problem, x1, x2, y, sigma)
+        x1, x2 = (start.x1, start.x2) if isinstance(start, InnerState) else start
+        state = make_state(problem, x1, x2, y, sigma)
     newton = 0
     krylov = 0
     steps = []

@@ -1,0 +1,69 @@
+"""The names and call shapes the benchmark's tracer relies on.
+
+``perfbench/tracing.py`` wraps functions by module and name and reads fields
+of their results.  A refactor that renames or reshapes one of them should
+fail here, not only in the benchmark's ``correct`` flag.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+import socalm
+from socalm import gen_meb, gen_trs, line_search, make_state, solve
+from socalm.ssn import NewtonParams
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_resolves():
+    tracing = _tracing()
+    missing = [f"{modname}.{name}"
+               for modname, names in tracing.WRAPPED.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(modname), name,
+                                       None))]
+    assert all(m.startswith("socalm.") for m in tracing.WRAPPED)
+    assert missing == []
+
+
+def test_line_search_call_shape():
+    assert list(inspect.signature(socalm.ssn.line_search).parameters)[4] == "params"
+    _, problem = gen_meb(6, 2)
+    state = make_state(problem, np.zeros(problem.n), np.zeros(problem.m),
+                       np.zeros(problem.n), 1.0)
+    out = line_search(problem, state, np.zeros(problem.n), -state.g2,
+                      NewtonParams())
+    assert len(out) == 3
+    assert out[2]["trials"] >= 1
+
+
+def test_traced_solves_record_every_extra():
+    # a linear and a quadratic solve under the tracer: every wrapped call
+    # resolves and every result has the fields the extractors read
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for problem in (gen_meb(8, 2)[1], gen_trs(5, 1)[1]):
+            assert solve(problem).status == "Optimal"
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    names = {s[tracing.NAME] for s in tracer.spans}
+    for name in ("ssn.line_search", "ssn.solve_spd", "ssn.solve_quadratic",
+                 "ssn.assemble_linear", "ssn.make_state", "ssn.project"):
+        assert name in names, name
+    for s in tracer.spans:
+        if s[tracing.NAME] in tracing.EXTRACTORS:
+            assert s[tracing.EXTRA] and "error" not in s[tracing.EXTRA], s

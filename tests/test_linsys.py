@@ -124,14 +124,12 @@ class TestAssembly:
         rng, cone, A, J = random_setup(seed, nonneg=3)
         eps = 0.3
         sys_ = assemble_linear(A, J, 1.0, eps)
-        sys_free = assemble_linear(A, J, 1.0, eps, mode="operator")
         for _ in range(20):
             v = rng.standard_normal(A.shape[0])
             ref = eps * v + A @ apply_jacobian(J, A.T @ v)
-            for s in (sys_, sys_free):
-                got = s.matvec(v)
-                assert (np.linalg.norm(got - ref)
-                        <= 1e-12 * max(1.0, np.linalg.norm(ref)))
+            got = sys_.matvec(v)
+            assert (np.linalg.norm(got - ref)
+                    <= 1e-12 * max(1.0, np.linalg.norm(ref)))
 
     def test_boundary_cases_assemble(self):
         # explicit boundary elements exercise the degenerate rank-one folding
@@ -417,6 +415,26 @@ class TestSolveSpd:
         d, stats = solve_spd(sys_, rhs, 1e-11, strategy=strategy)
         rel = np.linalg.norm(d - ref) / np.linalg.norm(ref)
         assert rel <= 1e-10, (strategy, stats.method, rel)
+
+    @pytest.mark.parametrize("strategy", ["augmented", "dense", "auto"])
+    def test_no_lowrank_columns(self, strategy):
+        # k = 0 takes the same direct path as any other k; a sparse M_sp goes
+        # to sparse LU under "auto"
+        cone = ConeSpec.make(nonneg=40, soc=(3, 4))
+        rng = np.random.default_rng(21)
+        A = sp.random(60, cone.total_dim, density=0.05, random_state=rng,
+                      format="csr")
+        J = make_jacobian(cone, nonneg_mask=rng.integers(0, 2, 40),
+                          soc_cases={1: (SocCase.IDENTITY, None, None),
+                                     2: (SocCase.ZERO, None, None)})
+        sys_ = assemble_linear(A, J, 1.0, 0.1)
+        assert sys_.k == 0
+        assert sys_.M_sp.nnz < 60 * 60
+        rhs = rng.standard_normal(60)
+        d, stats = solve_spd(sys_, rhs, 1e-11, strategy=strategy)
+        assert stats.method == ("augmented" if strategy == "auto" else strategy)
+        ref = np.linalg.solve(sys_.densify(), rhs)
+        assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_monotone_quasi_residuals(self):
         rng, cone, A, J = random_setup(7, m=25, soc=(3, 3, 4, 5))

@@ -10,14 +10,15 @@ from socalm import (
     SparseSymmetric,
     apply_jacobian,
     gen_meb,
+    gen_trs,
     jacobian_element,
     line_search,
     make_state,
     newton_direction,
     project,
-    psi_and_grad,
     run_inner,
 )
+from socalm import ssn
 from socalm.ssn import CONVERGED, NewtonParams
 
 
@@ -43,14 +44,14 @@ def fd_gradient(problem, x1, x2, y, sigma, h=1e-6):
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        fp, _, _ = psi_and_grad(problem, x1 + e, x2, y, sigma)
-        fm, _, _ = psi_and_grad(problem, x1 - e, x2, y, sigma)
+        fp = make_state(problem, x1 + e, x2, y, sigma).psi
+        fm = make_state(problem, x1 - e, x2, y, sigma).psi
         g1[i] = (fp - fm) / (2 * h)
     for i in range(m):
         e = np.zeros(m)
         e[i] = h
-        fp, _, _ = psi_and_grad(problem, x1, x2 + e, y, sigma)
-        fm, _, _ = psi_and_grad(problem, x1, x2 - e, y, sigma)
+        fp = make_state(problem, x1, x2 + e, y, sigma).psi
+        fm = make_state(problem, x1, x2 - e, y, sigma).psi
         g2[i] = (fp - fm) / (2 * h)
     return g1, g2
 
@@ -67,7 +68,8 @@ class TestPsiAndGrad:
         x2 = np.array([0.3, 0.1, -0.4])
         y = np.zeros(3)
         sigma = 1.0
-        psi, g1, g2 = psi_and_grad(problem, x1, x2, y, sigma)
+        state = make_state(problem, x1, x2, y, sigma)
+        psi, g1, g2 = state.psi, state.g1, state.g2
         np.testing.assert_allclose(g1, H.matvec(x1), atol=1e-14)
         np.testing.assert_allclose(g2, -problem.b, atol=1e-14)
         expected = 0.5 * H.quad(x1) - problem.b @ x2 - (y @ y) / (2 * sigma)
@@ -80,7 +82,8 @@ class TestPsiAndGrad:
         y = rng.standard_normal(problem.n)
         sigma = 2.0
         x1 = np.zeros(problem.n)
-        psi, g1, g2 = psi_and_grad(problem, x1, x2, y, sigma)
+        state = make_state(problem, x1, x2, y, sigma)
+        psi, g1, g2 = state.psi, state.g1, state.g2
         assert np.all(g1 == 0.0)
         proj = project(problem.cone, y + sigma * (problem.A.T @ x2 - problem.c))
         expected = (-problem.b @ x2
@@ -91,7 +94,7 @@ class TestPsiAndGrad:
     def test_sigma_must_be_positive(self):
         problem = linear_1d_problem()
         with pytest.raises(ValueError):
-            psi_and_grad(problem, np.zeros(1), np.zeros(1), np.zeros(1), 0.0)
+            make_state(problem, np.zeros(1), np.zeros(1), np.zeros(1), 0.0)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_gradient_matches_finite_differences(self, seed):
@@ -275,6 +278,70 @@ class TestLineSearch:
         assert new.psi < state.psi  # steepest-descent fallback still decreases
 
 
+def _line_search_case(kind):
+    """A state a few Newton steps from the origin and its Newton direction."""
+    if kind == "linear":
+        _, problem = gen_meb(12, 3)
+    else:
+        _, problem = gen_trs(6, 2)
+    params = NewtonParams()
+    state = run_inner(problem, np.zeros(problem.n), 1.0,
+                      (np.zeros(problem.n), np.zeros(problem.m)), 0.1,
+                      params).state
+    d1, d2, _, _, _ = newton_direction(problem, state, 1.0, params)
+    return problem, state, d1, d2
+
+
+def _assert_exact_state(problem, new):
+    ref = make_state(problem, new.x1, new.x2, new.y, new.sigma)
+    for name in ("z", "proj", "g1", "g2"):
+        assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+    assert new.psi == ref.psi
+    assert new.grad_norm == ref.grad_norm
+
+
+class TestLineSearchExactness:
+    """Accepted states equal a fresh evaluation at their own point, bit for bit.
+
+    Shorter trials move ``z`` along the unit step's image, which drifts from
+    the exact ``z`` by roundoff; that drift must not reach an accepted state.
+    """
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    @pytest.mark.parametrize("scale", [1.0, 64.0])
+    def test_accepted_state_is_exact(self, kind, scale):
+        problem, state, d1, d2 = _line_search_case(kind)
+        alpha, new, info = line_search(problem, state, scale * d1, scale * d2,
+                                       NewtonParams())
+        assert (alpha == 1.0) == (scale == 1.0)
+        assert not info["warned"]
+        _assert_exact_state(problem, new)
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    def test_trial_objective_matches_evaluation(self, kind, monkeypatch):
+        problem, state, d1, d2 = _line_search_case(kind)
+        d1, d2 = 64.0 * d1, 64.0 * d2
+        params = NewtonParams()
+        seen = []
+        psi = ssn._psi
+
+        def recording_psi(*args):
+            seen.append(psi(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(ssn, "_psi", recording_psi)
+        alpha, _, info = line_search(problem, state, d1, d2, params)
+        monkeypatch.undo()
+        assert info["trials"] > 2
+        # the unit trial, then one objective value per shorter trial
+        for i, psi_t in enumerate(seen[:info["trials"]]):
+            a = params.delta ** i
+            exact = make_state(problem, state.x1 + a * d1, state.x2 + a * d2,
+                               state.y, state.sigma).psi
+            assert abs(psi_t - exact) <= 1e-12 * abs(exact), (i, psi_t, exact)
+        assert alpha == params.delta ** (info["trials"] - 1)
+
+
 class TestRunInner:
     def test_starting_at_minimizer_takes_no_steps(self):
         problem = linear_1d_problem()
@@ -313,6 +380,23 @@ class TestRunInner:
                 continue
             assert (step["psi_new"]
                     <= step["psi_old"] + params.mu * step["alpha"] * step["gd"])
+
+    def test_start_state_is_evaluated_at_the_given_multiplier(self):
+        # a state made at another (y, sigma) is re-evaluated, and one made at
+        # these is used as it is
+        inst, problem = gen_meb(10, 3)
+        rng = np.random.default_rng(5)
+        x2 = rng.standard_normal(problem.m)
+        y = project(problem.cone, rng.standard_normal(problem.n))
+        x1 = np.zeros(problem.n)
+        params = NewtonParams()
+        ref = run_inner(problem, y, 2.0, (x1, x2), 1e-10, params)
+        for y0, sigma0 in ((np.zeros(problem.n), 2.0), (y, 1.0), (y, 2.0)):
+            start = make_state(problem, x1, x2, y0, sigma0)
+            res = run_inner(problem, y, 2.0, start, 1e-10, params)
+            assert res.newton_iters == ref.newton_iters
+            assert np.array_equal(res.x2, ref.x2)
+            assert np.array_equal(res.state.proj, ref.state.proj)
 
     def test_invalid_threshold(self):
         problem = linear_1d_problem()
