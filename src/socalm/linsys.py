@@ -19,8 +19,14 @@ through the Schur complement of an augmented system refined by preconditioned
 symmetric QMR, and fall back to QMR on the assembled operator with a diagonal
 preconditioner when the direct solve misses its tolerance.  Only when the
 update is at least as wide as the system is the whole matrix densified
-instead.  The quadratic case solves the unsymmetric two-by-two block system,
-for any H, directly or with BiCGStab.
+instead.
+
+The quadratic case solves the unsymmetric two-by-two block system, for any H.
+When H is stored dense (its lazily built :meth:`SparseSymmetric.dense_copy`)
+and the system has at most 2000 rows, the blocks are formed from the diagonal
+and low-rank parts of V with dense products into one array and factored by
+LAPACK LU in place; otherwise the assembled sparse block matrix goes to
+sparse LU when it is small or sparse enough.  Both fall back to BiCGStab.
 """
 
 from __future__ import annotations
@@ -84,6 +90,7 @@ class SparseSymmetric:
         self._csr = (low.tocsr() + upper.tocsr()).tocsr()
         self._fro = None
         self._lam_max = None
+        self._dense = None
 
     @classmethod
     def zero(cls, n):
@@ -141,6 +148,19 @@ class SparseSymmetric:
         if self._lam_max is None:
             self._lam_max = estimate_lambda_max(self)
         return self._lam_max
+
+    def dense_copy(self):
+        """Read-only dense array of the matrix, or None when CSR is smaller.
+
+        Built on the first call that finds dense storage no larger than the
+        CSR form (see :func:`_dense_is_smaller`) and kept.
+        """
+        if self._dense is None and _dense_is_smaller(self.n, self.n,
+                                                     self._csr.nnz):
+            dense = self._csr.toarray()
+            dense.flags.writeable = False
+            self._dense = dense
+        return self._dense
 
     def __repr__(self):
         return f"SparseSymmetric(n={self.n}, nnz_lower={self.nnz_lower})"
@@ -332,14 +352,12 @@ class NewtonSystem:
     """
 
     m: int
-    sigma: float
-    eps: float
     M_sp: sp.csr_matrix
     U: sp.csc_matrix
     d: np.ndarray
 
     @classmethod
-    def from_parts(cls, M_sp, U, d, sigma=1.0, eps=0.0):
+    def from_parts(cls, M_sp, U, d):
         """Assemble directly from the pieces (mainly for tests and diagnostics)."""
         M_sp = sp.csr_matrix(M_sp)
         U = sp.csc_matrix(np.atleast_2d(np.asarray(U, dtype=float)))
@@ -348,7 +366,7 @@ class NewtonSystem:
         d = np.atleast_1d(np.asarray(d, dtype=float))
         if U.shape[1] != d.size:
             raise ValueError("U column count does not match diagonal weights")
-        return cls(m=M_sp.shape[0], sigma=sigma, eps=eps, M_sp=M_sp, U=U, d=d)
+        return cls(m=M_sp.shape[0], M_sp=M_sp, U=U, d=d)
 
     @property
     def k(self):
@@ -511,7 +529,7 @@ class NewtonAssembly:
             full = (F.indptr, F.indices)
         return _GramStructure(keys, indptr, cols, diag, G, Ac, A0t, full)
 
-    def assemble(self, J: JacobianElement, sigma, eps) -> NewtonSystem:
+    def assemble(self, J: JacobianElement, eps) -> NewtonSystem:
         """The Newton system ``eps*I + sum_i A_i V_i A_i'`` at one element J."""
         if J.cone is not self.cone and J.cone != self.cone:
             raise ValueError("Jacobian element belongs to a different cone")
@@ -548,7 +566,7 @@ class NewtonAssembly:
             U.sort_indices()
         else:
             U = sp.csc_matrix((m, 0))
-        return NewtonSystem(m=m, sigma=sigma, eps=eps, M_sp=M_sp, U=U, d=d)
+        return NewtonSystem(m=m, M_sp=M_sp, U=U, d=d)
 
 
 def assemble_linear(A, J: JacobianElement, sigma, eps) -> NewtonSystem:
@@ -559,10 +577,11 @@ def assemble_linear(A, J: JacobianElement, sigma, eps) -> NewtonSystem:
     one call.  Lorentz blocks split into the part ``(1+r)/2 * A_i A_i'`` plus
     low-rank columns built from A_i's first column and ``A_{i,2} w_i``;
     identity blocks contribute ``A_i A_i'`` whole, zero blocks nothing, and
-    the nonneg block the Gram of its active columns.
+    the nonneg block the Gram of its active columns.  ``sigma`` is accepted
+    but not used.
     """
     asm = A if isinstance(A, NewtonAssembly) else NewtonAssembly(A, J.cone)
-    return asm.assemble(J, sigma, eps)
+    return asm.assemble(J, eps)
 
 
 def _dense_view(M):
@@ -712,6 +731,45 @@ def _finish_krylov(sys_, rhs, stop, max_iter, x0=None):
     return x, stats
 
 
+def _quadratic_dense(Hd, A, J, sigma, eps):
+    """Dense quadratic-case block matrix (C-ordered) and its structured operator.
+
+    With ``V = diag(s) + W diag(d) W'`` the blocks ``V H`` and ``V A'`` are
+    formed by scaling rows of the dense ``H`` and ``A'`` and adding the
+    low-rank part.  The operator applies the same matrix in structured form,
+    ``(x1 + sigma V u, eps x2 - sigma A V u)`` with ``u = H x1 - A' x2``, so it
+    stays valid once the array has been factored in place.
+    """
+    m, n = A.shape
+    AT = A.T
+    s = _jacobian_scale(J)
+    W, d = _jacobian_lowrank(J)
+
+    def apply_v(X):
+        out = s[:, None] * X
+        if d.size:
+            out += W @ (d[:, None] * (W.T @ X))
+        return out
+
+    VH = apply_v(Hd)
+    VAt = apply_v(AT.toarray())
+    M = np.empty((n + m, n + m))
+    np.multiply(VH, sigma, out=M[:n, :n])
+    np.multiply(VAt, -sigma, out=M[:n, n:])
+    np.multiply(A @ VH, -sigma, out=M[n:, :n])
+    np.multiply(A @ VAt, sigma, out=M[n:, n:])
+    diag = M.reshape(-1)[::n + m + 1]
+    diag[:n] += 1.0
+    diag[n:] += eps
+
+    def matvec(x):
+        x1, x2 = x[:n], x[n:]
+        Vu = apply_v((Hd @ x1 - AT @ x2)[:, None])[:, 0]
+        return np.concatenate([x1 + sigma * Vu, eps * x2 - sigma * (A @ Vu)])
+
+    return M, matvec
+
+
 def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
                     R1, R2, tol, max_iter=500):
     """Solve the unsymmetric Newton system of the quadratic case.
@@ -722,6 +780,15 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     ``tol / max(1, lambda_max_estimate(H))``.  Only ``H @ d1`` and the
     quadratic form of ``d1`` are meaningful to callers; both agree with the
     range-space projected direction, which is never formed.
+
+    Routes: ``"dense"`` when ``H.dense_copy()`` is not None (dense storage
+    of H is no larger than CSR) and the system has at most 2000 rows: the
+    blocks are built from ``V = diag(s) + W diag(d) W'`` with dense products
+    and factored in place by LAPACK LU.  Otherwise ``"splu"``, sparse LU of
+    the assembled block matrix, when it has density below 0.10 or at most
+    2000 rows.  A direct solve gets two refinement steps; when it still
+    misses the target, or no direct route applies, ``"bicgstab"`` with a
+    diagonal preconditioner follows.
     """
     A = sp.csr_matrix(A)
     m, n = A.shape
@@ -732,43 +799,56 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     rhs_scale = np.sqrt(R1 @ R1 + R2 @ R2)
     stop = max(float(tol) / max(1.0, H.lambda_max_estimate()),
                1e-12 * rhs_scale)
-
-    V = jacobian_sparse_matrix(J)
-    Hc = H.to_csr()
-    VH = (V @ Hc).tocsr()
-    VAT = (V @ A.T).tocsr()
-    Mhat = sp.bmat(
-        [[sp.identity(n) + sigma * VH, -sigma * VAT],
-         [-sigma * (A @ VH), eps * sp.identity(m) + sigma * (A @ VAT)]],
-        format="csc")
     rhs = np.concatenate([R1, R2])
     N = n + m
-    density = Mhat.nnz / (N * N)
 
-    if density < 0.10 or N <= 2000:
-        try:
-            lu = spla.splu(Mhat)
-            x = lu.solve(rhs)
-            res = rhs - Mhat @ x
-            for _ in range(2):
-                if np.linalg.norm(res) <= stop:
-                    break
-                x = x + lu.solve(res)
-                res = rhs - Mhat @ x
-            resnorm = float(np.linalg.norm(res))
-            if resnorm <= stop:
-                return x[:n], x[n:], SolveStats("splu", residual=resnorm)
-        except RuntimeError:
-            pass
+    Hd = H.dense_copy() if N <= 2000 else None
+    solve = None
+    if Hd is not None:
+        method = "dense"
+        M, matvec = _quadratic_dense(Hd, A, J, sigma, eps)
+        diag = M.diagonal().copy()
+        # M' is Fortran-ordered, so LAPACK factors it in place
+        lu = scipy.linalg.lu_factor(M.T, overwrite_a=True, check_finite=False)
+        solve = lambda r: scipy.linalg.lu_solve(lu, r, trans=1,
+                                                check_finite=False)
+    else:
+        method = "splu"
+        V = jacobian_sparse_matrix(J)
+        VH = (V @ H.to_csr()).tocsr()
+        VAT = (V @ A.T).tocsr()
+        Mhat = sp.bmat(
+            [[sp.identity(n) + sigma * VH, -sigma * VAT],
+             [-sigma * (A @ VH), eps * sp.identity(m) + sigma * (A @ VAT)]],
+            format="csc")
+        matvec = Mhat.__matmul__
+        diag = Mhat.diagonal()
+        if Mhat.nnz / (N * N) < 0.10 or N <= 2000:
+            try:
+                solve = spla.splu(Mhat).solve
+            except RuntimeError:
+                pass
 
-    diag = Mhat.diagonal()
+    if solve is not None:
+        x = solve(rhs)
+        res = rhs - matvec(x)
+        for _ in range(2):
+            if np.linalg.norm(res) <= stop:
+                break
+            x = x + solve(res)
+            res = rhs - matvec(x)
+        resnorm = float(np.linalg.norm(res))
+        if resnorm <= stop:
+            return x[:n], x[n:], SolveStats(method, residual=resnorm)
+
     diag = np.where(np.abs(diag) > _TINY, diag, 1.0)
     P = spla.LinearOperator((N, N), matvec=lambda v: v / diag)
+    op = spla.LinearOperator((N, N), matvec=matvec, dtype=float)
     rhs_norm = float(np.linalg.norm(rhs))
     rtol = stop / rhs_norm if rhs_norm > 0 else 0.0
-    x, info = spla.bicgstab(Mhat, rhs, rtol=max(rtol, 1e-14), atol=stop,
+    x, info = spla.bicgstab(op, rhs, rtol=max(rtol, 1e-14), atol=stop,
                             maxiter=max_iter, M=P)
-    resnorm = float(np.linalg.norm(rhs - Mhat @ x))
+    resnorm = float(np.linalg.norm(rhs - matvec(x)))
     if resnorm > stop:
         raise LinearSolveError(
             f"BiCGStab did not reach the residual target "

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from invariants import solve_with_invariants
+from oracles import solve_trs_oracle
 from socalm import (
     AlmOptions,
     ConeSpec,
@@ -14,6 +15,7 @@ from socalm import (
     build_srlasso,
     diagnose_strict_complementarity,
     dist_to_cone,
+    extract_trs_solution,
     gen_meb,
     gen_trs,
     kkt_residuals,
@@ -142,6 +144,18 @@ class TestSolve:
         _, p = gen_trs(12, seed=5)
         res = solve_with_invariants(p, AlmOptions())
         assert res.status == OPTIMAL
+
+    def test_trs_at_benchmark_size_matches_oracle(self):
+        # the d = 400 instance of the benchmark's trs workload, whose Newton
+        # systems take the dense LU route
+        instance, p = gen_trs(400, seed=1)
+        res = solve_with_invariants(p, AlmOptions())
+        assert res.status == OPTIMAL
+        assert res.kkt_residual <= 1e-8
+        y, val = extract_trs_solution(instance, res)
+        assert np.linalg.norm(y) <= 1.0 + 1e-8
+        _, ref = solve_trs_oracle(instance.H, instance.c)
+        assert abs(val - ref) <= 1e-6 * max(1.0, abs(ref))
 
     def test_srlasso_with_invariants_and_criterion_b(self):
         rng = np.random.default_rng(11)

@@ -67,3 +67,22 @@ def test_traced_solves_record_every_extra():
     for s in tracer.spans:
         if s[tracing.NAME] in tracing.EXTRACTORS:
             assert s[tracing.EXTRA] and "error" not in s[tracing.EXTRA], s
+
+
+def test_traced_trs_solve_reports_every_quadratic_route():
+    # every quadratic Newton solve carries a route name the benchmark knows
+    tracing = _tracing()
+    _, problem = gen_trs(30, 2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("bench.solve"):
+            result = solve(problem)
+    finally:
+        tracer.uninstall()
+    assert result.status == "Optimal"
+    metrics = tracing.layer_metrics(tracer.spans, {0})
+    assert metrics["ssn.newton_steps"] == result.newton_iters > 0
+    assert metrics["linsys.route.dense"] == result.newton_iters
+    assert metrics["linsys.route.splu"] == 0
+    assert metrics["linsys.route.other"] == 0

@@ -156,7 +156,7 @@ def assembly_reference(A, J, eps):
 
 
 def assert_assembly_matches(asm, J, eps):
-    got = asm.assemble(J, 1.0, eps).densify()
+    got = asm.assemble(J, eps).densify()
     ref = assembly_reference(asm.A, J, eps)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -222,7 +222,7 @@ class TestNewtonAssembly:
         st = asm._structure
         assert isinstance(st.A0t, np.ndarray) == a0_dense
         assert (st.full is not None) == m_dense
-        M_sp = asm.assemble(J, 1.0, 0.3).M_sp
+        M_sp = asm.assemble(J, 0.3).M_sp
         assert (M_sp.nnz == m * m) == m_dense
 
     def test_no_nonneg_block(self):
@@ -280,7 +280,7 @@ class TestNewtonAssembly:
         asm = NewtonAssembly(sp.csr_matrix(np.ones((2, 3))), cone)
         J = jacobian_element(ConeSpec.make(nonneg=3), np.ones(3))
         with pytest.raises(ValueError):
-            asm.assemble(J, 1.0, 0.1)
+            asm.assemble(J, 0.1)
 
     def test_dense_storage_takes_dense_cholesky_route(self):
         rng = np.random.default_rng(6)
@@ -349,7 +349,7 @@ class TestAssemblyCache:
 
         def run(i):
             barrier.wait()
-            results[i] = asm.assemble(J, 1.0, 0.1).densify()
+            results[i] = asm.assemble(J, 0.1).densify()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -464,6 +464,18 @@ class TestSolveSpd:
         assert np.linalg.norm(M @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
+def quadratic_reference(H, A, J, sigma, eps, R1, R2):
+    """Solve of the unsymmetric quadratic-case block system, formed densely."""
+    n, m = R1.size, R2.size
+    V = jacobian_sparse_matrix(J).toarray()
+    Hd = H.to_csr().toarray()
+    Ad = A.toarray()
+    Mhat = np.block([
+        [np.eye(n) + sigma * V @ Hd, -sigma * V @ Ad.T],
+        [-sigma * Ad @ V @ Hd, eps * np.eye(m) + sigma * Ad @ V @ Ad.T]])
+    return np.linalg.solve(Mhat, np.concatenate([R1, R2]))
+
+
 class TestSolveQuadratic:
     def test_decoupled_when_h_zero(self):
         rng, cone, A, J = random_setup(4, m=8, soc=(3, 4))
@@ -502,16 +514,87 @@ class TestSolveQuadratic:
         R1 = rng.standard_normal(n)
         R2 = rng.standard_normal(m)
         d1, d2, _ = solve_quadratic(H, A, J, sigma, eps, R1, R2, 1e-12)
-        V = jacobian_sparse_matrix(J).toarray()
-        Hd = H.to_csr().toarray()
-        Ad = A.toarray()
-        Mhat = np.block([
-            [np.eye(n) + sigma * V @ Hd, -sigma * V @ Ad.T],
-            [-sigma * Ad @ V @ Hd, eps * np.eye(m) + sigma * Ad @ V @ Ad.T]])
-        ref = np.linalg.solve(Mhat, np.concatenate([R1, R2]))
+        ref = quadratic_reference(H, A, J, sigma, eps, R1, R2)
         got = np.concatenate([d1, d2])
         assert (np.linalg.norm(got - ref)
                 <= 1e-10 * max(1.0, np.linalg.norm(ref)))
+
+    @pytest.mark.parametrize("case", ["mixed", "no_lowrank", "rank_deficient"])
+    def test_dense_route_against_dense_oracle(self, case):
+        rng = np.random.default_rng(300)
+        cone = ConeSpec.make(nonneg=5, soc=(3, 4, 6, 2, 5, 3, 4, 3))
+        n = cone.total_dim
+        m = 7
+        A = sp.csr_matrix(rng.standard_normal((m, n)))
+        G = rng.standard_normal((n, 4 if case == "rank_deficient" else n))
+        H = SparseSymmetric.from_dense(G @ G.T / n)
+        mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+        if case == "no_lowrank":
+            J = make_jacobian(cone, nonneg_mask=mask, soc_cases={
+                b: (SocCase.IDENTITY if i % 2 else SocCase.ZERO, None, None)
+                for i, b in enumerate(cone.soc_block_ids)})
+        else:
+            # eight blocks cycle through every case, so several are middle
+            # blocks with different weights and s is not constant on a block
+            J = every_case_jacobian(cone, rng, mask)
+        k = assemble_linear(A, J, 1.0, 0.0).k
+        assert (k == 0) == (case == "no_lowrank")
+        sigma, eps = 0.9, 0.02
+        R1 = rng.standard_normal(n)
+        R2 = rng.standard_normal(m)
+        d1, d2, stats = solve_quadratic(H, A, J, sigma, eps, R1, R2, 1e-12)
+        assert stats.method == "dense"
+        ref = quadratic_reference(H, A, J, sigma, eps, R1, R2)
+        got = np.concatenate([d1, d2])
+        assert (np.linalg.norm(got - ref)
+                <= 1e-10 * max(1.0, np.linalg.norm(ref)))
+
+    @pytest.mark.parametrize("pairs_removed, route", [(18, "dense"),
+                                                      (19, "splu")])
+    def test_route_follows_the_storage_rule_of_h(self, pairs_removed, route):
+        # n = 10: dense storage (800 bytes) is no larger than CSR from 63
+        # stored entries on, so 64 entries go dense and 62 stay sparse
+        rng = np.random.default_rng(7)
+        cone = ConeSpec.make(nonneg=3, soc=(3, 4))
+        n = cone.total_dim
+        m = 4
+        Hd = rng.standard_normal((n, n))
+        Hd = Hd + Hd.T
+        lower = np.transpose(np.tril_indices(n, -1))
+        for r, c in lower[rng.choice(len(lower), pairs_removed, replace=False)]:
+            Hd[r, c] = Hd[c, r] = 0.0
+        H = SparseSymmetric.from_dense(Hd)
+        assert H.to_csr().nnz == 100 - 2 * pairs_removed
+        assert (H.dense_copy() is not None) == (route == "dense")
+        A = sp.csr_matrix(rng.standard_normal((m, n)))
+        J = jacobian_element(cone, rng.standard_normal(n) * 2)
+        R1 = rng.standard_normal(n)
+        R2 = rng.standard_normal(m)
+        d1, d2, stats = solve_quadratic(H, A, J, 0.5, 0.1, R1, R2, 1e-12)
+        assert stats.method == route
+        ref = quadratic_reference(H, A, J, 0.5, 0.1, R1, R2)
+        assert (np.linalg.norm(np.concatenate([d1, d2]) - ref)
+                <= 1e-10 * max(1.0, np.linalg.norm(ref)))
+
+    def test_dense_copy_of_h_is_built_once(self, monkeypatch):
+        rng, cone, A, J = random_setup(9, m=5, nonneg=2, soc=(3, 4))
+        n = cone.total_dim
+        G = rng.standard_normal((n, n))
+        H = SparseSymmetric.from_dense(G @ G.T)
+        calls = []
+        toarray = H.to_csr().toarray
+        monkeypatch.setattr(H.to_csr(), "toarray",
+                            lambda *a, **k: calls.append(1) or toarray(*a, **k))
+        copies = set()
+        for _ in range(3):
+            _, _, stats = solve_quadratic(H, A, J, 1.0, 0.1,
+                                          rng.standard_normal(n),
+                                          rng.standard_normal(5), 1e-10)
+            assert stats.method == "dense"
+            copies.add(id(H.dense_copy()))
+        assert len(calls) == 1 and len(copies) == 1
+        assert not H.dense_copy().flags.writeable
+        np.testing.assert_array_equal(H.dense_copy(), G @ G.T)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_consistency_with_symmetric_system_on_range(self, seed):
