@@ -161,9 +161,9 @@ def kkt_residuals(problem: ProblemData, x1, x2, x3, y):
     if problem.is_quadratic:
         Hx1y = problem.H.matvec(x1 - y)
         h_fro = problem.H.fro_norm()
-        quad_x = 0.5 * problem.H.quad(x1)
-        quad_y = 0.5 * problem.H.quad(y)
         Hx1 = problem.H.matvec(x1)
+        quad_x = 0.5 * float(x1 @ Hx1)
+        quad_y = 0.5 * problem.H.quad(y)
     else:
         Hx1y = 0.0
         h_fro = 0.0
@@ -184,8 +184,8 @@ def kkt_residuals(problem: ProblemData, x1, x2, x3, y):
 def natural_map(problem: ProblemData, x1, x2, x3, y) -> np.ndarray:
     """Stacked fixed-point residual whose zeros are exactly the KKT points."""
     if problem.is_quadratic:
-        top = problem.H.matvec(x1) - problem.H.matvec(y)
         Hx1 = problem.H.matvec(x1)
+        top = Hx1 - problem.H.matvec(y)
     else:
         top = np.zeros(problem.n)
         Hx1 = np.zeros(problem.n)

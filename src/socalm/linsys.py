@@ -1,4 +1,4 @@
-"""Structured Newton linear systems: assembly, direct and Krylov solves.
+"""Structured Newton linear systems: assembly and direct solves.
 
 The inner Newton matrix for the linear case is ``eps*I + sum_i A_i V_i A_i'``
 with V one generalized-Jacobian element of the cone projection.  Each Lorentz
@@ -13,26 +13,26 @@ and forms the nonneg block's Gram from its active columns only, with BLAS when
 those columns are stored dense.  ``M_sp`` is stored dense (a CSR matrix that
 keeps every entry) when that takes no more memory than its sparse pattern.
 
-There is one direct solve path: factor ``M_sp`` (dense Cholesky when it is
-stored dense, sparse LU otherwise), add the k low-rank columns (k may be 0)
-through the Schur complement of an augmented system refined by preconditioned
-symmetric QMR, and fall back to QMR on the assembled operator with a diagonal
-preconditioner when the direct solve misses its tolerance.  Only when the
-update is at least as wide as the system is the whole matrix densified
-instead.
+The linear case has one direct solve path: factor ``M_sp`` (dense Cholesky
+when it is stored dense, sparse LU otherwise) and add the k low-rank columns
+(k may be 0) through the Schur complement of an augmented system.  Only when
+the update is at least as wide as the system is the whole matrix densified
+instead.  A solve that still misses its tolerance after two refinement steps
+raises :class:`LinearSolveError`.
 
 The quadratic case solves the unsymmetric two-by-two block system, for any H.
 When H is stored dense (its lazily built :meth:`SparseSymmetric.dense_copy`)
 and the system has at most 2000 rows, the blocks are formed from the diagonal
 and low-rank parts of V with dense products into one array and factored by
 LAPACK LU in place; otherwise the assembled sparse block matrix goes to
-sparse LU when it is small or sparse enough.  Both fall back to BiCGStab.
+sparse LU when it is small or sparse enough.  BiCGStab is the fallback of
+both and the only route for a large, dense enough block matrix.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -203,79 +203,6 @@ class SolveStats:
     method: str
     iterations: int = 0
     residual: float = 0.0
-    quasi_residuals: list = field(default_factory=list)
-
-
-def psqmr(matvec, rhs, precond=None, x0=None, stop=0.0, max_iter=500):
-    """Preconditioned symmetric QMR for symmetric (possibly indefinite) systems.
-
-    Stops when the tracked residual norm falls to ``stop`` (absolute).  The
-    reported quasi-residual sequence is non-increasing by construction.
-    Returns ``(x, converged, stats)`` with the best iterate seen.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if precond is None:
-        precond = lambda v: v
-    if x0 is None:
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = rhs - matvec(x)
-    resnorm = float(np.linalg.norm(r))
-    stats = SolveStats("psqmr", 0, resnorm, [resnorm])
-    if resnorm <= stop:
-        return x, True, stats
-    best_x = x.copy()
-    best_res = resnorm
-    q = precond(r)
-    tau = float(np.linalg.norm(q))
-    rho = float(r @ q)
-    theta = 0.0
-    d = np.zeros_like(rhs)
-    res = r.copy()
-    Ad = np.zeros_like(rhs)
-    stats.quasi_residuals = [tau]
-    for it in range(1, max_iter + 1):
-        Aq = matvec(q)
-        sig = float(q @ Aq)
-        if abs(sig) < _TINY:
-            break
-        alpha = rho / sig
-        r = r - alpha * Aq
-        u = precond(r)
-        theta_new = float(np.linalg.norm(u)) / tau if tau > 0 else 0.0
-        c2 = 1.0 / (1.0 + theta_new * theta_new)
-        tau = tau * theta_new * np.sqrt(c2)
-        d = (c2 * theta * theta) * d + (c2 * alpha) * q
-        x = x + d
-        Ad = (c2 * theta * theta) * Ad + (c2 * alpha) * Aq
-        res = res - Ad
-        resnorm = float(np.linalg.norm(res))
-        stats.iterations = it
-        stats.quasi_residuals.append(tau)
-        if resnorm < best_res:
-            best_res = resnorm
-            best_x = x.copy()
-        if resnorm <= stop:
-            true_res = float(np.linalg.norm(rhs - matvec(x)))
-            if true_res <= stop:
-                stats.residual = true_res
-                return x, True, stats
-            res = rhs - matvec(x)
-            resnorm = true_res
-            if resnorm < best_res:
-                best_res = resnorm
-                best_x = x.copy()
-        if abs(rho) < _TINY:
-            break
-        rho_new = float(r @ u)
-        beta = rho_new / rho
-        q = u + beta * q
-        rho = rho_new
-        theta = theta_new
-    stats.residual = best_res
-    return best_x, best_res <= stop, stats
 
 
 def _jacobian_scale(J: JacobianElement) -> np.ndarray:
@@ -356,18 +283,6 @@ class NewtonSystem:
     U: sp.csc_matrix
     d: np.ndarray
 
-    @classmethod
-    def from_parts(cls, M_sp, U, d):
-        """Assemble directly from the pieces (mainly for tests and diagnostics)."""
-        M_sp = sp.csr_matrix(M_sp)
-        U = sp.csc_matrix(np.atleast_2d(np.asarray(U, dtype=float)))
-        if U.shape[0] != M_sp.shape[0]:
-            U = U.T
-        d = np.atleast_1d(np.asarray(d, dtype=float))
-        if U.shape[1] != d.size:
-            raise ValueError("U column count does not match diagonal weights")
-        return cls(m=M_sp.shape[0], M_sp=M_sp, U=U, d=d)
-
     @property
     def k(self):
         return int(self.d.size)
@@ -377,13 +292,6 @@ class NewtonSystem:
         if self.k:
             out = out + self.U @ (self.d * (self.U.T @ v))
         return out
-
-    def diagonal(self):
-        diag = self.M_sp.diagonal().astype(float, copy=True)
-        if self.k:
-            U2 = self.U.multiply(self.U)
-            diag = diag + U2 @ self.d
-        return diag
 
     def densify(self):
         M = self.M_sp.toarray()
@@ -602,73 +510,47 @@ def _dense_factor(M):
         return lambda r: scipy.linalg.lu_solve(lu, r, check_finite=False)
 
 
-def _solve_dense(sys_, rhs, stop):
-    solve = _dense_factor(sys_.densify())
+def _refine(solve, matvec, rhs, stop):
+    """A direct solve followed by at most two steps of iterative refinement.
+
+    Refinement stops once the residual norm is at most ``stop``.  Returns
+    ``(x, residual norm)``.
+    """
     x = solve(rhs)
-    res = rhs - sys_.matvec(x)
+    res = rhs - matvec(x)
     for _ in range(2):
         if np.linalg.norm(res) <= stop:
             break
         x = x + solve(res)
-        res = rhs - sys_.matvec(x)
-    resnorm = float(np.linalg.norm(res))
-    return x, resnorm, SolveStats("dense", residual=resnorm)
+        res = rhs - matvec(x)
+    return x, float(np.linalg.norm(res))
 
 
-def _solve_lowrank(sys_, rhs, stop, max_iter, solve_M, method):
-    """Direct solve through the augmented system plus PSQMR refinement.
+def _lowrank_solver(sys_, solve_M):
+    """Solve function of ``M_sp + U diag(d) U'`` from one of ``M_sp``.
 
-    ``solve_M`` applies the inverse of ``M_sp``; the low-rank columns enter
-    through the k x k Schur complement of the augmented system.
+    The low-rank columns enter through the k x k Schur complement
+    ``diag(d)^{-1} + U' M_sp^{-1} U`` of the augmented system.
     """
-    m, k = sys_.m, sys_.k
+    k = sys_.k
+    if not k:
+        return solve_M
     U = sys_.U
-    dinv = 1.0 / sys_.d
-    if k:
-        Ud = U.toarray()
-        # S = D^{-1} + U' M_sp^{-1} U, dense k x k
-        MiU = solve_M(Ud)
-        S = MiU.T @ Ud
-        S[np.diag_indices(k)] += dinv
-        S_lu = scipy.linalg.lu_factor(S, check_finite=False)
+    Ud = U.toarray()
+    MiU = solve_M(Ud)
+    S = MiU.T @ Ud
+    S[np.diag_indices(k)] += 1.0 / sys_.d
+    S_lu = scipy.linalg.lu_factor(S, check_finite=False)
 
-    def block_inverse(h1, h2):
-        lam1 = solve_M(h1)
-        if not k:
-            return lam1, h2
-        lam2 = scipy.linalg.lu_solve(S_lu, U.T @ lam1 - h2, check_finite=False)
-        return lam1 - MiU @ lam2, lam2
+    def solve(r):
+        lam1 = solve_M(r)
+        lam2 = scipy.linalg.lu_solve(S_lu, U.T @ lam1, check_finite=False)
+        return lam1 - MiU @ lam2
 
-    x, _ = block_inverse(rhs, np.zeros(k))
-    res = rhs - sys_.matvec(x)
-    resnorm = float(np.linalg.norm(res))
-    stats = SolveStats(method)
-    if resnorm <= stop:
-        stats.residual = resnorm
-        return x, resnorm, stats
-
-    def aug_matvec(v):
-        v1, v2 = v[:m], v[m:]
-        return np.concatenate([sys_.M_sp @ v1 + U @ v2, U.T @ v1 - dinv * v2])
-
-    def aug_precond(v):
-        w1, w2 = block_inverse(v[:m], v[m:])
-        return np.concatenate([w1, w2])
-
-    rhs_aug = np.concatenate([rhs, np.zeros(k)])
-    x0 = np.concatenate([x, sys_.d * (U.T @ x)])
-    z, _, pst = psqmr(aug_matvec, rhs_aug, aug_precond, x0=x0, stop=stop,
-                      max_iter=max_iter)
-    x = z[:m]
-    resnorm = float(np.linalg.norm(rhs - sys_.matvec(x)))
-    stats.iterations = pst.iterations
-    stats.quasi_residuals = pst.quasi_residuals
-    stats.residual = resnorm
-    stats.method = method + "+psqmr"
-    return x, resnorm, stats
+    return solve
 
 
-def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto", max_iter=500):
+def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto"):
     """Solve the assembled SPD operator to ``||M d - rhs|| <= tol`` (absolute).
 
     Routes:
@@ -676,16 +558,14 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto", max_iter=500):
     - ``"dense"``: dense Cholesky of ``M_sp`` (LU if that fails), or of the
       whole densified operator when the low-rank update is at least as wide
       as the system;
-    - ``"augmented"``: sparse LU of ``M_sp``;
-    - ``"krylov"``: PSQMR with a diagonal preconditioner.
+    - ``"augmented"``: sparse LU of ``M_sp``.
 
-    Both direct routes add the k low-rank columns (k may be 0) through the
-    Schur complement of an augmented system refined by PSQMR, and a direct
-    route that misses the tolerance ends in ``"krylov"`` from its iterate.
-    ``"auto"`` takes ``"dense"`` when ``M_sp`` is stored dense or the update
-    is that wide, and ``"augmented"`` otherwise.  Raises
-    :class:`LinearSolveError` on Krylov non-convergence, carrying the best
-    iterate.
+    Both add the k low-rank columns (k may be 0) through the Schur
+    complement of an augmented system, and the solve gets at most two
+    refinement steps.  ``"auto"`` takes ``"dense"`` when ``M_sp`` is stored
+    dense or the update is that wide, and ``"augmented"`` otherwise.  Raises
+    :class:`LinearSolveError`, carrying the iterate and its residual, when
+    the solve misses the tolerance or the sparse factorization fails.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (sys_.m,):
@@ -694,41 +574,26 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto", max_iter=500):
     if strategy == "auto":
         dense = sys_.k >= sys_.m or _dense_view(sys_.M_sp) is not None
         strategy = "dense" if dense else "augmented"
-    if strategy == "krylov":
-        return _finish_krylov(sys_, rhs, stop, max_iter)
     if strategy == "dense" and sys_.k >= sys_.m:
-        x, resnorm, stats = _solve_dense(sys_, rhs, stop)
+        solve = _dense_factor(sys_.densify())
     elif strategy == "dense":
         M = _dense_view(sys_.M_sp)
-        solve_M = _dense_factor(sys_.M_sp.toarray() if M is None else M)
-        x, resnorm, stats = _solve_lowrank(sys_, rhs, stop, max_iter, solve_M,
-                                           strategy)
+        solve = _lowrank_solver(
+            sys_, _dense_factor(sys_.M_sp.toarray() if M is None else M))
     elif strategy == "augmented":
         try:
             solve_M = spla.splu(sys_.M_sp.tocsc()).solve
-        except RuntimeError:
-            return _finish_krylov(sys_, rhs, stop, max_iter)
-        x, resnorm, stats = _solve_lowrank(sys_, rhs, stop, max_iter, solve_M,
-                                           strategy)
+        except RuntimeError as err:
+            raise LinearSolveError(f"sparse LU of M_sp failed: {err}") from err
+        solve = _lowrank_solver(sys_, solve_M)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if resnorm <= stop:
-        return x, stats
-    return _finish_krylov(sys_, rhs, stop, max_iter, x0=x)
-
-
-def _finish_krylov(sys_, rhs, stop, max_iter, x0=None):
-    diag = sys_.diagonal()
-    diag = np.where(np.abs(diag) > _TINY, diag, 1.0)
-    x, ok, stats = psqmr(sys_.matvec, rhs, lambda v: v / diag, x0=x0, stop=stop,
-                         max_iter=max_iter)
-    stats.method = "psqmr-diag"
-    if not ok:
+    x, resnorm = _refine(solve, sys_.matvec, rhs, stop)
+    if resnorm > stop:
         raise LinearSolveError(
-            f"PSQMR did not converge in {max_iter} iterations "
-            f"(best residual {stats.residual:.3e}, target {stop:.3e})",
-            x=x, residual=stats.residual, iterations=stats.iterations)
-    return x, stats
+            f"{strategy} solve missed the residual target "
+            f"({resnorm:.3e} > {stop:.3e})", x=x, residual=resnorm)
+    return x, SolveStats(strategy, residual=resnorm)
 
 
 def _quadratic_dense(Hd, A, J, sigma, eps):
@@ -787,8 +652,9 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     and factored in place by LAPACK LU.  Otherwise ``"splu"``, sparse LU of
     the assembled block matrix, when it has density below 0.10 or at most
     2000 rows.  A direct solve gets two refinement steps; when it still
-    misses the target, or no direct route applies, ``"bicgstab"`` with a
-    diagonal preconditioner follows.
+    misses the target, sparse LU fails, or no direct route applies,
+    ``"bicgstab"`` with a diagonal preconditioner follows and reports its
+    iteration count.
     """
     A = sp.csr_matrix(A)
     m, n = A.shape
@@ -830,14 +696,7 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
                 pass
 
     if solve is not None:
-        x = solve(rhs)
-        res = rhs - matvec(x)
-        for _ in range(2):
-            if np.linalg.norm(res) <= stop:
-                break
-            x = x + solve(res)
-            res = rhs - matvec(x)
-        resnorm = float(np.linalg.norm(res))
+        x, resnorm = _refine(solve, matvec, rhs, stop)
         if resnorm <= stop:
             return x[:n], x[n:], SolveStats(method, residual=resnorm)
 
@@ -846,13 +705,21 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     op = spla.LinearOperator((N, N), matvec=matvec, dtype=float)
     rhs_norm = float(np.linalg.norm(rhs))
     rtol = stop / rhs_norm if rhs_norm > 0 else 0.0
-    x, info = spla.bicgstab(op, rhs, rtol=max(rtol, 1e-14), atol=stop,
-                            maxiter=max_iter, M=P)
+    # scipy reports info = 0 on success, so iterations are counted here; a
+    # last half step that meets the tolerance returns before the callback
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    x, _ = spla.bicgstab(op, rhs, rtol=max(rtol, 1e-14), atol=stop,
+                         maxiter=max_iter, M=P, callback=count)
     resnorm = float(np.linalg.norm(rhs - matvec(x)))
     if resnorm > stop:
         raise LinearSolveError(
             f"BiCGStab did not reach the residual target "
             f"({resnorm:.3e} > {stop:.3e})",
-            x=(x[:n], x[n:]), residual=resnorm, iterations=max_iter)
-    return x[:n], x[n:], SolveStats("bicgstab", iterations=int(max(info, 0)),
+            x=(x[:n], x[n:]), residual=resnorm, iterations=iters)
+    return x[:n], x[n:], SolveStats("bicgstab", iterations=iters,
                                     residual=resnorm)

@@ -21,6 +21,7 @@ from socalm import (
     kkt_residuals,
     natural_map,
     outer_step,
+    project,
     solve,
 )
 from socalm.alm import LOG_HEADER, OPTIMAL, format_log_line
@@ -75,6 +76,23 @@ class TestNaturalMap:
         # layout: (n, m, n, n) = (1, 1, 1, 1)
         assert r[1] == -2.0  # -b + A y
         assert r[2] == -1.0  # x3 - proj(x3 - y)
+
+    def test_quadratic_blocks_against_dense_formula(self):
+        rng = np.random.default_rng(8)
+        cone = ConeSpec.make(nonneg=2, soc=(3, 4))
+        n, m = cone.total_dim, 4
+        G = rng.standard_normal((n, n))
+        Hd = G @ G.T
+        A = rng.standard_normal((m, n))
+        b, c = rng.standard_normal(m), rng.standard_normal(n)
+        p = ProblemData(Hd, A, b, c, cone)
+        x1, x3, y = (rng.standard_normal(n) for _ in range(3))
+        x2 = rng.standard_normal(m)
+        r = natural_map(p, x1, x2, x3, y)
+        ref = np.concatenate([
+            Hd @ (x1 - y), A @ y - b, x3 - project(cone, x3 - y),
+            Hd @ x1 - A.T @ x2 - x3 + c])
+        np.testing.assert_allclose(r, ref, rtol=1e-12, atol=1e-12)
 
 
 class TestOuterStep:

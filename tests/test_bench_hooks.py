@@ -11,9 +11,23 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 import socalm
-from socalm import gen_meb, gen_trs, line_search, make_state, solve
+from socalm import (
+    ConeSpec,
+    SparseSymmetric,
+    assemble_linear,
+    gen_meb,
+    gen_trs,
+    jacobian_element,
+    line_search,
+    make_state,
+    solve,
+    solve_quadratic,
+    solve_spd,
+)
+from socalm import linsys
 from socalm.ssn import NewtonParams
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -86,3 +100,37 @@ def test_traced_trs_solve_reports_every_quadratic_route():
     assert metrics["linsys.route.dense"] == result.newton_iters
     assert metrics["linsys.route.splu"] == 0
     assert metrics["linsys.route.other"] == 0
+
+
+def test_every_solve_route_is_a_known_route(monkeypatch):
+    # one solve per route linsys can emit; a name missing from ROUTES would
+    # be counted as linsys.route.other
+    tracing = _tracing()
+    rng = np.random.default_rng(3)
+    cone = ConeSpec.make(nonneg=4, soc=(3, 5))
+    n, m = cone.total_dim, 6
+    J = jacobian_element(cone, 2.0 * rng.standard_normal(n))
+    dense_a = sp.csr_matrix(rng.standard_normal((m, n)))
+    sparse_a = sp.csr_matrix(np.eye(m, n))
+    methods = {}
+    for A, route in ((dense_a, "dense"), (sparse_a, "augmented")):
+        sys_ = assemble_linear(A, J, 1.0, 0.1)
+        methods[route] = solve_spd(sys_, rng.standard_normal(m), 1e-10)[1].method
+    G = rng.standard_normal((n, n))
+    H_dense = SparseSymmetric.from_dense(G @ G.T)
+    H_sparse = SparseSymmetric.from_sparse(sp.identity(n))
+    R1, R2 = rng.standard_normal(n), rng.standard_normal(m)
+    for H, route in ((H_dense, "dense"), (H_sparse, "splu")):
+        methods["quadratic " + route] = solve_quadratic(
+            H, dense_a, J, 1.0, 0.1, R1, R2, 1e-10)[2].method
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(linsys.spla, "splu", fail)
+    methods["bicgstab"] = solve_quadratic(
+        H_sparse, dense_a, J, 1.0, 0.1, R1, R2, 1e-10)[2].method
+    assert methods == {"dense": "dense", "augmented": "augmented",
+                       "quadratic dense": "dense", "quadratic splu": "splu",
+                       "bicgstab": "bicgstab"}
+    assert set(methods.values()) <= set(tracing.ROUTES)

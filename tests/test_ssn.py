@@ -17,9 +17,11 @@ from socalm import (
     newton_direction,
     project,
     run_inner,
+    solve,
 )
 from socalm import ssn
-from socalm.ssn import CONVERGED, NewtonParams
+from socalm.linsys import LinearSolveError
+from socalm.ssn import CONVERGED, LINEAR_SOLVE_FAILURE, NewtonParams
 
 
 def toy_quadratic_problem():
@@ -403,6 +405,93 @@ class TestRunInner:
         with pytest.raises(ValueError):
             run_inner(problem, np.zeros(1), 1.0, (np.zeros(1), np.zeros(1)),
                       0.0, NewtonParams())
+
+
+def _failing(monkeypatch, name, failures):
+    """Make ``ssn.<name>`` raise LinearSolveError on its first ``failures``
+    calls; returns the list of the calls' arguments."""
+    original = getattr(ssn, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        if len(calls) <= failures:
+            raise LinearSolveError("forced miss", residual=1.0)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ssn, name, wrapped)
+    return calls
+
+
+class TestLinearSolveFailure:
+    def test_linear_retry_with_tenfold_damping(self, monkeypatch):
+        inst, problem = gen_meb(10, 3)
+        params = NewtonParams()
+        sigma = 2.0
+        state = make_state(problem, np.zeros(problem.n),
+                           np.ones(problem.m), np.zeros(problem.n), sigma)
+        base = params.tau1 * min(params.tau2, state.grad_norm)
+        calls = _failing(monkeypatch, "solve_spd", 1)
+        assembled = []
+        assemble = ssn.assemble_linear
+
+        def recording(A, J, sigma, eps):
+            assembled.append(eps)
+            return assemble(A, J, sigma, eps)
+
+        monkeypatch.setattr(ssn, "assemble_linear", recording)
+        d1, d2, eps_j, nu_j, stats = newton_direction(problem, state, sigma,
+                                                      params)
+        assert len(calls) == 2
+        assert eps_j == 10.0 * base
+        assert assembled == [base / sigma, 10.0 * base / sigma]
+        assert stats.method in ("dense", "augmented")
+        res = _newton_residual(problem, state, d1, d2, eps_j, sigma)
+        assert res <= nu_j * (1 + 1e-9)
+
+    def test_quadratic_retry_with_tenfold_damping(self, monkeypatch):
+        inst, problem = gen_trs(6, 1)
+        params = NewtonParams()
+        rng = np.random.default_rng(4)
+        state = make_state(problem, rng.standard_normal(problem.n),
+                           rng.standard_normal(problem.m),
+                           np.zeros(problem.n), 0.5)
+        base = params.tau1 * min(params.tau2, state.grad_norm)
+        calls = _failing(monkeypatch, "solve_quadratic", 1)
+        d1, d2, eps_j, nu_j, stats = newton_direction(problem, state, 0.5,
+                                                      params)
+        assert [c[4] for c in calls] == [base, 10.0 * base]
+        assert eps_j == 10.0 * base
+        res = _newton_residual(problem, state, d1, d2, eps_j, 0.5)
+        assert res <= nu_j * (1 + 1e-9)
+
+    @pytest.mark.parametrize("name", ["solve_spd", "solve_quadratic"])
+    def test_second_failure_propagates(self, monkeypatch, name):
+        problem = (gen_meb(10, 3) if name == "solve_spd" else gen_trs(6, 1))[1]
+        state = make_state(problem, np.zeros(problem.n), np.ones(problem.m),
+                           np.zeros(problem.n), 1.0)
+        calls = _failing(monkeypatch, name, 2)
+        with pytest.raises(LinearSolveError):
+            newton_direction(problem, state, 1.0, NewtonParams())
+        assert len(calls) == 2
+
+    def test_run_inner_reports_the_failure(self, monkeypatch):
+        inst, problem = gen_meb(10, 3)
+        _failing(monkeypatch, "solve_spd", 2)
+        res = run_inner(problem, np.zeros(problem.n), 1.0,
+                        (np.zeros(problem.n), np.zeros(problem.m)), 1e-10,
+                        NewtonParams())
+        assert res.status == LINEAR_SOLVE_FAILURE
+        assert res.newton_iters == 0
+
+    @pytest.mark.parametrize("gen", [gen_meb, gen_trs])
+    def test_solve_reports_the_failure(self, monkeypatch, gen):
+        problem = gen(8, 2)[1]
+        for name in ("solve_spd", "solve_quadratic"):
+            _failing(monkeypatch, name, 10 ** 6)
+        result = solve(problem)
+        assert result.status == "LinearSolveFailure"
+        assert result.outer_iters == 1 and result.newton_iters == 0
 
 
 class TestNewtonParamsValidation:
