@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import ssn
+from .blas import single_thread
 from .cone import ConeSpec, project
 from .linsys import NewtonAssembly, SparseSymmetric
 from .ssn import NewtonParams, make_state, run_inner
@@ -314,6 +315,7 @@ def _emit(log, line):
         log.write(line + "\n")
 
 
+@single_thread()
 def solve(problem: ProblemData, options: AlmOptions | None = None,
           start: Iterate | None = None, log=None, callback=None) -> SolveResult:
     """Run the outer loop until the relative KKT residual drops below ``tol``.
@@ -321,6 +323,12 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
     ``log`` may be a callable or a file-like object receiving the fixed-width
     per-iteration lines; ``callback(k, iterate, info, deltas)`` is invoked on
     the solving thread after every outer step (used by diagnostics and tests).
+
+    The whole call runs with one BLAS thread in each loaded OpenBLAS (numpy
+    and scipy bundle one each, and their two pools contend on few cores);
+    the previous counts are restored when the last concurrent solve returns.
+    The count is process-wide, so other BLAS work in the process is
+    single-threaded too while a solve runs.  See :mod:`socalm.blas`.
     """
     if options is None:
         options = AlmOptions()

@@ -133,11 +133,13 @@ class SparseSymmetric:
         return self._csr
 
     def matvec(self, v):
-        return self._csr @ v
+        """``H v``, through the dense copy when :meth:`dense_copy` keeps one."""
+        dense = self.dense_copy()
+        return (self._csr if dense is None else dense) @ v
 
     def quad(self, v):
         """Quadratic form <v, H v>."""
-        return float(v @ (self._csr @ v))
+        return float(v @ self.matvec(v))
 
     def fro_norm(self):
         if self._fro is None:

@@ -70,6 +70,27 @@ class TestSparseSymmetric:
         np.testing.assert_allclose(H.matvec(v), M @ v, atol=1e-13)
         assert abs(H.quad(v) - v @ M @ v) < 1e-10
 
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_products_use_the_kept_storage(self, dense):
+        # a full H multiplies through its dense copy, a tridiagonal one
+        # through CSR, so each product is exactly that storage's product
+        rng = np.random.default_rng(5)
+        n = 40
+        if dense:
+            G = rng.standard_normal((n, n))
+            H = SparseSymmetric.from_dense(G @ G.T)
+        else:
+            H = SparseSymmetric.from_sparse(sp.diags(
+                [np.full(n - 1, -1.0), np.full(n, 2.5), np.full(n - 1, -1.0)],
+                [-1, 0, 1]))
+        store = H.dense_copy() if dense else H.to_csr()
+        assert (H.dense_copy() is not None) == dense
+        v = rng.standard_normal(n)
+        X = rng.standard_normal((n, 3))
+        np.testing.assert_array_equal(H.matvec(v), store @ v)
+        np.testing.assert_array_equal(H.matvec(X), store @ X)
+        assert H.quad(v) == float(v @ (store @ v))
+
 
 class TestLambdaMax:
     def test_zero_matrix(self):
