@@ -20,13 +20,13 @@ the update is at least as wide as the system is the whole matrix densified
 instead.  A solve that still misses its tolerance after two refinement steps
 raises :class:`LinearSolveError`.
 
-The quadratic case solves the unsymmetric two-by-two block system, for any H.
-When H is stored dense (its lazily built :meth:`SparseSymmetric.dense_copy`)
-and the system has at most 2000 rows, the blocks are formed from the diagonal
-and low-rank parts of V with dense products into one array and factored by
-LAPACK LU in place; otherwise the assembled sparse block matrix goes to
-sparse LU when it is small or sparse enough.  BiCGStab is the fallback of
-both and the only route for a large, dense enough block matrix.
+The quadratic case solves the unsymmetric two-by-two block system, for any H,
+also by one direct solve chosen by the storage of H alone.  When H is stored
+dense (its lazily built :meth:`SparseSymmetric.dense_copy`), the blocks are
+formed from the diagonal and low-rank parts of V with dense products into one
+array and factored by LAPACK LU in place; otherwise the assembled sparse block
+matrix goes to sparse LU.  Misses and failed factorizations raise
+:class:`LinearSolveError` as in the linear case.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .cone import JacobianElement, SocCase
 
 # low-rank eigenvalue below this is dropped from the update (rank degenerates)
 _DROP_TOL = 1e-14
-_TINY = 1e-300
 # column-pair products held at once while the Lorentz block Grams are built
 _PAIR_CHUNK = 1 << 18
 
@@ -51,11 +50,10 @@ _PAIR_CHUNK = 1 << 18
 class LinearSolveError(RuntimeError):
     """A linear solve did not reach its residual tolerance."""
 
-    def __init__(self, message, x=None, residual=None, iterations=0):
+    def __init__(self, message, x=None, residual=None):
         super().__init__(message)
         self.x = x
         self.residual = residual
-        self.iterations = iterations
 
 
 class SparseSymmetric:
@@ -203,6 +201,8 @@ def estimate_lambda_max(H: SparseSymmetric) -> float:
 @dataclass
 class SolveStats:
     method: str
+    # every route is direct, so this stays 0; kept because solve results and
+    # the result file report the total as ``krylov_iters``
     iterations: int = 0
     residual: float = 0.0
 
@@ -512,11 +512,13 @@ def _dense_factor(M):
         return lambda r: scipy.linalg.lu_solve(lu, r, check_finite=False)
 
 
-def _refine(solve, matvec, rhs, stop):
+def _refine(solve, matvec, rhs, stop, method):
     """A direct solve followed by at most two steps of iterative refinement.
 
     Refinement stops once the residual norm is at most ``stop``.  Returns
-    ``(x, residual norm)``.
+    ``(x, SolveStats)``.  Raises :class:`LinearSolveError`, carrying the
+    iterate and its residual norm, unless that norm is at most ``stop``; a
+    NaN residual is a miss.
     """
     x = solve(rhs)
     res = rhs - matvec(x)
@@ -525,7 +527,12 @@ def _refine(solve, matvec, rhs, stop):
             break
         x = x + solve(res)
         res = rhs - matvec(x)
-    return x, float(np.linalg.norm(res))
+    resnorm = float(np.linalg.norm(res))
+    if not resnorm <= stop:
+        raise LinearSolveError(
+            f"{method} solve missed the residual target "
+            f"({resnorm:.3e} > {stop:.3e})", x=x, residual=resnorm)
+    return x, SolveStats(method, residual=resnorm)
 
 
 def _lowrank_solver(sys_, solve_M):
@@ -590,12 +597,7 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto"):
         solve = _lowrank_solver(sys_, solve_M)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    x, resnorm = _refine(solve, sys_.matvec, rhs, stop)
-    if resnorm > stop:
-        raise LinearSolveError(
-            f"{strategy} solve missed the residual target "
-            f"({resnorm:.3e} > {stop:.3e})", x=x, residual=resnorm)
-    return x, SolveStats(strategy, residual=resnorm)
+    return _refine(solve, sys_.matvec, rhs, stop, strategy)
 
 
 def _quadratic_dense(Hd, A, J, sigma, eps):
@@ -638,7 +640,7 @@ def _quadratic_dense(Hd, A, J, sigma, eps):
 
 
 def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
-                    R1, R2, tol, max_iter=500):
+                    R1, R2, tol):
     """Solve the unsymmetric Newton system of the quadratic case.
 
         [[I + sigma*V*H, -sigma*V*A'], [-sigma*A*V*H, eps*I + sigma*A*V*A']]
@@ -648,15 +650,18 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     quadratic form of ``d1`` are meaningful to callers; both agree with the
     range-space projected direction, which is never formed.
 
-    Routes: ``"dense"`` when ``H.dense_copy()`` is not None (dense storage
-    of H is no larger than CSR) and the system has at most 2000 rows: the
-    blocks are built from ``V = diag(s) + W diag(d) W'`` with dense products
-    and factored in place by LAPACK LU.  Otherwise ``"splu"``, sparse LU of
-    the assembled block matrix, when it has density below 0.10 or at most
-    2000 rows.  A direct solve gets two refinement steps; when it still
-    misses the target, sparse LU fails, or no direct route applies,
-    ``"bicgstab"`` with a diagonal preconditioner follows and reports its
-    iteration count.
+    The storage of H picks the route:
+
+    - ``"dense"`` when ``H.dense_copy()`` is not None (dense storage of H is
+      no larger than CSR): the blocks are built from
+      ``V = diag(s) + W diag(d) W'`` with dense products and factored in
+      place by LAPACK LU;
+    - ``"splu"`` otherwise: sparse LU of the assembled block matrix.
+
+    The solve gets at most two refinement steps.  Raises
+    :class:`LinearSolveError`, carrying the iterate ``(d1; d2)`` of the whole
+    system and its residual, when the solve misses the target or the sparse
+    factorization fails.
     """
     A = sp.csr_matrix(A)
     m, n = A.shape
@@ -668,14 +673,11 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     stop = max(float(tol) / max(1.0, H.lambda_max_estimate()),
                1e-12 * rhs_scale)
     rhs = np.concatenate([R1, R2])
-    N = n + m
 
-    Hd = H.dense_copy() if N <= 2000 else None
-    solve = None
+    Hd = H.dense_copy()
     if Hd is not None:
         method = "dense"
         M, matvec = _quadratic_dense(Hd, A, J, sigma, eps)
-        diag = M.diagonal().copy()
         # M' is Fortran-ordered, so LAPACK factors it in place
         lu = scipy.linalg.lu_factor(M.T, overwrite_a=True, check_finite=False)
         solve = lambda r: scipy.linalg.lu_solve(lu, r, trans=1,
@@ -690,38 +692,10 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
              [-sigma * (A @ VH), eps * sp.identity(m) + sigma * (A @ VAT)]],
             format="csc")
         matvec = Mhat.__matmul__
-        diag = Mhat.diagonal()
-        if Mhat.nnz / (N * N) < 0.10 or N <= 2000:
-            try:
-                solve = spla.splu(Mhat).solve
-            except RuntimeError:
-                pass
-
-    if solve is not None:
-        x, resnorm = _refine(solve, matvec, rhs, stop)
-        if resnorm <= stop:
-            return x[:n], x[n:], SolveStats(method, residual=resnorm)
-
-    diag = np.where(np.abs(diag) > _TINY, diag, 1.0)
-    P = spla.LinearOperator((N, N), matvec=lambda v: v / diag)
-    op = spla.LinearOperator((N, N), matvec=matvec, dtype=float)
-    rhs_norm = float(np.linalg.norm(rhs))
-    rtol = stop / rhs_norm if rhs_norm > 0 else 0.0
-    # scipy reports info = 0 on success, so iterations are counted here; a
-    # last half step that meets the tolerance returns before the callback
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    x, _ = spla.bicgstab(op, rhs, rtol=max(rtol, 1e-14), atol=stop,
-                         maxiter=max_iter, M=P, callback=count)
-    resnorm = float(np.linalg.norm(rhs - matvec(x)))
-    if resnorm > stop:
-        raise LinearSolveError(
-            f"BiCGStab did not reach the residual target "
-            f"({resnorm:.3e} > {stop:.3e})",
-            x=(x[:n], x[n:]), residual=resnorm, iterations=iters)
-    return x[:n], x[n:], SolveStats("bicgstab", iterations=iters,
-                                    residual=resnorm)
+        try:
+            solve = spla.splu(Mhat).solve
+        except RuntimeError as err:
+            raise LinearSolveError(
+                f"sparse LU of the block system failed: {err}") from err
+    x, stats = _refine(solve, matvec, rhs, stop, method)
+    return x[:n], x[n:], stats

@@ -74,7 +74,11 @@ class AlmInvariantChecker:
     def _error_norm(self, x1, x2, y_prev, sigma, y_new):
         p = self.problem
         Hx1 = p.H.matvec(x1) if p.is_quadratic else np.zeros(p.n)
-        ytil = project(p.cone, y_prev + sigma * (-Hx1 + p.A.T @ x2 - p.c))
+        # summed in the order of ssn.make_state, so that the comparison with
+        # the reported gradient is exact and not bounded by the roundoff of
+        # sigma * H x1, which grows with ||H||
+        z = y_prev + sigma * (p.A.T @ x2 - p.c) - sigma * Hx1
+        ytil = project(p.cone, z)
         e1 = Hx1 - (p.H.matvec(ytil) if p.is_quadratic else np.zeros(p.n))
         e2 = -p.b + p.A @ ytil
         return float(np.sqrt(e1 @ e1 + e2 @ e2))

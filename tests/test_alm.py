@@ -175,6 +175,17 @@ class TestSolve:
         _, ref = solve_trs_oracle(instance.H, instance.c)
         assert abs(val - ref) <= 1e-6 * max(1.0, abs(ref))
 
+    def test_trs_past_2000_rows_matches_oracle(self):
+        # d = 2000 gives Newton systems of 2002 rows, solved by dense LU
+        instance, p = gen_trs(2000, seed=1)
+        res = solve_with_invariants(p, AlmOptions(sigma0=1.0))
+        assert res.status == OPTIMAL
+        assert res.kkt_residual <= 1e-8
+        y, val = extract_trs_solution(instance, res)
+        assert np.linalg.norm(y) <= 1.0 + 1e-8
+        _, ref = solve_trs_oracle(instance.H, instance.c)
+        assert abs(val - ref) <= 1e-6 * max(1.0, abs(ref))
+
     def test_srlasso_with_invariants_and_criterion_b(self):
         rng = np.random.default_rng(11)
         B = rng.standard_normal((8, 15))

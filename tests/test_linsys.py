@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import socalm
@@ -31,6 +32,10 @@ def rank_one_example():
     """``2 I + u u'`` with ``u = (1, 1)``."""
     return NewtonSystem(m=2, M_sp=sp.csr_matrix(2 * np.eye(2)),
                         U=sp.csc_matrix(np.ones((2, 1))), d=np.ones(1))
+
+
+def fail_factorization(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
 
 
 def random_setup(seed, m=None, nonneg=0, soc=(3, 4, 5), scale=2.0):
@@ -469,12 +474,14 @@ class TestSolveSpd:
         E = 0.1 * rng.standard_normal((6, 6))
         M = np.eye(6) + E
         rhs = rng.standard_normal(6)
-        x, res = linsys._refine(lambda r: r.copy(), lambda v: M @ v, rhs, 0.0)
-        assert res == pytest.approx(np.linalg.norm(
+        with pytest.raises(LinearSolveError) as exc:
+            linsys._refine(lambda r: r.copy(), lambda v: M @ v, rhs, 0.0, "id")
+        assert exc.value.residual == pytest.approx(np.linalg.norm(
             np.linalg.matrix_power(-E, 3) @ rhs), rel=1e-8)
-        x, res = linsys._refine(lambda r: r.copy(), lambda v: M @ v, rhs,
-                                1.01 * np.linalg.norm(E @ rhs))
+        x, stats = linsys._refine(lambda r: r.copy(), lambda v: M @ v, rhs,
+                                  1.01 * np.linalg.norm(E @ rhs), "id")
         assert np.array_equal(x, rhs)
+        assert stats.method == "id"
 
     def test_direct_miss_raises_with_iterate(self):
         # cond ~ 1e12: two refinement steps cannot reach a 1e-13 target
@@ -490,11 +497,17 @@ class TestSolveSpd:
         assert residual == np.linalg.norm(rhs - sys_.matvec(x))
         assert residual > 1e-12 * np.linalg.norm(rhs)
 
-    def test_failed_sparse_factorization_raises(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+    def test_nan_residual_is_a_miss(self):
+        # singular: the LU solve returns NaN, which no tolerance accepts
+        sys_ = NewtonSystem(m=2, M_sp=sp.csr_matrix(np.ones((2, 2))),
+                            U=sp.csc_matrix((2, 0)), d=np.zeros(0))
+        with pytest.warns(scipy.linalg.LinAlgWarning), \
+                pytest.raises(LinearSolveError, match="dense solve") as exc:
+            solve_spd(sys_, np.array([1.0, 2.0]), 1e-12)
+        assert np.isnan(exc.value.residual)
 
-        monkeypatch.setattr(linsys.spla, "splu", fail)
+    def test_failed_sparse_factorization_raises(self, monkeypatch):
+        monkeypatch.setattr(linsys.spla, "splu", fail_factorization)
         with pytest.raises(LinearSolveError, match="sparse LU"):
             solve_spd(rank_one_example(), np.ones(2), 1e-12,
                       strategy="augmented")
@@ -636,28 +649,67 @@ class TestSolveQuadratic:
         assert not H.dense_copy().flags.writeable
         np.testing.assert_array_equal(H.dense_copy(), G @ G.T)
 
-    def test_bicgstab_counts_its_iterations(self, monkeypatch):
-        # tridiagonal H is stored sparse, so "splu" is the direct route; with
-        # it failing, BiCGStab solves the system and reports its work
+    def test_dense_route_past_2000_rows(self):
+        # the trust-region shape: one Lorentz block and one row of A
+        rng = np.random.default_rng(17)
+        cone = ConeSpec.make(soc=(2001,))
+        n = cone.total_dim
+        G = rng.standard_normal((n, 20))
+        H = SparseSymmetric.from_dense(G @ G.T + np.eye(n))
+        A = sp.csr_matrix(rng.standard_normal((1, n)))
+        J = jacobian_element(cone, rng.standard_normal(n))
+        assert assemble_linear(A, J, 1.0, 0.0).k > 0
+        R1 = rng.standard_normal(n)
+        R2 = rng.standard_normal(1)
+        d1, d2, stats = solve_quadratic(H, A, J, 0.5, 0.1, R1, R2, 1e-12)
+        assert stats.method == "dense"
+        ref = quadratic_reference(H, A, J, 0.5, 0.1, R1, R2)
+        assert (np.linalg.norm(np.concatenate([d1, d2]) - ref)
+                <= 1e-10 * max(1.0, np.linalg.norm(ref)))
+
+    def test_failed_sparse_factorization_raises(self, monkeypatch):
+        # tridiagonal H is stored sparse, so "splu" is the route
         rng, cone, A, J = random_setup(11, m=5, nonneg=3, soc=(3, 4, 5))
         n = cone.total_dim
         H = SparseSymmetric.from_sparse(
             sp.diags([np.full(n - 1, -1.0), np.full(n, 2.5),
                       np.full(n - 1, -1.0)], [-1, 0, 1]))
         assert H.dense_copy() is None
+        monkeypatch.setattr(linsys.spla, "splu", fail_factorization)
+        with pytest.raises(LinearSolveError, match="sparse LU"):
+            solve_quadratic(H, A, J, 0.8, 0.05, rng.standard_normal(n),
+                            rng.standard_normal(5), 1e-12)
 
-        def fail(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+    def test_direct_miss_raises_with_iterate(self):
+        # A = hilbert(12) and eps = 1e-12 make the block system so badly
+        # conditioned that two refinement steps cannot reach 1e-12 * ||rhs||
+        n = m = 12
+        cone = ConeSpec.make(nonneg=n)
+        J = make_jacobian(cone, nonneg_mask=np.ones(n))
+        H = SparseSymmetric.from_dense(0.1 * np.ones((n, n)))
+        A = sp.csr_matrix(scipy.linalg.hilbert(n))
+        R1, R2 = np.ones(n), np.ones(m)
+        with pytest.raises(LinearSolveError, match="dense solve") as exc:
+            solve_quadratic(H, A, J, 1.0, 1e-12, R1, R2, 1e-13)
+        x, residual = exc.value.x, exc.value.residual
+        rhs = np.concatenate([R1, R2])
+        assert x.shape == (n + m,)
+        _, matvec = linsys._quadratic_dense(H.dense_copy(), A, J, 1.0, 1e-12)
+        assert residual == np.linalg.norm(rhs - matvec(x))
+        assert residual > 1e-12 * np.linalg.norm(rhs)
 
-        monkeypatch.setattr(linsys.spla, "splu", fail)
-        R1 = rng.standard_normal(n)
-        R2 = rng.standard_normal(5)
-        d1, d2, stats = solve_quadratic(H, A, J, 0.8, 0.05, R1, R2, 1e-12)
-        assert stats.method == "bicgstab"
-        assert stats.iterations > 0
-        ref = quadratic_reference(H, A, J, 0.8, 0.05, R1, R2)
-        assert (np.linalg.norm(np.concatenate([d1, d2]) - ref)
-                <= 1e-8 * max(1.0, np.linalg.norm(ref)))
+    def test_nan_residual_is_a_miss(self):
+        # V = 0 and eps = 0 leave the (2, 2) block zero: the dense LU solve
+        # returns NaN, which no tolerance accepts
+        n, m = 3, 2
+        cone = ConeSpec.make(nonneg=n)
+        J = make_jacobian(cone, nonneg_mask=np.zeros(n))
+        H = SparseSymmetric.from_dense(np.ones((n, n)) + np.eye(n))
+        A = sp.csr_matrix(np.ones((m, n)))
+        with pytest.warns(scipy.linalg.LinAlgWarning), \
+                pytest.raises(LinearSolveError, match="dense solve") as exc:
+            solve_quadratic(H, A, J, 1.0, 0.0, np.ones(n), np.ones(m), 1e-12)
+        assert np.isnan(exc.value.residual)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_consistency_with_symmetric_system_on_range(self, seed):
