@@ -3,6 +3,13 @@
 The formats are line-oriented: keyword lines in a fixed order, numeric
 payloads wrapped at a few values per line, everything serialized with 17
 significant digits so writing and re-parsing reproduces doubles bit-exactly.
+Non-finite values are refused both ways.  Numeric sections move in blocks
+of ``_BLOCK_LINES`` lines: the writer checks a section for non-finite values
+at once and formats each block with one ``%.17g`` template (the same text as
+``format(v, ".17g")``); the parser joins, splits and converts each block into
+a preallocated array, and its errors name the section and the line where it
+starts, as a one-line-at-a-time reader would.
+
 Exit codes: 0 success, 2 malformed input, 3 non-convergence, 4 internal
 error.
 """
@@ -24,6 +31,8 @@ from .problems import build_srlasso, gen_meb, gen_trs, lambda_from_lambda_c, \
 
 FORMAT_VERSION = 1
 _VALUES_PER_LINE = 6
+# Lines formatted, or joined and parsed, per step of a numeric section.
+_BLOCK_LINES = 4096
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -35,22 +44,38 @@ class ProblemFormatError(ValueError):
     """Malformed problem or result file; message carries line context."""
 
 
-def _fmt(v: float) -> str:
-    if not np.isfinite(v):
+def _finite(values):
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
         raise ValueError("cannot serialize non-finite value")
-    return format(float(v), ".17g")
+    return values
+
+
+def _fmt(v: float) -> str:
+    return format(float(_finite(v)), ".17g")
+
+
+def _write_rows(fh, line, table):
+    """Write each row of the 2-D ``table`` through the %-template ``line``,
+    one format call per block of lines."""
+    for i in range(0, len(table), _BLOCK_LINES):
+        block = table[i:i + _BLOCK_LINES]
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_array(fh, values):
-    values = np.asarray(values, dtype=float).ravel()
-    for i in range(0, values.size, _VALUES_PER_LINE):
-        fh.write(" ".join(_fmt(v) for v in values[i:i + _VALUES_PER_LINE]))
-        fh.write("\n")
+    values = _finite(values).ravel()
+    full = values.size - values.size % _VALUES_PER_LINE
+    for table in (values[:full].reshape(-1, _VALUES_PER_LINE),
+                  values[full:].reshape(1, -1)):
+        if table.size:
+            _write_rows(fh, " ".join(["%.17g"] * table.shape[1]) + "\n", table)
 
 
 def _write_triplets(fh, rows, cols, vals):
-    for r, c, v in zip(rows, cols, vals):
-        fh.write(f"{int(r)} {int(c)} {_fmt(v)}\n")
+    # indices travel as exact float64 integers; "%d" prints them unchanged
+    _write_rows(fh, "%d %d %.17g\n",
+                np.column_stack((rows, cols, _finite(vals))))
 
 
 class _Reader:
@@ -86,7 +111,10 @@ class _Reader:
         return toks
 
     def keyword_int(self, name):
-        toks = self.keyword(name)
+        return self.int_field(self.keyword(name))
+
+    def int_field(self, toks):
+        name = toks[0]
         if len(toks) != 2:
             self.error(f"field {name!r} needs exactly one integer")
         try:
@@ -103,36 +131,73 @@ class _Reader:
         except ValueError:
             self.error(f"field {name!r}: {toks[1]!r} is not a number")
 
+    def next_block(self, k):
+        """The next ``k`` raw lines, at most ``_BLOCK_LINES`` of them."""
+        block = self.lines[self.pos:self.pos + min(k, _BLOCK_LINES)]
+        if not block:
+            self.pos = len(self.lines)
+            self.error("unexpected end of file")
+        return block
+
     def read_floats(self, count, what):
-        start = self.pos
-        toks = []
-        while len(toks) < count:
-            toks.extend(self.next_line().split())
-        if len(toks) != count:
+        """``count`` values on as many lines as they take; reading stops
+        after the line that completes the count."""
+        start, got, numeric = self.pos, 0, True
+        out = np.empty(max(count, 0))
+        while got < count:
+            block = self.next_block(-(-(count - got) // _VALUES_PER_LINE))
+            toks = " ".join(block).split()
+            if got + len(toks) > count:
+                # stop at the first line whose running count reaches count
+                ends = got + np.cumsum([len(ln.split()) for ln in block])
+                last = int(np.searchsorted(ends, count))
+                block, toks = block[:last + 1], toks[:ends[last] - got]
+            self.pos += len(block)
+            numeric = numeric and _convert(out, got, toks)
+            got += len(toks)
+        if got != count:
             self.error(f"section {what!r}: expected {count} values, got "
-                       f"{len(toks)}", line=start + 1)
-        try:
-            return np.asarray(toks, dtype=float)
-        except ValueError:
-            self.error(f"section {what!r}: non-numeric value", line=start + 1)
+                       f"{got}", line=start + 1)
+        self._check_numbers(out, numeric, what, "value", start)
+        return out
 
     def read_triplets(self, count, what):
-        start = self.pos
-        toks = []
-        for _ in range(count):
-            toks.extend(self.next_line().split())
-        if len(toks) != 3 * count:
+        """``count`` non-blank 'row col value' lines."""
+        start, nlines, ntok, numeric = self.pos, 0, 0, True
+        out = np.empty((max(count, 0), 3))
+        while nlines < count:
+            block = self.next_block(count - nlines)
+            self.pos += len(block)
+            nlines += len(block) - block.count("") - sum(map(str.isspace, block))
+            toks = " ".join(block).split()
+            numeric = numeric and _convert(out.reshape(-1), ntok, toks)
+            ntok += len(toks)
+        if ntok != 3 * count:
             self.error(f"section {what!r}: expected {count} 'row col value' "
                        f"lines", line=start + 1)
-        try:
-            flat = np.asarray(toks, dtype=float)
-        except ValueError:
-            self.error(f"section {what!r}: non-numeric entry", line=start + 1)
-        trip = flat.reshape(count, 3)
-        idx = trip[:, :2]
+        self._check_numbers(out, numeric, what, "entry", start)
+        idx = out[:, :2]
         if np.any(idx != np.floor(idx)):
             self.error(f"section {what!r}: fractional index", line=start + 1)
-        return idx[:, 0].astype(np.int64), idx[:, 1].astype(np.int64), trip[:, 2]
+        return idx[:, 0].astype(np.int64), idx[:, 1].astype(np.int64), out[:, 2]
+
+    def _check_numbers(self, values, numeric, what, noun, start):
+        if not numeric:
+            self.error(f"section {what!r}: non-numeric {noun}", line=start + 1)
+        if not np.isfinite(values).all():
+            self.error(f"section {what!r}: non-finite {noun}", line=start + 1)
+
+
+def _convert(out, at, toks):
+    """Parse ``toks`` into ``out[at:]``; False when a token is not a number.
+    Tokens that overrun ``out`` are left to the caller's count check."""
+    if at + len(toks) > out.size:
+        return True
+    try:
+        out[at:at + len(toks)] = np.asarray(toks, dtype=float)
+    except ValueError:
+        return False
+    return True
 
 
 def write_problem(problem: ProblemData, path):
@@ -200,7 +265,7 @@ def parse_problem(path) -> ProblemData:
     toks = r.keyword("H", "end")
     H = None
     if toks[0] == "H":
-        hnnz = int(toks[1])
+        hnnz = r.int_field(toks)
         hr, hc, hv = r.read_triplets(hnnz, "H")
         if hnnz and (hr.min() < 0 or hr.max() >= n or hc.min() < 0 or hc.max() >= n):
             r.error("section 'H': index out of range")

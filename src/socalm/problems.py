@@ -39,11 +39,16 @@ def prand_next(state: int):
 
 
 def prand_sequence(count: int, state: int = 7) -> np.ndarray:
-    """First ``count`` values of the sequence started from ``state``."""
-    out = np.empty(count)
-    for i in range(count):
-        state, out[i] = prand_next(state)
-    return out
+    """First ``count`` values of the sequence started from ``state``.
+
+    The sequence has full period 4096 (Hull-Dobell: the increment is odd and
+    the multiplier is 1 mod 4), so at most one period is stepped and the
+    rest repeats it.
+    """
+    period = np.empty(min(count, _PRAND_MOD))
+    for i in range(period.size):
+        state, period[i] = prand_next(state)
+    return np.resize(period, count)
 
 
 @dataclass(frozen=True)
@@ -215,7 +220,7 @@ def gen_trs(d: int, seed: int = 0):
     if d < 2:
         raise ValueError("d must be at least 2")
     rng = _Lcg64(seed)
-    P = np.array([rng.uniform() for _ in range(d * d)]).reshape(d, d)
+    P = rng.uniforms(d * d).reshape(d, d)
     g = np.array([rng.normal() for _ in range(d)])
     c = np.array([rng.normal() for _ in range(d)])
     H = (P * g) @ P.T
@@ -228,12 +233,14 @@ class _Lcg64:
 
     uniform() returns ((state >> 11) + 0.5) / 2**53; normal() consumes two
     uniforms per pair and caches the spare.  Documented in the README so the
-    synthetic instances are reproducible outside this package.
+    synthetic instances are reproducible outside this package.  uniforms(n)
+    is n calls of uniform() done in blocks of BLOCK states.
     """
 
     MASK = (1 << 64) - 1
     MUL = 6364136223846793005
     INC = 1442695040888963407
+    BLOCK = 4096
 
     def __init__(self, seed):
         self.state = ((int(seed) + 1) * self.MUL + self.INC) & self.MASK
@@ -247,6 +254,25 @@ class _Lcg64:
 
     def uniform(self):
         return ((self._step() >> 11) + 0.5) / 9007199254740992.0
+
+    def uniforms(self, n):
+        """The next ``n`` uniforms, leaving the state where n uniform() calls
+        would.  Step j of a block maps s to A_j s + C_j with A_j = MUL^j and
+        C_j = INC (MUL^(j-1) + ... + 1); uint64 arithmetic wraps mod 2^64."""
+        k = min(n, self.BLOCK)
+        mul = np.empty(k, dtype=np.uint64)
+        inc = np.empty(k, dtype=np.uint64)
+        a, c = 1, 0
+        for j in range(k):
+            a = (a * self.MUL) & self.MASK
+            c = (c * self.MUL + self.INC) & self.MASK
+            mul[j], inc[j] = a, c
+        states = np.empty(n, dtype=np.uint64)
+        for i in range(0, n, self.BLOCK):
+            j = min(k, n - i)
+            states[i:i + j] = mul[:j] * np.uint64(self.state) + inc[:j]
+            self.state = int(states[i + j - 1])
+        return ((states >> np.uint64(11)) + 0.5) / 9007199254740992.0
 
     def normal(self):
         if self._spare is not None:

@@ -9,6 +9,7 @@ from socalm import (
     ConeSpec,
     ProblemData,
     ProblemFormatError,
+    SolveResult,
     SparseSymmetric,
     cli_main,
     gen_meb,
@@ -18,6 +19,7 @@ from socalm import (
     write_problem,
     write_result,
 )
+from socalm.alm import BlockReport
 
 
 def random_problem(seed=0, quadratic=True):
@@ -221,3 +223,318 @@ class TestDeterminism:
         strip = lambda text: "\n".join(
             ln for ln in text.splitlines() if not ln.startswith("wall_time"))
         assert strip(files[0][1]) == strip(files[1][1])
+
+
+def fixed_quadratic_problem():
+    """Small quadratic problem whose values stress the 17-digit format."""
+    cone = ConeSpec.make(nonneg=3, soc=[5])
+    A = sp.csr_matrix(np.array([
+        [1.0, 0.0, -2.5, 0.0, 1e-300, 0.0, 3.0, 0.0],
+        [0.0, 1.0 / 3.0, 0.0, -0.0, 0.0, 2.0 ** 60, 0.0, -7e22],
+    ]))
+    H = SparseSymmetric(8, np.array([0, 3, 4, 7, 7]), np.array([0, 1, 4, 2, 7]),
+                        np.array([2.0, -0.1, 5e-324, 1e16 + 2.0, 0.7]))
+    b = np.array([0.1, -1.0 / 3.0])
+    c = np.array([1.0, -0.0, 1e-300, 2.5e10, 7.0, np.pi, -np.e, 123456789.0])
+    return ProblemData(H, A, b, c, cone)
+
+
+def fixed_result(x=None, y=None):
+    """Hand-built solve result with x1 = x, x2 = -x, x3 = x / 2 and y."""
+    if x is None:
+        x = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.0 / 3.0,
+                      1e-5, 6.02214076e23, 42.0])
+        y = np.array([np.sqrt(2.0), -1e-200])
+    reports = [BlockReport(0, "nonneg", "boundary", "interior", "strict",
+                           True, 0.25, -1e-17),
+               BlockReport(1, "soc", "zero", "zero", "degenerate", False,
+                           0.0, 1.0 / 3.0)]
+    return SolveResult(x, -x, x / 2, y, delta1=1e-9, delta2=0.0,
+                       delta3=2.5e-10, delta4=1.0 / 7.0, pobj=-12.5,
+                       dobj=-12.500000001, natural_map_norm=3e-11,
+                       status="Optimal", outer_iters=3, newton_iters=17,
+                       krylov_iters=0, wall_time=0.125,
+                       complementarity=reports,
+                       iteration_log=["iter 1  sigma 1.0", "iter 2  sigma 3.0"])
+
+
+FIXED_PROBLEM_TEXT = """\
+socalm problem 1
+m 2
+n 8
+cone 2
+nonneg 3
+soc 5
+b
+0.10000000000000001 -0.33333333333333331
+c
+1 -0 1e-300 25000000000 7 3.1415926535897931
+-2.7182818284590451 123456789
+A 7
+0 0 1
+0 2 -2.5
+0 4 1e-300
+0 6 3
+1 1 0.33333333333333331
+1 5 1.152921504606847e+18
+1 7 -7.0000000000000004e+22
+H 5
+0 0 2
+3 1 -0.10000000000000001
+4 4 4.9406564584124654e-324
+7 2 10000000000000002
+7 7 0.69999999999999996
+end
+"""
+
+FIXED_RESULT_TEXT = """\
+socalm result 1
+status Optimal
+pobj -12.5
+dobj -12.500000001
+delta1 1.0000000000000001e-09
+delta2 0
+delta3 2.5000000000000002e-10
+delta4 0.14285714285714285
+natural_map_norm 3e-11
+outer_iters 3
+newton_iters 17
+krylov_iters 0
+wall_time 0.125
+complementarity 2
+0 nonneg boundary interior strict 1 0.25 -1.0000000000000001e-17
+1 soc zero zero degenerate 0 0 0.33333333333333331
+iterlog 2
+iter 1  sigma 1.0
+iter 2  sigma 3.0
+solution 1
+x1 8
+-0 4.9406564584124654e-324 1.7976931348623157e+308 0.10000000000000001 \
+-0.66666666666666663 1.0000000000000001e-05
+6.0221407599999999e+23 42
+x2 8
+0 -4.9406564584124654e-324 -1.7976931348623157e+308 -0.10000000000000001 \
+0.66666666666666663 -1.0000000000000001e-05
+-6.0221407599999999e+23 -42
+x3 8
+-0 0 8.9884656743115785e+307 0.050000000000000003 -0.33333333333333331 \
+5.0000000000000004e-06
+3.0110703799999999e+23 21
+y 2
+1.4142135623730951 -9.9999999999999998e-201
+end
+"""
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+class TestExactBytes:
+    def test_write_problem(self, tmp_path):
+        f = tmp_path / "p.txt"
+        write_problem(fixed_quadratic_problem(), f)
+        assert f.read_bytes() == FIXED_PROBLEM_TEXT.encode()
+
+    def test_write_result(self, tmp_path):
+        f = tmp_path / "r.txt"
+        res = fixed_result()
+        write_result(res, f, include_solution=True)
+        assert f.read_bytes() == FIXED_RESULT_TEXT.encode()
+        r = parse_result(f)
+        for name in ("x1", "x2", "x3", "y"):
+            assert same_bits(getattr(r, name), getattr(res, name))
+
+
+def big_problem():
+    """Linear problem whose A section (9000 lines) and c (5000 lines) each
+    span more than one block of lines."""
+    rng = np.random.default_rng(5)
+    m, n = 3, 30000
+    A = sp.random(m, n, density=0.1, random_state=7, format="csr")
+    A.data *= 10.0 ** rng.integers(-30, 30, A.nnz)
+    return ProblemData(None, A, rng.standard_normal(m),
+                       rng.standard_normal(n) * 1e-3,
+                       ConeSpec.make(nonneg=n))
+
+
+def section_start(lines, header):
+    """1-based number of the first line after the ``header`` line."""
+    return lines.index(header) + 2
+
+
+class TestMultiBlock:
+    def test_problem_round_trip(self, tmp_path):
+        p = big_problem()
+        f = tmp_path / "big.prob"
+        write_problem(p, f)
+        q = parse_problem(f)
+        assert same_bits(q.b, p.b)
+        assert same_bits(q.c, p.c)
+        assert same_bits(q.A.toarray(), p.A.toarray())
+
+    def test_result_round_trip(self, tmp_path):
+        x = np.random.default_rng(2).standard_normal(30000)
+        x[[0, 4096 * 6, 29999]] = [-0.0, 5e-324, -1e300]
+        res = fixed_result(x, x[:7] * 3.0)
+        f = tmp_path / "big.res"
+        write_result(res, f, include_solution=True)
+        r = parse_result(f)
+        for name in ("x1", "x2", "x3", "y"):
+            assert same_bits(getattr(r, name), getattr(res, name))
+
+    def test_bad_triplet_in_second_block(self, tmp_path):
+        p = big_problem()
+        f = tmp_path / "big.prob"
+        write_problem(p, f)
+        lines = f.read_text().splitlines()
+        start = section_start(lines, f"A {p.A.nnz}")
+        row, col, _ = lines[start - 1 + 5000].split()
+        lines[start - 1 + 5000] = f"{row} {col} 1.5x"
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ProblemFormatError,
+                           match=f"line {start}: section 'A': non-numeric "
+                                 "entry$"):
+            parse_problem(f)
+
+    def test_bad_value_in_second_block(self, tmp_path):
+        # 10000 lines of x3: the bad token sits in the second of three blocks
+        res = fixed_result(np.arange(60000.0), np.ones(2))
+        f = tmp_path / "big.res"
+        write_result(res, f, include_solution=True)
+        lines = f.read_text().splitlines()
+        start = section_start(lines, "x3 60000")
+        lines[start - 1 + 4500] = lines[start - 1 + 4500].replace(" ", " ?", 1)
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ProblemFormatError,
+                           match=f"line {start}: section 'x3': non-numeric "
+                                 "value$"):
+            parse_result(f)
+
+    def test_extra_value_in_second_block(self, tmp_path):
+        f = tmp_path / "big.prob"
+        write_problem(big_problem(), f)
+        lines = f.read_text().splitlines()
+        start = section_start(lines, "c")
+        lines[start - 1 + 4500] += " 1"
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ProblemFormatError,
+                           match=f"line {start}: section 'c': expected 30000 "
+                                 "values, got 30001$"):
+            parse_problem(f)
+
+    def test_truncated_in_second_block(self, tmp_path):
+        f = tmp_path / "big.prob"
+        write_problem(big_problem(), f)
+        lines = f.read_text().splitlines()
+        start = section_start(lines, "c")
+        f.write_text("\n".join(lines[:start - 1 + 4500]) + "\n")
+        with pytest.raises(ProblemFormatError,
+                           match=f"line {start - 1 + 4500}: unexpected end "
+                                 "of file$"):
+            parse_problem(f)
+
+
+def rewrap(tokens, widths):
+    """Lines of ``tokens`` whose lengths cycle through ``widths``; a width
+    of 0 is an empty line and -1 a line of spaces."""
+    lines, i, k = [], 0, 0
+    while i < len(tokens):
+        w = widths[k % len(widths)]
+        k += 1
+        if w <= 0:
+            lines.append("" if w == 0 else "   ")
+            continue
+        lines.append("  " + " ".join(tokens[i:i + w]) + " ")
+        i += w
+    return lines
+
+
+class TestIrregularLayout:
+    def test_wrapping_and_blank_lines_parse_as_regular(self, tmp_path):
+        p = big_problem()
+        f = tmp_path / "regular.prob"
+        write_problem(p, f)
+        lines = f.read_text().splitlines()
+        b_at, c_at = lines.index("b"), lines.index("c")
+        a_at = lines.index(f"A {p.A.nnz}")
+        b_toks = " ".join(lines[b_at + 1:c_at]).split()
+        c_toks = " ".join(lines[c_at + 1:a_at]).split()
+        spaced = []
+        for i, ln in enumerate(lines[a_at + 1:-1]):
+            spaced += ["", " \t", ln] if i % 5 == 0 else [ln]
+        out = (lines[:b_at + 1] + rewrap(b_toks, [0, 1, -1, 2]) + ["c"]
+               + rewrap(c_toks, [1, 13, 0, 7, -1, 25, 40])
+               + [lines[a_at]] + spaced + ["", "end"])
+        g = tmp_path / "irregular.prob"
+        g.write_text("\n".join(out) + "\n")
+        q = parse_problem(g)
+        assert same_bits(q.b, p.b)
+        assert same_bits(q.c, p.c)
+        assert same_bits(q.A.toarray(), p.A.toarray())
+
+
+class TestWriterRefusesNonFinite:
+    @pytest.mark.parametrize("section", ["b", "c", "A", "H"])
+    def test_problem(self, tmp_path, section):
+        p = fixed_quadratic_problem()
+        b, c, A = p.b.copy(), p.c.copy(), p.A.copy()
+        H = p.H
+        if section == "b":
+            b[1] = np.nan
+        elif section == "c":
+            c[7] = np.inf
+        elif section == "A":
+            A.data[3] = -np.inf
+        else:
+            H = SparseSymmetric(8, H.rows, H.cols,
+                                np.append(H.vals[:-1], np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            write_problem(ProblemData(H, A, b, c, p.cone), tmp_path / "p.txt")
+
+    @pytest.mark.parametrize("vector", ["x1", "y"])
+    def test_result(self, tmp_path, vector):
+        res = fixed_result()
+        getattr(res, vector)[1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            write_result(res, tmp_path / "r.txt", include_solution=True)
+
+    def test_result_scalar(self, tmp_path):
+        res = fixed_result()
+        res.pobj = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            write_result(res, tmp_path / "r.txt")
+
+
+class TestParserErrorContract:
+    def _fixed_file(self, tmp_path, old, new):
+        text = FIXED_PROBLEM_TEXT.replace(old, new, 1)
+        assert text != FIXED_PROBLEM_TEXT
+        f = tmp_path / "bad.prob"
+        f.write_text(text)
+        return f
+
+    @pytest.mark.parametrize("line, message", [
+        ("H", "line 20: field 'H' needs exactly one integer$"),
+        ("H x", "line 20: field 'H': 'x' is not an integer$"),
+    ])
+    def test_malformed_h_count(self, tmp_path, capsys, line, message):
+        f = self._fixed_file(tmp_path, "H 5\n", line + "\n")
+        with pytest.raises(ProblemFormatError, match=message):
+            parse_problem(f)
+        assert cli_main(["check", str(f)]) == 2
+        assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("-0.33333333333333331\n", "nan\n", "line 8: section 'b': non-finite value$"),
+        ("\n-2.7182818284590451 ", "\n-inf ", "line 10: section 'c': non-finite value$"),
+        ("0 2 -2.5\n", "0 2 inf\n", "line 13: section 'A': non-finite entry$"),
+        ("7 7 0.69999999999999996\n", "7 7 NaN\n",
+         "line 21: section 'H': non-finite entry$"),
+    ])
+    def test_non_finite_values_rejected(self, tmp_path, old, new, message):
+        f = self._fixed_file(tmp_path, old, new)
+        with pytest.raises(ProblemFormatError, match=message):
+            parse_problem(f)
+        assert cli_main(["check", str(f)]) == 2

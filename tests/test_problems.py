@@ -21,7 +21,7 @@ from socalm import (
     prand_sequence,
     solve,
 )
-from socalm.problems import meb_problem
+from socalm.problems import _Lcg64, meb_problem
 
 
 class TestPrand:
@@ -43,6 +43,18 @@ class TestPrand:
             prand_next(4096)
         with pytest.raises(ValueError):
             prand_next(-1)
+        with pytest.raises(ValueError):
+            prand_sequence(3, state=4096)
+
+    @pytest.mark.parametrize("state", [0, 7, 1234, 4095])
+    def test_sequence_matches_iterated_next(self, state):
+        ref = []
+        s = state
+        for _ in range(9000):
+            s, v = prand_next(s)
+            ref.append(v)
+        np.testing.assert_array_equal(prand_sequence(9000, state), ref)
+        np.testing.assert_array_equal(prand_sequence(5, state), ref[:5])
 
 
 class TestGenMeb:
@@ -202,6 +214,20 @@ class TestGenTrs:
         i1, _ = gen_trs(8, seed=4)
         i2, _ = gen_trs(8, seed=5)
         assert not np.array_equal(i1.H, i2.H)
+
+    def test_block_uniforms_match_scalar_generator(self):
+        d, seed = 70, 3  # d * d = 4900 is not a multiple of the block
+        assert (d * d) % _Lcg64.BLOCK
+        scalar, blocked = _Lcg64(seed), _Lcg64(seed)
+        P = np.array([scalar.uniform() for _ in range(d * d)])
+        np.testing.assert_array_equal(blocked.uniforms(d * d), P)
+        assert blocked.state == scalar.state
+        g = np.array([scalar.normal() for _ in range(d)])
+        c = np.array([scalar.normal() for _ in range(d)])
+        H = (P.reshape(d, d) * g) @ P.reshape(d, d).T
+        inst, _ = gen_trs(d, seed)
+        np.testing.assert_array_equal(inst.H, 0.5 * (H + H.T))
+        np.testing.assert_array_equal(inst.c, c)
 
     def test_sign_mixed_spectrum(self):
         inst, _ = gen_trs(20, seed=1)
