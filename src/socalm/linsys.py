@@ -21,12 +21,17 @@ instead.  A solve that still misses its tolerance after two refinement steps
 raises :class:`LinearSolveError`.
 
 The quadratic case solves the unsymmetric two-by-two block system, for any H,
-also by one direct solve chosen by the storage of H alone.  When H is stored
-dense (its lazily built :meth:`SparseSymmetric.dense_copy`), the blocks are
-formed from the diagonal and low-rank parts of V with dense products into one
-array and factored by LAPACK LU in place; otherwise the assembled sparse block
-matrix goes to sparse LU.  Misses and failed factorizations raise
-:class:`LinearSolveError` as in the linear case.
+by a direct solve chosen by the storage of H.  When H is stored dense (its
+lazily built :meth:`SparseSymmetric.dense_copy`), the solve eliminates the
+first block in H's eigenbasis (:meth:`SparseSymmetric.eigen`, one ``eigh``
+per problem, kept): where V's diagonal weights are constant on H's row
+support, ``I + sigma V H`` is diagonal there plus the few low-rank columns
+that touch H, so a step costs O(n^2).  Where they are not, or where those
+columns and the m rows are together at least n, the block matrix is formed
+from the diagonal and low-rank parts of V with dense products into one array
+and factored by LAPACK LU in place.  When H is stored sparse, the assembled
+sparse block matrix goes to sparse LU.  Misses and failed factorizations
+raise :class:`LinearSolveError` as in the linear case.
 """
 
 from __future__ import annotations
@@ -86,9 +91,13 @@ class SparseSymmetric:
         upper = sp.coo_matrix(
             (low.data[strict], (low.col[strict], low.row[strict])), shape=(n, n))
         self._csr = (low.tocsr() + upper.tocsr()).tocsr()
+        # rows (equally, columns) that hold a nonzero
+        self.row_support = np.diff(self._csr.indptr) > 0
+        self.row_support.flags.writeable = False
         self._fro = None
         self._lam_max = None
         self._dense = None
+        self._eigen = None
 
     @classmethod
     def zero(cls, n):
@@ -161,6 +170,19 @@ class SparseSymmetric:
             dense.flags.writeable = False
             self._dense = dense
         return self._dense
+
+    def eigen(self):
+        """Read-only ``(lam, Q)`` with ``H = Q diag(lam) Q'``, or None.
+
+        ``np.linalg.eigh`` of :meth:`dense_copy`, built on the first call and
+        kept; None when H has no dense copy.
+        """
+        if self._eigen is None and self.dense_copy() is not None:
+            lam, Q = np.linalg.eigh(self.dense_copy())
+            lam.flags.writeable = False
+            Q.flags.writeable = False
+            self._eigen = lam, Q
+        return self._eigen
 
     def __repr__(self):
         return f"SparseSymmetric(n={self.n}, nnz_lower={self.nnz_lower})"
@@ -600,17 +622,8 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto"):
     return _refine(solve, sys_.matvec, rhs, stop, strategy)
 
 
-def _quadratic_dense(Hd, A, J, sigma, eps):
-    """Dense quadratic-case block matrix (C-ordered) and its structured operator.
-
-    With ``V = diag(s) + W diag(d) W'`` the blocks ``V H`` and ``V A'`` are
-    formed by scaling rows of the dense ``H`` and ``A'`` and adding the
-    low-rank part.  The operator applies the same matrix in structured form,
-    ``(x1 + sigma V u, eps x2 - sigma A V u)`` with ``u = H x1 - A' x2``, so it
-    stays valid once the array has been factored in place.
-    """
-    m, n = A.shape
-    AT = A.T
+def _split_v(J: JacobianElement):
+    """``(s, W, d, apply_v)``: V = diag(s) + W diag(d) W' and ``X -> V X``."""
     s = _jacobian_scale(J)
     W, d = _jacobian_lowrank(J)
 
@@ -620,8 +633,38 @@ def _quadratic_dense(Hd, A, J, sigma, eps):
             out += W @ (d[:, None] * (W.T @ X))
         return out
 
+    return s, W, d, apply_v
+
+
+def _quadratic_operator(Hd, A, apply_v, sigma, eps):
+    """The quadratic-case block matrix applied in structured form.
+
+    ``(x1 + sigma V u, eps x2 - sigma A V u)`` with ``u = H x1 - A' x2``; it
+    needs no factored or assembled block, so it checks every route.
+    """
+    n = A.shape[1]
+    AT = A.T
+
+    def matvec(x):
+        x1, x2 = x[:n], x[n:]
+        Vu = apply_v((Hd @ x1 - AT @ x2)[:, None])[:, 0]
+        return np.concatenate([x1 + sigma * Vu, eps * x2 - sigma * (A @ Vu)])
+
+    return matvec
+
+
+def _quadratic_dense(Hd, A, J, sigma, eps):
+    """Dense quadratic-case block matrix (C-ordered) and its structured operator.
+
+    With ``V = diag(s) + W diag(d) W'`` the blocks ``V H`` and ``V A'`` are
+    formed by scaling rows of the dense ``H`` and ``A'`` and adding the
+    low-rank part.  The operator (:func:`_quadratic_operator`) stays valid
+    once the array has been factored in place.
+    """
+    m, n = A.shape
+    *_, apply_v = _split_v(J)
     VH = apply_v(Hd)
-    VAt = apply_v(AT.toarray())
+    VAt = apply_v(A.T.toarray())
     M = np.empty((n + m, n + m))
     np.multiply(VH, sigma, out=M[:n, :n])
     np.multiply(VAt, -sigma, out=M[:n, n:])
@@ -630,13 +673,76 @@ def _quadratic_dense(Hd, A, J, sigma, eps):
     diag = M.reshape(-1)[::n + m + 1]
     diag[:n] += 1.0
     diag[n:] += eps
+    return M, _quadratic_operator(Hd, A, apply_v, sigma, eps)
 
-    def matvec(x):
-        x1, x2 = x[:n], x[n:]
-        Vu = apply_v((Hd @ x1 - AT @ x2)[:, None])[:, 0]
-        return np.concatenate([x1 + sigma * Vu, eps * x2 - sigma * (A @ Vu)])
 
-    return M, matvec
+def _quadratic_eigen(H: SparseSymmetric, A, J, sigma, eps):
+    """Solve function and operator of the block system in H's eigenbasis.
+
+    Eliminating ``d1 = K^{-1} (R1 + sigma V A' d2)`` with ``K = I + sigma V H``
+    leaves the m x m system
+
+        (eps I + sigma A K^{-1} V A') d2 = R2 + A R1 - A K^{-1} R1.
+
+    When the diagonal weights s of V equal one s0 on H's row support,
+    ``V H = s0 H + W_H diag(d_H) (H W_H)'`` with ``W_H`` the k_H low-rank
+    columns that touch that support.  With ``H = Q diag(lam) Q'``
+    (:meth:`SparseSymmetric.eigen`) the part ``I + sigma s0 H`` is diagonal
+    in the eigenbasis, and ``W_H`` enters through Woodbury with a
+    k_H x k_H capacitance matrix.  Building the solve takes one product of
+    Q' with the m + k_H columns of ``[V A', W_H]`` and the product ``A Q``;
+    each solve after that takes two products of Q with one vector.  Returns
+    None when s varies on H's row support or when ``k_H + m >= n``.
+    """
+    m, n = A.shape
+    s, W, d, apply_v = _split_v(J)
+    support = H.row_support
+    s_h = s[support]
+    if s_h.size and s_h.min() != s_h.max():
+        return None
+    touch = abs(W).T @ support.astype(float) > 0
+    k = int(np.count_nonzero(touch))
+    if k + m >= n:
+        return None
+    lam, Q = H.eigen()
+    s0 = s_h[0] if s_h.size else 0.0
+    inv = 1.0 / (1.0 + sigma * s0 * lam)
+    # eigen coordinates of V A' and of W_H, in one product with Q'
+    Y = Q.T @ np.hstack([apply_v(A.T.toarray()), W[:, touch].toarray()])
+    Yw = Y[:, m:]
+    if k:
+        # Woodbury: y -> inv*y - F C^{-1} G' y in eigen coordinates, where
+        # F = Q' D0^{-1} sigma W_H D_H, G = Q' D0^{-1} H W_H, D0 = I + sigma s0 H
+        U = sigma * Yw * d[touch]
+        F = inv[:, None] * U
+        G = (lam * inv)[:, None] * Yw
+        C = G.T @ U
+        C[np.diag_indices(k)] += 1.0
+        FC = scipy.linalg.lu_solve(scipy.linalg.lu_factor(C, check_finite=False),
+                                   F.T, trans=1, check_finite=False).T
+
+    def kinv_eigen(X):
+        """Q' K^{-1} Q applied to the columns of X."""
+        out = inv[:, None] * X
+        if k:
+            out -= FC @ (G.T @ X)
+        return out
+
+    # A Q and K^{-1} V A' stay in eigen coordinates, so a solve maps back once
+    AQ = A @ Q
+    KVAt = kinv_eigen(Y[:, :m])
+    S = sigma * (AQ @ KVAt)
+    S[np.diag_indices(m)] += eps
+    S_lu = scipy.linalg.lu_factor(S, check_finite=False)
+
+    def solve(r):
+        r1, r2 = r[:n], r[n:]
+        z = kinv_eigen((Q.T @ r1)[:, None])[:, 0]
+        d2 = scipy.linalg.lu_solve(S_lu, r2 + A @ r1 - AQ @ z,
+                                   check_finite=False)
+        return np.concatenate([Q @ (z + sigma * (KVAt @ d2)), d2])
+
+    return solve, _quadratic_operator(H.dense_copy(), A, apply_v, sigma, eps)
 
 
 def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
@@ -653,9 +759,11 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     The storage of H picks the route:
 
     - ``"dense"`` when ``H.dense_copy()`` is not None (dense storage of H is
-      no larger than CSR): the blocks are built from
-      ``V = diag(s) + W diag(d) W'`` with dense products and factored in
-      place by LAPACK LU;
+      no larger than CSR).  With ``V = diag(s) + W diag(d) W'``, when s is
+      one constant on H's row support and the k_H columns of W that touch
+      that support satisfy ``k_H + m < n``, the solve runs in H's
+      eigenbasis (:func:`_quadratic_eigen`); otherwise the blocks are built
+      with dense products and factored in place by LAPACK LU;
     - ``"splu"`` otherwise: sparse LU of the assembled block matrix.
 
     The solve gets at most two refinement steps.  Raises
@@ -677,11 +785,16 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     Hd = H.dense_copy()
     if Hd is not None:
         method = "dense"
-        M, matvec = _quadratic_dense(Hd, A, J, sigma, eps)
-        # M' is Fortran-ordered, so LAPACK factors it in place
-        lu = scipy.linalg.lu_factor(M.T, overwrite_a=True, check_finite=False)
-        solve = lambda r: scipy.linalg.lu_solve(lu, r, trans=1,
-                                                check_finite=False)
+        eigen = _quadratic_eigen(H, A, J, sigma, eps)
+        if eigen is not None:
+            solve, matvec = eigen
+        else:
+            M, matvec = _quadratic_dense(Hd, A, J, sigma, eps)
+            # M' is Fortran-ordered, so LAPACK factors it in place
+            lu = scipy.linalg.lu_factor(M.T, overwrite_a=True,
+                                        check_finite=False)
+            solve = lambda r: scipy.linalg.lu_solve(lu, r, trans=1,
+                                                    check_finite=False)
     else:
         method = "splu"
         V = jacobian_sparse_matrix(J)

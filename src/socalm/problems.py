@@ -17,6 +17,7 @@ import scipy.sparse.linalg as spla
 from scipy.special import ndtri
 
 from .alm import OPTIMAL, ProblemData
+from .blas import single_thread
 from .cone import Block, ConeSpec
 from .linsys import SparseSymmetric
 
@@ -150,6 +151,7 @@ def _smallest_eigpair(H: np.ndarray):
     return float(w[0]), V[:, 0].copy()
 
 
+@single_thread()
 def build_trs(H, c):
     """Reduce ``min 0.5 y'Hy + c'y  s.t. ||y|| <= 1`` to cone-program data.
 
@@ -157,7 +159,9 @@ def build_trs(H, c):
     ``min(lam_min, 0)`` (which convexifies it tightly), the ball constraint
     becomes one Lorentz block of dimension d+1 whose leading coordinate is
     pinned to 1 by the single equality row.  The solution lives in the
-    equality-constrained (dual) variable of the solver.
+    equality-constrained (dual) variable of the solver.  The eigenvalue
+    computation runs with one BLAS thread (:func:`socalm.blas.single_thread`),
+    so the shift does not depend on the thread count.
     Returns ``(TrsInstance, ProblemData)``.
     """
     H = np.asarray(H, dtype=float)
@@ -209,12 +213,14 @@ def extract_trs_solution(instance: TrsInstance, result):
     return y, instance.objective(y)
 
 
+@single_thread()
 def gen_trs(d: int, seed: int = 0):
     """Deterministic synthetic trust-region instance with sign-mixed spectrum.
 
     ``H = (P diag(g)) P'`` with P uniform entries and g standard normal,
-    produced by the documented 64-bit congruential generator so output is
-    identical across platforms; ``c`` is standard normal.
+    produced by the documented 64-bit congruential generator; ``c`` is
+    standard normal.  The product and :func:`build_trs` run with one BLAS
+    thread, so the instance is the same at any BLAS thread count.
     Returns ``(TrsInstance, ProblemData)``.
     """
     if d < 2:

@@ -165,10 +165,11 @@ class TestSolve:
 
     def test_trs_at_benchmark_size_matches_oracle(self):
         # the d = 400 instance of the benchmark's trs workload, whose Newton
-        # systems take the dense LU route
+        # systems are solved in H's eigenbasis; the counts are the LU route's
         instance, p = gen_trs(400, seed=1)
         res = solve_with_invariants(p, AlmOptions())
         assert res.status == OPTIMAL
+        assert (res.outer_iters, res.newton_iters) == (11, 174)
         assert res.kkt_residual <= 1e-8
         y, val = extract_trs_solution(instance, res)
         assert np.linalg.norm(y) <= 1.0 + 1e-8
@@ -176,7 +177,7 @@ class TestSolve:
         assert abs(val - ref) <= 1e-6 * max(1.0, abs(ref))
 
     def test_trs_past_2000_rows_matches_oracle(self):
-        # d = 2000 gives Newton systems of 2002 rows, solved by dense LU
+        # d = 2000 gives Newton systems of 2002 rows, solved in H's eigenbasis
         instance, p = gen_trs(2000, seed=1)
         res = solve_with_invariants(p, AlmOptions(sigma0=1.0))
         assert res.status == OPTIMAL

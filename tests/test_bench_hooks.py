@@ -122,6 +122,13 @@ def test_every_solve_route_is_a_known_route():
     for H, route in ((H_dense, "dense"), (H_sparse, "splu")):
         methods["quadratic " + route] = solve_quadratic(
             H, dense_a, J, 1.0, 0.1, R1, R2, 1e-10)[2].method
+    # one Lorentz block, so s is constant on H's support: the eigenbasis
+    # solve, which reports the dense route
+    trs_cone = ConeSpec.make(soc=(n,))
+    J_trs = jacobian_element(trs_cone, 2.0 * rng.standard_normal(n))
+    methods["quadratic eigenbasis"] = solve_quadratic(
+        H_dense, dense_a[:1], J_trs, 1.0, 0.1, R1, R2[:1], 1e-10)[2].method
     assert methods == {"dense": "dense", "augmented": "augmented",
-                       "quadratic dense": "dense", "quadratic splu": "splu"}
+                       "quadratic dense": "dense", "quadratic splu": "splu",
+                       "quadratic eigenbasis": "dense"}
     assert set(methods.values()) <= set(tracing.ROUTES)

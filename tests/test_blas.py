@@ -178,3 +178,29 @@ def test_result_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert one["counts"].tolist() == two["counts"].tolist()
     for name in ("x1", "x2", "x3", "y"):
         assert np.array_equal(one[name], two[name]), name
+
+
+TRS_SCRIPT = """
+import sys
+import numpy as np
+import socalm
+
+instance, problem = socalm.gen_trs(400, 1)
+np.savez(sys.argv[1], H=instance.H, shift=instance.shift,
+         big_h=problem.H.dense_copy())
+"""
+
+
+def test_trs_instance_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # H = (P diag(g)) P' and the eigenvalue shift both go through BLAS
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", TRS_SCRIPT, str(out)],
+                       env=env, check=True, timeout=300)
+        with np.load(out) as saved:
+            results.append({k: saved[k].tobytes() for k in saved.files})
+    assert results[0] == results[1]

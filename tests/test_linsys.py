@@ -529,6 +529,41 @@ def quadratic_reference(H, A, J, sigma, eps, R1, R2):
     return np.linalg.solve(Mhat, np.concatenate([R1, R2]))
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts ``np.linalg.eigh`` calls and the orders of ``lu_factor`` calls."""
+    calls = {"eigh": 0, "lu": []}
+    eigh, lu_factor = np.linalg.eigh, scipy.linalg.lu_factor
+
+    def count_eigh(a, *args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(a, *args, **kwargs)
+
+    def count_lu(a, *args, **kwargs):
+        calls["lu"].append(np.shape(a)[0])
+        return lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", count_eigh)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", count_lu)
+    return calls
+
+
+def block_supported_h(rng, cone, blk_id):
+    """Random PSD H that is nonzero only on one Lorentz block."""
+    n = cone.total_dim
+    blk = cone.block_slice(blk_id)
+    dim = blk.stop - blk.start
+    G = rng.standard_normal((dim, dim))
+    Hd = np.zeros((n, n))
+    Hd[blk, blk] = G @ G.T
+    return SparseSymmetric.from_dense(Hd)
+
+
+def assert_matches_reference(H, A, J, sigma, eps, R1, R2, got):
+    ref = quadratic_reference(H, A, J, sigma, eps, R1, R2)
+    assert np.linalg.norm(got - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
+
+
 class TestSolveQuadratic:
     def test_decoupled_when_h_zero(self):
         rng, cone, A, J = random_setup(4, m=8, soc=(3, 4))
@@ -648,6 +683,114 @@ class TestSolveQuadratic:
         assert len(calls) == 1 and len(copies) == 1
         assert not H.dense_copy().flags.writeable
         np.testing.assert_array_equal(H.dense_copy(), G @ G.T)
+
+    @pytest.mark.parametrize("case, m", [
+        ("interior", 3), ("zero", 3), ("middle", 3), ("one_block_of_many", 3),
+        ("wide_off_the_support", 9)])
+    def test_eigenbasis_route_against_reference(self, case, m,
+                                                factorizations):
+        # s is constant on H's row support, so K = I + sigma V H is diagonal
+        # in H's eigenbasis plus at most two Woodbury columns
+        rng = np.random.default_rng(41)
+        if case in ("one_block_of_many", "wide_off_the_support"):
+            # H lives on one middle block that covers enough of the cone for
+            # H to be stored dense; the other blocks' low-rank columns miss
+            # H's support and do not count towards the width rule
+            nonneg, soc = ((3, (2, 40, 2)) if case == "one_block_of_many"
+                           else (0, (2, 10)))
+            cone = ConeSpec.make(nonneg=nonneg, soc=soc)
+            H = block_supported_h(rng, cone, cone.soc_block_ids[1])
+            cases = {b: (SocCase.MIDDLE, rng.uniform(-0.9, 0.9),
+                         unit(rng, cone.blocks[b].dim - 1))
+                     for b in cone.soc_block_ids}
+            J = make_jacobian(cone, nonneg_mask=[1.0, 0.0, 1.0][:nonneg],
+                              soc_cases=cases)
+            k, k_h = 2 * len(soc), 2
+        else:
+            cone = ConeSpec.make(soc=(8,))
+            G = rng.standard_normal((8, 8))
+            H = SparseSymmetric.from_dense(G @ G.T)
+            soc_case = {"interior": (SocCase.IDENTITY, None, None),
+                        "zero": (SocCase.ZERO, None, None),
+                        "middle": (SocCase.MIDDLE, 0.3, unit(rng, 7))}[case]
+            J = make_jacobian(cone, soc_cases={0: soc_case})
+            k = k_h = 2 if case == "middle" else 0
+        n = cone.total_dim
+        A = sp.csr_matrix(rng.standard_normal((m, n)))
+        assert assemble_linear(A, J, 1.0, 0.0).k == k
+        assert k_h + m < n
+        assert (k + m >= n) == (case == "wide_off_the_support")
+        R1, R2 = rng.standard_normal(n), rng.standard_normal(m)
+        d1, d2, stats = solve_quadratic(H, A, J, 0.7, 0.05, R1, R2, 1e-12)
+        assert stats.method == "dense"
+        assert factorizations["eigh"] == 1
+        assert n + m not in factorizations["lu"]
+        assert_matches_reference(H, A, J, 0.7, 0.05, R1, R2,
+                                 np.concatenate([d1, d2]))
+
+    def test_lu_fallback_when_s_varies_on_the_support(self, factorizations):
+        # H couples an identity block (s = 1) and a zero block (s = 0)
+        rng = np.random.default_rng(42)
+        cone = ConeSpec.make(soc=(4, 5))
+        n, m = cone.total_dim, 2
+        G = rng.standard_normal((n, n))
+        H = SparseSymmetric.from_dense(G @ G.T)
+        J = make_jacobian(cone, soc_cases={0: (SocCase.IDENTITY, None, None),
+                                           1: (SocCase.ZERO, None, None)})
+        A = sp.csr_matrix(rng.standard_normal((m, n)))
+        R1, R2 = rng.standard_normal(n), rng.standard_normal(m)
+        d1, d2, stats = solve_quadratic(H, A, J, 0.7, 0.05, R1, R2, 1e-12)
+        assert stats.method == "dense"
+        assert factorizations == {"eigh": 0, "lu": [n + m]}
+        assert_matches_reference(H, A, J, 0.7, 0.05, R1, R2,
+                                 np.concatenate([d1, d2]))
+
+    @pytest.mark.parametrize("m, eigenbasis", [(1, True), (2, False),
+                                               (3, False)])
+    def test_lu_fallback_when_the_update_is_as_wide_as_the_system(
+            self, m, eigenbasis, factorizations):
+        # one middle Lorentz block of dimension 4 gives k_H = 2
+        rng = np.random.default_rng(43)
+        cone = ConeSpec.make(soc=(4,))
+        n = cone.total_dim
+        G = rng.standard_normal((n, n))
+        H = SparseSymmetric.from_dense(G @ G.T)
+        J = make_jacobian(cone, soc_cases={0: (SocCase.MIDDLE, -0.2,
+                                               unit(rng, 3))})
+        A = sp.csr_matrix(rng.standard_normal((m, n)))
+        R1, R2 = rng.standard_normal(n), rng.standard_normal(m)
+        d1, d2, stats = solve_quadratic(H, A, J, 0.7, 0.05, R1, R2, 1e-12)
+        assert stats.method == "dense"
+        assert factorizations["eigh"] == int(eigenbasis)
+        assert (n + m in factorizations["lu"]) != eigenbasis
+        assert_matches_reference(H, A, J, 0.7, 0.05, R1, R2,
+                                 np.concatenate([d1, d2]))
+
+    def test_eigendecomposition_of_h_is_built_once(self, factorizations):
+        rng = np.random.default_rng(44)
+        cone = ConeSpec.make(soc=(9,))
+        n, m = cone.total_dim, 2
+        G = rng.standard_normal((n, n))
+        H = SparseSymmetric.from_dense(G @ G.T)
+        A = sp.csr_matrix(rng.standard_normal((m, n)))
+        copies = set()
+        for _ in range(3):
+            J = jacobian_element(cone, rng.standard_normal(n))
+            _, _, stats = solve_quadratic(H, A, J, 1.0, 0.1,
+                                          rng.standard_normal(n),
+                                          rng.standard_normal(m), 1e-10)
+            assert stats.method == "dense"
+            copies.add(tuple(map(id, H.eigen())))
+        assert factorizations["eigh"] == 1 and len(copies) == 1
+        lam, Q = H.eigen()
+        assert not lam.flags.writeable and not Q.flags.writeable
+        assert not H.row_support.flags.writeable
+        np.testing.assert_allclose((Q * lam) @ Q.T, G @ G.T, atol=1e-10)
+
+    def test_h_without_a_dense_copy_has_no_eigendecomposition(self):
+        H = SparseSymmetric.from_sparse(sp.identity(40))
+        assert H.dense_copy() is None and H.eigen() is None
+        assert H.row_support.all()
 
     def test_dense_route_past_2000_rows(self):
         # the trust-region shape: one Lorentz block and one row of A
