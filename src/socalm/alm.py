@@ -38,7 +38,8 @@ class ProblemData:
     construction; definiteness is a documented trust assumption, violations
     surface as inner line-search failures).  ``assembly`` holds the
     linear-case Newton structure of ``(A, cone)``, built at the first Newton
-    step that needs it.
+    step that needs it, and the column-major copy of ``A`` that
+    :meth:`rmatvec` reads, built at its first call.
     """
 
     def __init__(self, H, A, b, c, cone: ConeSpec):
@@ -65,6 +66,10 @@ class ProblemData:
         self.is_quadratic = not self.H.is_zero
         self.a_fro = float(np.sqrt((self.A.data ** 2).sum())) if self.A.nnz else 0.0
         self.assembly = NewtonAssembly(self.A, cone)
+
+    def rmatvec(self, v) -> np.ndarray:
+        """``A' v``, summed row by row of ``A'`` (the bits of ``A.T @ v``)."""
+        return self.assembly.csc().T @ v
 
     def __repr__(self):
         kind = "quadratic" if self.is_quadratic else "linear"
@@ -174,7 +179,7 @@ def kkt_residuals(problem: ProblemData, x1, x2, x3, y):
     d1 /= 1.0 + np.linalg.norm(problem.b) + h_fro
     d2 = np.linalg.norm(x3 - project(problem.cone, x3 - y))
     d2 /= 1.0 + np.linalg.norm(y) + np.linalg.norm(x3)
-    d3 = np.linalg.norm(-Hx1 + problem.A.T @ x2 + x3 - problem.c)
+    d3 = np.linalg.norm(-Hx1 + problem.rmatvec(x2) + x3 - problem.c)
     d3 /= 1.0 + np.linalg.norm(problem.c)
     pobj = quad_x - float(problem.b @ x2)
     dobj = -quad_y - float(problem.c @ y)
@@ -194,7 +199,7 @@ def natural_map(problem: ProblemData, x1, x2, x3, y) -> np.ndarray:
         top,
         problem.A @ y - problem.b,
         x3 - project(problem.cone, x3 - y),
-        Hx1 - problem.A.T @ x2 - x3 + problem.c,
+        Hx1 - problem.rmatvec(x2) - x3 + problem.c,
     ])
 
 
@@ -343,10 +348,12 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
         iterate = Iterate(np.zeros(problem.n), np.zeros(problem.m),
                           np.zeros(problem.n), np.zeros(problem.n), sigma)
     else:
-        iterate = Iterate(np.asarray(start.x1, dtype=float),
-                          np.asarray(start.x2, dtype=float),
-                          np.asarray(start.x3, dtype=float),
-                          np.asarray(start.y, dtype=float), sigma)
+        # copies: in the linear case x1 never moves, so the result's x1
+        # would otherwise be the caller's own array
+        iterate = Iterate(np.array(start.x1, dtype=float),
+                          np.array(start.x2, dtype=float),
+                          np.array(start.x3, dtype=float),
+                          np.array(start.y, dtype=float), sigma)
 
     lines = []
     newton_total = 0

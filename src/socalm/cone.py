@@ -9,6 +9,7 @@ so a cone with thousands of identical blocks costs a handful of array ops.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +20,8 @@ SOC = "soc"
 
 # absolute tolerance for detecting the nonsmooth boundary cases x0 = +-||xt||
 TIE_TOL = 1e-13
+# entries squared at once while tail norms are summed
+_NORM_CHUNK = 1 << 15
 
 
 class SocCase(enum.IntEnum):
@@ -132,7 +135,12 @@ class ConeSpec:
         return slice(int(self._starts[i]), int(self._starts[i + 1]))
 
     def __repr__(self):
-        parts = [f"{blk.kind}({blk.dim})" for blk in self.blocks]
+        # a run of equal blocks prints once with its length: soc(401) x 1000
+        parts = []
+        for blk, run in itertools.groupby(self.blocks):
+            count = len(list(run))
+            parts.append(f"{blk.kind}({blk.dim})"
+                         + (f" x {count}" if count > 1 else ""))
         return f"ConeSpec({' x '.join(parts) or 'trivial'})"
 
     def __eq__(self, other):
@@ -150,33 +158,60 @@ def _check_dim(cone: ConeSpec, x, name="x"):
     return x
 
 
-def project(cone: ConeSpec, x) -> np.ndarray:
+def tail_norms(cone: ConeSpec, x) -> tuple[np.ndarray, ...]:
+    """Euclidean norms ``||xt||`` of every Lorentz block's tail at ``x``.
+
+    One array per group of ``cone.soc_groups``, in block order within the
+    group.  :func:`project` and :func:`jacobian_element` accept the result
+    so that a point's norms are computed once.
+    """
+    x = _check_dim(cone, x)
+    return tuple(_norms(g.gather(x)) for g in cone.soc_groups)
+
+
+def _norms(X):
+    """Row norms of ``X[:, 1:]``, with the bits of ``np.linalg.norm(.., axis=1)``.
+
+    Squares are formed a chunk of rows at a time, so the temporary stays
+    small; each row is still summed in one pairwise reduction.
+    """
+    count, dim = X.shape
+    out = np.empty(count)
+    step = max(1, _NORM_CHUNK // dim)
+    for i in range(0, count, step):
+        sq = np.square(X[i:i + step, 1:])
+        np.sqrt(np.add.reduce(sq, axis=1), out=out[i:i + step])
+    return out
+
+
+def project(cone: ConeSpec, x, *, norms=None) -> np.ndarray:
     """Euclidean projection of ``x`` onto the cone, block by block.
 
     Nonneg coordinates clip at zero.  A Lorentz block (x0, xt) maps to itself
     when x0 >= ||xt||, to zero when x0 <= -||xt||, and otherwise to
-    (x0 + ||xt||)/2 * (1, xt/||xt||).
+    (x0 + ||xt||)/2 * (1, xt/||xt||).  ``norms``, when given, must be
+    :func:`tail_norms` at ``x``.  ``x`` is not modified.
     """
     x = _check_dim(cone, x)
     out = x.copy()
     if cone.nonneg_dim:
         s, d = cone.nonneg_start, cone.nonneg_dim
-        np.maximum(x[s:s + d], 0.0, out=out[s:s + d])
-    for g in cone.soc_groups:
-        X = g.gather(x)
-        head = X[:, 0]
-        tail = X[:, 1:]
-        nt = np.linalg.norm(tail, axis=1)
-        P = X.copy()
+        np.maximum(out[s:s + d], 0.0, out=out[s:s + d])
+    for i, g in enumerate(cone.soc_groups):
+        # a view of ``out`` for contiguous groups, a gathered copy otherwise
+        P = g.gather(out)
+        nt = _norms(P) if norms is None else norms[i]
+        head = P[:, 0]
         polar = head <= -nt
-        P[polar] = 0.0
         mid = ~polar & (head < nt)
         rows = np.nonzero(mid)[0]
         if rows.size:
             coef = 0.5 * (head[rows] + nt[rows])
+            P[rows, 1:] *= (coef / nt[rows])[:, None]
             P[rows, 0] = coef
-            P[rows, 1:] = (coef / nt[rows])[:, None] * tail[rows]
-        g.scatter(out, P)
+        P[polar] = 0.0
+        if not g.contiguous:
+            g.scatter(out, P)
     return out
 
 
@@ -244,13 +279,14 @@ class JacobianElement:
         return V
 
 
-def jacobian_element(cone: ConeSpec, x) -> JacobianElement:
+def jacobian_element(cone: ConeSpec, x, *, norms=None) -> JacobianElement:
     """Select one valid B-subdifferential element of the projection at ``x``.
 
     On smooth regions this is the classical Jacobian.  Ties (detected with
     absolute tolerance ``TIE_TOL`` on x0 -+ ||xt||) resolve to the identity on
     the upper boundary and at the origin, and to zero on the lower boundary;
-    nonneg coordinates at exactly zero get derivative one.
+    nonneg coordinates at exactly zero get derivative one.  ``norms``, when
+    given, must be :func:`tail_norms` at ``x``.
     """
     x = _check_dim(cone, x)
     mask = None
@@ -258,11 +294,11 @@ def jacobian_element(cone: ConeSpec, x) -> JacobianElement:
         s, d = cone.nonneg_start, cone.nonneg_dim
         mask = (x[s:s + d] >= 0.0).astype(float)
     groups = []
-    for g in cone.soc_groups:
+    for i, g in enumerate(cone.soc_groups):
         X = g.gather(x)
         head = X[:, 0]
         tail = X[:, 1:]
-        nt = np.linalg.norm(tail, axis=1)
+        nt = _norms(X) if norms is None else norms[i]
         d_up = head - nt
         d_low = head + nt
         identity = d_up >= -TIE_TOL           # interior, upper tie, and x ~ 0
@@ -272,7 +308,8 @@ def jacobian_element(cone: ConeSpec, x) -> JacobianElement:
         codes[identity] = SocCase.IDENTITY
         codes[zero] = SocCase.ZERO
         rho = np.where(identity, 1.0, -1.0)
-        omega = np.zeros_like(tail)
+        # calloc: no zero fill where the memory comes fresh from the OS
+        omega = np.zeros(tail.shape)
         rows = np.nonzero(middle)[0]
         if rows.size:
             rho[rows] = head[rows] / nt[rows]

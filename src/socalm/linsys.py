@@ -251,37 +251,34 @@ def _jacobian_lowrank(J: JacobianElement):
     magnitude below 1e-14 (the boundary degeneracies) are dropped.
     """
     n = J.cone.total_dim
-    rows_parts, cols_parts, vals_parts, d_parts = [], [], [], []
-    k = 0
+    rows_parts, vals_parts, len_parts, d_parts = [], [], [], []
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for gj in J.soc:
         g = gj.group
         sel = np.nonzero(gj.codes >= SocCase.MIDDLE)[0]
         if not sel.size:
             continue
-        starts = g.starts[sel]
         rho = gj.rho[sel]
-        omega = gj.omega[sel]
         for sign, lam in ((1.0, 0.5 * (1.0 - rho)), (-1.0, -0.5 * (1.0 + rho))):
             keep = np.nonzero(np.abs(lam) > _DROP_TOL)[0]
             if not keep.size:
                 continue
             nb = keep.size
-            rmat = starts[keep, None] + np.arange(g.dim)[None, :]
             vmat = np.empty((nb, g.dim))
             vmat[:, 0] = inv_sqrt2
-            vmat[:, 1:] = sign * inv_sqrt2 * omega[keep]
-            rows_parts.append(rmat.ravel())
-            cols_parts.append(np.repeat(k + np.arange(nb), g.dim))
+            vmat[:, 1:] = sign * inv_sqrt2 * gj.omega[sel[keep]]
+            # each column is one block's contiguous, sorted row range
+            rows_parts.append(
+                (g.starts[sel[keep], None] + np.arange(g.dim)).ravel())
             vals_parts.append(vmat.ravel())
+            len_parts.append(np.full(nb, g.dim))
             d_parts.append(lam[keep])
-            k += nb
-    if k == 0:
+    if not d_parts:
         return sp.csc_matrix((n, 0)), np.zeros(0)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(len_parts))))
     W = sp.csc_matrix(
-        (np.concatenate(vals_parts),
-         (np.concatenate(rows_parts), np.concatenate(cols_parts))),
-        shape=(n, k))
+        (np.concatenate(vals_parts), np.concatenate(rows_parts), indptr),
+        shape=(n, indptr.size - 1))
     return W, np.concatenate(d_parts)
 
 
@@ -397,7 +394,6 @@ class _GramStructure:
     indices: np.ndarray
     diag: np.ndarray         # positions of the diagonal among ``keys``
     G: sp.csr_matrix         # G[p, b] = (A_b A_b')[keys[p]], one column per block
-    Ac: sp.csc_matrix        # A by columns, for the low-rank columns A @ W
     A0t: np.ndarray | sp.csr_matrix | None  # nonneg columns of A, transposed
     full: tuple | None       # (indptr, indices) of a full pattern when M is dense
 
@@ -408,8 +404,9 @@ class NewtonAssembly:
     Nothing is computed at construction.  The first :meth:`assemble` builds
     the Lorentz block Grams, the storage of the nonneg columns and the
     storage decision for ``M_sp``, once, under a lock; every later call
-    reuses them.  The structure is never modified once built, so threads may
-    assemble concurrently.  A pickled copy starts unbuilt.
+    reuses them.  :meth:`csc`, the one column-major copy of ``A``, is built
+    the same way at its first use.  Nothing is modified once built, so
+    threads may assemble concurrently.  A pickled copy starts unbuilt.
     """
 
     def __init__(self, A, cone):
@@ -419,16 +416,28 @@ class NewtonAssembly:
             raise ValueError(
                 f"A has {self.A.shape[1]} columns, cone total_dim is "
                 f"{cone.total_dim}")
+        self._csc = None
         self._structure = None
-        self._lock = threading.Lock()
+        # reentrant: _build asks for the CSC copy while holding it
+        self._lock = threading.RLock()
 
     def __reduce__(self):
         return NewtonAssembly, (self.A, self.cone)
 
+    def csc(self) -> sp.csc_matrix:
+        """``A`` by columns; its transpose is ``A'`` by rows, so ``A' v`` is a gather."""
+        Ac = self._csc
+        if Ac is None:
+            with self._lock:
+                if self._csc is None:
+                    self._csc = self.A.tocsc()
+                Ac = self._csc
+        return Ac
+
     def _build(self) -> _GramStructure:
         A, cone = self.A, self.cone
         m = A.shape[0]
-        Ac = A.tocsc()
+        Ac = self.csc()
         block_of_col = np.full(cone.total_dim, -1, dtype=np.int64)
         nblocks = 0
         for g in cone.soc_groups:
@@ -459,7 +468,7 @@ class NewtonAssembly:
         if _dense_is_smaller(m, m, nnz_full):
             F = sp.csr_matrix(np.ones((m, m)))
             full = (F.indptr, F.indices)
-        return _GramStructure(keys, indptr, cols, diag, G, Ac, A0t, full)
+        return _GramStructure(keys, indptr, cols, diag, G, A0t, full)
 
     def assemble(self, J: JacobianElement, eps) -> NewtonSystem:
         """The Newton system ``eps*I + sum_i A_i V_i A_i'`` at one element J."""
@@ -494,7 +503,7 @@ class NewtonAssembly:
         W, d = _jacobian_lowrank(J)
         if d.size:
             # by columns the product touches only the columns W selects
-            U = st.Ac @ W
+            U = self.csc() @ W
             U.sort_indices()
         else:
             U = sp.csc_matrix((m, 0))

@@ -11,9 +11,10 @@ and the cached projection.  Directions come from a generalized-Hessian linear
 system solved inexactly (tolerance tied to the gradient norm), globalized by
 an Armijo backtracking line search whose unit trial is a full evaluation and
 whose shorter trials move ``z`` along the unit step's image, one projection
-each.  In the linear case (H = 0) the variable ``x1`` stays identically zero;
-in the quadratic case the iterate is a range-space representative: only
-``H x1`` and ``<x1, H x1>`` are ever consumed.
+each.  In the linear case (H = 0) ``x1`` never moves and its gradient
+block and direction are zero, so no arithmetic touches them; in the
+quadratic case the iterate is a range-space representative: only ``H x1``
+and ``<x1, H x1>`` are ever consumed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import jacobian_element, project
+from .cone import jacobian_element, project, tail_norms
 from .linsys import LinearSolveError, assemble_linear, solve_quadratic, solve_spd
 
 logger = logging.getLogger(__name__)
@@ -69,8 +70,13 @@ class InnerState:
     """Current inner point with its objective, gradient and cached projection.
 
     ``z`` is the (negatively scaled) projection argument
-    ``y + sigma (A' x2 - H x1 - c)`` and ``proj`` its cone projection, which
-    doubles as the candidate multiplier update.
+    ``y + sigma (A' x2 - H x1 - c)``, ``proj`` its cone projection, which
+    doubles as the candidate multiplier update, and ``norms`` the Lorentz
+    tail norms of ``z`` (:func:`~socalm.cone.tail_norms`) that the
+    projection and the Newton direction's Jacobian share.  In the linear
+    case (H = 0) ``g1`` is a read-only zero vector and ``x1`` is the
+    start's ``x1``, carried through every step unchanged: no arithmetic
+    touches either.
     """
 
     x1: np.ndarray
@@ -83,6 +89,12 @@ class InnerState:
     z: np.ndarray
     proj: np.ndarray
     grad_norm: float
+    norms: tuple | None = None
+
+
+def _zeros(n):
+    """A read-only zero n-vector that holds no memory (the linear case's g1, d1)."""
+    return np.broadcast_to(0.0, (n,))
 
 
 def _psi(problem, x2, proj, y_sq, sigma, quad):
@@ -95,27 +107,37 @@ def make_state(problem, x1, x2, y, sigma) -> InnerState:
     """Evaluate the inner objective and gradient at ``(x1, x2)`` for fixed ``(y, sigma)``.
 
     The gradient blocks are ``g1 = H x1 - H P_K(z)`` and ``g2 = A P_K(z) - b``.
+    In the linear case ``g1`` is a read-only zero vector that enters no
+    arithmetic, and ``x1`` is kept as given.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     y = np.asarray(y, dtype=float)
-    z = y + sigma * (problem.A.T @ x2 - problem.c)
+    # z = y + sigma (A' x2 - c), in place on the one new vector
+    z = problem.rmatvec(x2)
+    z -= problem.c
+    z *= sigma
+    z += y
     if problem.is_quadratic:
         Hx1 = problem.H.matvec(x1)
-        z = z - sigma * Hx1
-        proj = project(problem.cone, z)
+        z -= sigma * Hx1
         quad = float(x1 @ Hx1)
-        g1 = Hx1 - problem.H.matvec(proj)
     else:
-        proj = project(problem.cone, z)
         quad = 0.0
-        g1 = np.zeros_like(x1)
+    norms = tail_norms(problem.cone, z)
+    proj = project(problem.cone, z, norms=norms)
     psi = _psi(problem, x2, proj, float(y @ y), sigma, quad)
     g2 = problem.A @ proj - problem.b
-    gnorm = float(np.sqrt(g1 @ g1 + g2 @ g2))
-    return InnerState(x1, x2, y, float(sigma), psi, g1, g2, z, proj, gnorm)
+    if problem.is_quadratic:
+        g1 = Hx1 - problem.H.matvec(proj)
+        gnorm = float(np.sqrt(g1 @ g1 + g2 @ g2))
+    else:
+        g1 = _zeros(x1.size)
+        gnorm = float(np.sqrt(g2 @ g2))
+    return InnerState(x1, x2, y, float(sigma), psi, g1, g2, z, proj, gnorm,
+                      norms)
 
 
 def newton_direction(problem, state: InnerState, sigma, params: NewtonParams):
@@ -127,14 +149,15 @@ def newton_direction(problem, state: InnerState, sigma, params: NewtonParams):
 
     with ``M_j`` the generalized Hessian built from the projection Jacobian at
     ``z``.  The damping ``eps_j`` grows tenfold once if the linear solver
-    fails; a second failure propagates.
+    fails; a second failure propagates.  In the linear case ``d1`` is a
+    read-only zero vector.
     """
     gnorm = state.grad_norm
     if gnorm == 0.0:
         return (np.zeros_like(state.x1), np.zeros_like(state.x2), 0.0, 0.0, None)
     eps_j = params.tau1 * min(params.tau2, gnorm)
     nu_j = min(params.nu_hat, gnorm ** (1.0 + params.tau))
-    J = jacobian_element(problem.cone, state.z)
+    J = jacobian_element(problem.cone, state.z, norms=state.norms)
     for attempt in range(2):
         try:
             if problem.is_quadratic:
@@ -145,7 +168,7 @@ def newton_direction(problem, state: InnerState, sigma, params: NewtonParams):
             else:
                 sys_ = assemble_linear(problem.assembly, J, sigma, eps_j / sigma)
                 d2, stats = solve_spd(sys_, -state.g2 / sigma, nu_j / sigma)
-                d1 = np.zeros_like(state.x1)
+                d1 = _zeros(state.x1.size)
             return d1, d2, eps_j, nu_j, stats
         except LinearSolveError:
             if attempt == 1:
@@ -172,14 +195,22 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
     """
     if state.grad_norm == 0.0:
         return 1.0, state, {"gd": 0.0, "trials": 0, "warned": False}
-    gd = float(state.g1 @ d1 + state.g2 @ d2)
-    if gd >= -1e-18 * state.grad_norm * float(np.sqrt(d1 @ d1 + d2 @ d2)):
+    quadratic = problem.is_quadratic
+    gd = _dot(quadratic, state.g1, d1, state.g2, d2)
+    dnorm = float(np.sqrt(_dot(quadratic, d1, d1, d2, d2)))
+    if gd >= -1e-18 * state.grad_norm * dnorm:
         logger.debug("non-descent direction (g.d = %.3e); using steepest descent", gd)
         d1 = -state.g1
         d2 = -state.g2
         gd = -state.grad_norm ** 2
     x1, x2, y, sigma = state.x1, state.x2, state.y, state.sigma
-    full = make_state(problem, x1 + d1, x2 + d2, y, sigma)
+
+    def trial_state(alpha):
+        # x1 does not move in the linear case
+        t1 = x1 + alpha * d1 if quadratic else x1
+        return make_state(problem, t1, x2 + alpha * d2, y, sigma)
+
+    full = trial_state(1.0)
     # when the predicted decrease cannot be resolved in the roundoff of psi,
     # the backtracking test returns noise; fall back to requiring a plain
     # gradient-norm contraction of the full step
@@ -193,7 +224,7 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
     # affine and quadratic in alpha
     dz = full.z - state.z
     q0 = q1 = q2 = 0.0
-    if problem.is_quadratic:
+    if quadratic:
         Hx1 = problem.H.matvec(x1)
         Hd1 = problem.H.matvec(d1)
         q0, q1, q2 = float(x1 @ Hx1), 2.0 * float(x1 @ Hd1), float(d1 @ Hd1)
@@ -201,12 +232,14 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
     alpha = 1.0
     for step in range(1, params.max_linesearch_steps + 1):
         alpha *= params.delta
-        proj = project(problem.cone, state.z + alpha * dz)
+        z_t = alpha * dz
+        z_t += state.z
+        proj = project(problem.cone, z_t)
         psi_t = _psi(problem, x2 + alpha * d2, proj, y_sq, sigma,
                      q0 + alpha * (q1 + alpha * q2))
         if psi_t <= state.psi + params.mu * alpha * gd:
-            new = make_state(problem, x1 + alpha * d1, x2 + alpha * d2, y, sigma)
-            return alpha, new, {"gd": gd, "trials": step + 1, "warned": False}
+            return alpha, trial_state(alpha), {"gd": gd, "trials": step + 1,
+                                               "warned": False}
         if psi_t < best[1]:
             best = (alpha, psi_t)
     # near the minimizer the sufficient-decrease margin drowns in the
@@ -220,8 +253,14 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
     alpha = best[0]
     logger.warning("line search exhausted %d steps; returning best trial",
                    params.max_linesearch_steps)
-    return alpha, make_state(problem, x1 + alpha * d1, x2 + alpha * d2, y,
-                             sigma), info
+    return alpha, trial_state(alpha), info
+
+
+def _dot(quadratic, u1, v1, u2, v2):
+    """``<u1, v1> + <u2, v2>``; the first blocks are zero in the linear case."""
+    if quadratic:
+        return float(u1 @ v1 + u2 @ v2)
+    return float(u2 @ v2)
 
 
 @dataclass
@@ -282,7 +321,8 @@ def run_inner(problem, y, sigma, start, stop_threshold, params: NewtonParams,
             steps.append({"psi_old": psi_old, "gd": info["gd"], "alpha": alpha,
                           "psi_new": new_state.psi, "eps_j": eps_j,
                           "nu_j": nu_j, "warned": info["warned"]})
-        step_len = alpha * float(np.sqrt(d1 @ d1 + d2 @ d2))
+        step_len = alpha * float(np.sqrt(
+            _dot(problem.is_quadratic, d1, d1, d2, d2)))
         tiny_run = tiny_run + 1 if step_len < _STAGNATION_STEP else 0
         if info["warned"]:
             # the step budget ran out; keep going only while the best trial

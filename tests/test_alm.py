@@ -19,6 +19,7 @@ from socalm import (
     gen_meb,
     gen_trs,
     kkt_residuals,
+    lambda_from_lambda_c,
     natural_map,
     outer_step,
     project,
@@ -149,6 +150,17 @@ class TestSolve:
         assert res.status == OPTIMAL
         assert res.outer_iters <= 1
 
+    def test_warm_start_arrays_are_not_shared(self):
+        # in the linear case x1 never moves; the result must still own it
+        _, p = gen_meb(8, 3)
+        cold = solve(p, AlmOptions())
+        start = Iterate(cold.x1.copy(), cold.x2.copy(), cold.x3.copy(),
+                        cold.y.copy(), 1.0)
+        res = solve(p, AlmOptions(), start=start)
+        for name in ("x1", "x2", "x3", "y"):
+            assert not np.shares_memory(getattr(res, name),
+                                        getattr(start, name))
+
     def test_infeasible_never_optimal(self):
         res = solve(infeasible_toy(), AlmOptions(max_outer=15))
         assert res.status != OPTIMAL
@@ -175,6 +187,30 @@ class TestSolve:
         assert np.linalg.norm(y) <= 1.0 + 1e-8
         _, ref = solve_trs_oracle(instance.H, instance.c)
         assert abs(val - ref) <= 1e-6 * max(1.0, abs(ref))
+
+    def test_meb_at_benchmark_size_counts(self):
+        # the benchmark's meb_cli instance: a thousand Lorentz blocks of
+        # dimension 401; the counts pin the cone kernels' and the linear
+        # Newton step's iterates
+        _, p = gen_meb(1000, 400)
+        res = solve_with_invariants(p, AlmOptions())
+        assert res.status == OPTIMAL
+        assert (res.outer_iters, res.newton_iters) == (3, 73)
+        assert res.kkt_residual <= 1e-8
+
+    def test_srlasso_at_benchmark_size_counts(self):
+        # the benchmark's square-root Lasso 500x150 at default_rng(0): an
+        # orthant and one Lorentz block of dimension 501
+        rng = np.random.default_rng(0)
+        B = rng.standard_normal((500, 150))
+        x_true = np.zeros(150)
+        x_true[:10] = 3.0
+        w = B @ x_true + rng.standard_normal(500)
+        _, p = build_srlasso(B, w, lambda_from_lambda_c(1.0, 150))
+        res = solve_with_invariants(p, AlmOptions())
+        assert res.status == OPTIMAL
+        assert (res.outer_iters, res.newton_iters) == (10, 36)
+        assert res.kkt_residual <= 1e-8
 
     def test_trs_past_2000_rows_matches_oracle(self):
         # d = 2000 gives Newton systems of 2002 rows, solved in H's eigenbasis

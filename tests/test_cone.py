@@ -13,6 +13,7 @@ from socalm import (
     make_jacobian,
     project,
 )
+from socalm.cone import TIE_TOL, tail_norms
 
 MIXED = ConeSpec.make(nonneg=4, soc=[2, 3, 5])
 SOC3 = ConeSpec.make(soc=[3])
@@ -171,6 +172,152 @@ class TestApplyJacobian:
         J = jacobian_element(SOC3, np.array([0.0, 3.0, 4.0]))
         with pytest.raises(ValueError):
             apply_jacobian(J, np.ones(5))
+
+
+def assert_same_bits(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    np.testing.assert_array_equal(got, ref)
+    assert got.tobytes() == ref.tobytes()  # also tells -0.0 from 0.0
+
+
+def _tail_norm(t):
+    # summed as the vectorized kernels sum each tail: one pairwise reduction
+    return np.sqrt(np.add.reduce(t * t))
+
+
+def reference_project(cone, x):
+    """The projection, one block at a time."""
+    out = np.empty_like(x)
+    for i, blk in enumerate(cone.blocks):
+        sl = cone.block_slice(i)
+        v = x[sl]
+        if blk.kind == "nonneg":
+            out[sl] = np.maximum(v, 0.0)
+            continue
+        head, nt = v[0], _tail_norm(v[1:])
+        if head <= -nt:
+            out[sl] = 0.0
+        elif head < nt:
+            coef = 0.5 * (head + nt)
+            out[sl.start] = coef
+            out[sl.start + 1:sl.stop] = coef / nt * v[1:]
+        else:
+            out[sl] = v
+    return out
+
+
+def reference_case(v):
+    """``(SocCase, rho, omega)`` of one Lorentz block, by the documented ties."""
+    head, tail = v[0], v[1:]
+    nt = _tail_norm(tail)
+    if head - nt >= -TIE_TOL:
+        return SocCase.IDENTITY, 1.0, np.zeros(tail.size)
+    if head + nt <= TIE_TOL:
+        return SocCase.ZERO, -1.0, np.zeros(tail.size)
+    return SocCase.MIDDLE, head / nt, tail / nt
+
+
+def points_in_every_case(cone, seed):
+    """A point whose Lorentz blocks cycle through interior, polar, middle,
+    upper boundary, lower boundary and origin, with a mixed-sign orthant."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(cone.total_dim) * 3.0
+    soc = [i for i, blk in enumerate(cone.blocks) if blk.kind == "soc"]
+    for j, i in enumerate(soc):
+        sl = cone.block_slice(i)
+        tail = x[sl.start + 1:sl.stop]
+        nt = _tail_norm(tail)
+        x[sl.start] = (2.0 * nt, -2.0 * nt, 0.3 * nt, nt, -nt, 0.0)[j % 6]
+        if j % 6 == 5:
+            x[sl] = 0.0
+    return x
+
+
+EQUAL_BLOCKS = ConeSpec.make(soc=[7] * 50)
+# the two soc(3) groups and the soc(4) group are interleaved, so neither
+# is contiguous, and the orthant sits between them
+INTERLEAVED = ConeSpec(
+    [Block("soc", 3), Block("soc", 4)] * 4 + [Block("nonneg", 3)]
+    + [Block("soc", 4), Block("soc", 3)] * 4)
+
+
+class TestKernelsBitExact:
+    @pytest.mark.parametrize("cone, contiguous",
+                             [(EQUAL_BLOCKS, True), (INTERLEAVED, False)],
+                             ids=["equal", "interleaved"])
+    def test_against_per_block_reference(self, cone, contiguous):
+        assert all(g.contiguous == contiguous for g in cone.soc_groups)
+        seen = set()
+        for seed in range(4):
+            x = points_in_every_case(cone, seed)
+            x_before = x.copy()
+            norms = tail_norms(cone, x)
+            assert_same_bits(project(cone, x), reference_project(cone, x))
+            assert_same_bits(project(cone, x, norms=norms),
+                             reference_project(cone, x))
+            for J in (jacobian_element(cone, x),
+                      jacobian_element(cone, x, norms=norms)):
+                for i, blk in enumerate(cone.blocks):
+                    if blk.kind != "soc":
+                        continue
+                    code, rho, omega = J.soc_case(i)
+                    ref = reference_case(x[cone.block_slice(i)])
+                    assert code == ref[0]
+                    assert_same_bits(rho, ref[1])
+                    assert_same_bits(omega, ref[2])
+                    seen.add(code)
+                if cone.nonneg_dim:
+                    s = cone.nonneg_start
+                    assert_same_bits(
+                        J.nonneg_mask, x[s:s + cone.nonneg_dim] >= 0.0)
+            assert_same_bits(x, x_before)
+        assert seen == {SocCase.IDENTITY, SocCase.ZERO, SocCase.MIDDLE}
+
+    @pytest.mark.parametrize("cone", [EQUAL_BLOCKS, INTERLEAVED, MIXED],
+                             ids=["equal", "interleaved", "mixed"])
+    def test_jacobian_with_given_norms_is_the_computed_one(self, cone):
+        for seed in range(3):
+            x = points_in_every_case(cone, seed)
+            J = jacobian_element(cone, x)
+            Jn = jacobian_element(cone, x, norms=tail_norms(cone, x))
+            for gj, gn in zip(J.soc, Jn.soc):
+                for name in ("codes", "rho", "omega"):
+                    assert_same_bits(getattr(gn, name), getattr(gj, name))
+
+    def test_tail_norms_agree_with_linalg_norm(self):
+        # 200 blocks of dimension 401 are squared in three chunks of rows
+        for count, dim in ((50, 7), (200, 401)):
+            cone = ConeSpec.make(soc=[dim] * count)
+            x = np.random.default_rng(dim).standard_normal(count * dim)
+            (nt,) = tail_norms(cone, x)
+            assert_same_bits(
+                nt, np.linalg.norm(x.reshape(count, dim)[:, 1:], axis=1))
+
+    def test_every_block_in_the_middle_case(self):
+        # a group with no identity or zero rows
+        x = np.random.default_rng(6).standard_normal(EQUAL_BLOCKS.total_dim)
+        for i in range(50):
+            sl = EQUAL_BLOCKS.block_slice(i)
+            x[sl.start] = 0.5 * _tail_norm(x[sl.start + 1:sl.stop])
+        assert_same_bits(project(EQUAL_BLOCKS, x),
+                         reference_project(EQUAL_BLOCKS, x))
+        J = jacobian_element(EQUAL_BLOCKS, x)
+        for i in range(50):
+            code, rho, omega = J.soc_case(i)
+            ref = reference_case(x[EQUAL_BLOCKS.block_slice(i)])
+            assert code == ref[0] == SocCase.MIDDLE
+            assert_same_bits(rho, ref[1])
+            assert_same_bits(omega, ref[2])
+
+
+class TestConeSpecRepr:
+    def test_runs_of_equal_blocks_collapse(self):
+        assert repr(ConeSpec.make(soc=[401] * 1000)) == "ConeSpec(soc(401) x 1000)"
+        assert repr(INTERLEAVED).startswith("ConeSpec(soc(3) x soc(4) x soc(3)")
+        assert (repr(ConeSpec.make(nonneg=3, soc=[3, 3, 4, 3]))
+                == "ConeSpec(nonneg(3) x soc(3) x 2 x soc(4) x soc(3))")
+        assert repr(MIXED) == "ConeSpec(nonneg(4) x soc(2) x soc(3) x soc(5))"
+        assert repr(ConeSpec([])) == "ConeSpec(trivial)"
 
 
 class TestConeSpecValidation:

@@ -3,6 +3,7 @@
 import pickle
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -210,6 +211,31 @@ def every_case_jacobian(cone, rng, mask):
     return make_jacobian(cone, nonneg_mask=mask, soc_cases=cases)
 
 
+def lowrank_from_coordinates(J):
+    """``(W, d)`` of :func:`linsys._jacobian_lowrank` through COO -> CSC."""
+    rows, cols, vals, ds = [], [], [], []
+    k = 0
+    for gj in J.soc:
+        g = gj.group
+        sel = np.nonzero(gj.codes >= SocCase.MIDDLE)[0]
+        for sign, lam in ((1.0, 0.5 * (1.0 - gj.rho[sel])),
+                          (-1.0, -0.5 * (1.0 + gj.rho[sel]))):
+            for b, weight in zip(sel, lam):
+                if abs(weight) <= 1e-14:
+                    continue
+                inv = 1.0 / np.sqrt(2.0)
+                col = np.concatenate(([inv], sign * inv * gj.omega[b]))
+                rows.append(g.starts[b] + np.arange(g.dim))
+                cols.append(np.full(g.dim, k))
+                vals.append(col)
+                ds.append(weight)
+                k += 1
+    W = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(J.cone.total_dim, k)).tocsc()
+    return W, np.array(ds)
+
+
 def orthant_matrix(rng, m, cone, a0):
     """Random A whose nonneg columns follow one of the storage cases below.
 
@@ -283,6 +309,23 @@ class TestNewtonAssembly:
         assert len(cone.soc_groups) == 3
         assert_assembly_matches(NewtonAssembly(A, cone), J, 0.05)
 
+    def test_lowrank_columns_match_coordinate_construction(self):
+        # W is built column by column as CSC; the same matrix, to the bit,
+        # as from coordinates, for contiguous and interleaved groups
+        rng = np.random.default_rng(5)
+        for cone in (ConeSpec.make(nonneg=2, soc=(3, 4, 3, 4, 3, 4, 3, 4, 6)),
+                     ConeSpec.make(soc=(5,) * 12)):
+            J = every_case_jacobian(cone, rng, None if not cone.nonneg_dim
+                                    else np.array([1.0, 0.0]))
+            W, d = linsys._jacobian_lowrank(J)
+            ref, ref_d = lowrank_from_coordinates(J)
+            assert W.format == "csc" and W.shape == ref.shape
+            assert W.shape[1] > 0
+            np.testing.assert_array_equal(d, ref_d)
+            np.testing.assert_array_equal(W.indptr, ref.indptr)
+            np.testing.assert_array_equal(W.indices, ref.indices)
+            np.testing.assert_array_equal(W.data, ref.data)
+
     def test_structure_reused_across_assemblies(self):
         rng = np.random.default_rng(4)
         cone = ConeSpec.make(nonneg=5, soc=(3, 4, 4))
@@ -351,8 +394,54 @@ class TestAssemblyCache:
         return calls
 
     def test_problem_construction_builds_nothing(self, builds):
-        small_srlasso()
+        problem = small_srlasso()
         assert builds == []
+        assert problem.assembly._csc is None
+
+    def test_one_csc_copy_of_a_serves_products_and_assembly(self):
+        problem = small_srlasso()
+        v = np.random.default_rng(1).standard_normal(problem.m)
+        # a gather through A' by rows sums as the scatter through A by rows
+        Atv = problem.A.T @ v
+        assert problem.rmatvec(v).tobytes() == Atv.tobytes()
+        Ac = problem.assembly.csc()
+        socalm.solve(problem)
+        assert problem.assembly._structure is not None
+        assert problem.assembly.csc() is Ac
+
+    def test_concurrent_solves_build_one_csc_copy(self, monkeypatch):
+        serial = socalm.solve(small_srlasso(seed=3))
+        problem = small_srlasso(seed=3)
+        A = problem.assembly.A
+        tocsc = A.tocsc
+        copies = []
+
+        def counted_tocsc(*args, **kwargs):
+            copies.append(1)
+            time.sleep(0.05)  # hold the build open while the other thread asks
+            return tocsc(*args, **kwargs)
+
+        monkeypatch.setattr(A, "tocsc", counted_tocsc)
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def run(i):
+            barrier.wait()
+            results[i] = socalm.solve(problem)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert copies == [1]
+        for r in results:
+            assert r.status == serial.status == "Optimal"
+            assert (r.outer_iters, r.newton_iters) == (serial.outer_iters,
+                                                       serial.newton_iters)
+            for name in ("x1", "x2", "x3", "y"):
+                assert getattr(r, name).tobytes() == getattr(serial, name).tobytes()
 
     def test_quadratic_solve_builds_nothing(self, builds):
         _, problem = socalm.gen_trs(6, 1)
@@ -404,6 +493,7 @@ class TestAssemblyCache:
         copy = pickle.loads(pickle.dumps(problem))
         assert problem.assembly._structure is not None
         assert copy.assembly._structure is None
+        assert copy.assembly._csc is None
         assert socalm.solve(copy).status == "Optimal"
 
     def test_concurrent_solves_of_one_problem_agree_bitwise(self):
