@@ -83,11 +83,16 @@ class AlmOptions:
     The sequence decay is deliberately mild: with an aggressive ratio the
     inner accuracy demand eventually outruns what double precision can
     deliver at large penalty values, and late outer steps stall.
+
+    Every problem, linear or quadratic, starts at the penalty ``sigma0``
+    (default 1).  Scaling the start down by ``1/lambda_max(H)`` makes the
+    first inner solve of a quadratic problem with large ``H`` take hundreds
+    of Newton steps, or run out of them.
     """
 
     tol: float = 1e-8
     max_outer: int = 100
-    sigma0: float | None = None
+    sigma0: float = 1.0
     sigma_growth: float = 3.0
     sigma_max: float = 1e8
     epshat_scale: float = 1.0
@@ -104,6 +109,8 @@ class AlmOptions:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1) for summability")
+        if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
+            raise ValueError("sigma0 must be positive and finite")
         if self.sigma_growth <= 1.0:
             raise ValueError("sigma_growth must exceed 1")
 
@@ -338,12 +345,7 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
     if options is None:
         options = AlmOptions()
     t0 = time.perf_counter()
-    if options.sigma0 is not None:
-        sigma = float(options.sigma0)
-    elif problem.is_quadratic:
-        sigma = 1.0 / max(1.0, problem.H.lambda_max_estimate())
-    else:
-        sigma = 1.0
+    sigma = float(options.sigma0)
     if start is None:
         iterate = Iterate(np.zeros(problem.n), np.zeros(problem.m),
                           np.zeros(problem.n), np.zeros(problem.n), sigma)
@@ -403,44 +405,64 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
         complementarity=report, iteration_log=lines)
 
 
-def _vector_status(v, tol, is_soc):
-    nv = float(np.linalg.norm(v))
-    if nv <= tol:
-        return "zero"
-    if is_soc:
-        margin = v[0] - np.linalg.norm(v[1:])
-    else:
-        margin = float(np.min(v)) if v.size else 0.0
-    return "interior" if margin > tol else "boundary"
+_STATUSES = ("zero", "boundary", "interior")
+
+
+def _rowdot(X, Y):
+    """``X[i] @ Y[i]`` for every row, with the bits of the 1-D product.
+
+    The stacked matmul takes one BLAS dot per row, as ``@`` and
+    ``np.linalg.norm`` of a vector do, so the report matches a per-block
+    evaluation exactly.
+    """
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+def _soc_margins(V):
+    """``v0 - ||vt||`` of every row of ``V``."""
+    return V[:, 0] - np.sqrt(_rowdot(V[:, 1:], V[:, 1:]))
+
+
+def _status_codes(norms, margins, tol):
+    """Index into ``_STATUSES``: zero, else interior or boundary by margin."""
+    return np.where(norms <= tol, 0, np.where(margins > tol, 2, 1))
 
 
 def _complementarity_report(cone: ConeSpec, x3, y):
     tol = 1e-8 * (1.0 + np.linalg.norm(x3) + np.linalg.norm(y))
-    report = []
+    w = x3 + y
+    nblocks = len(cone.blocks)
+    s3 = np.zeros(nblocks, dtype=np.int64)
+    sy = np.zeros(nblocks, dtype=np.int64)
+    margin = np.zeros(nblocks)
+    inner = np.zeros(nblocks)
+    for g in cone.soc_groups:
+        X, Y = g.gather(x3), g.gather(y)
+        ids = g.block_ids
+        s3[ids] = _status_codes(np.sqrt(_rowdot(X, X)), _soc_margins(X), tol)
+        sy[ids] = _status_codes(np.sqrt(_rowdot(Y, Y)), _soc_margins(Y), tol)
+        margin[ids] = _soc_margins(g.gather(w))
+        inner[ids] = _rowdot(X, Y)
     for i, blk in enumerate(cone.blocks):
-        sl = cone.block_slice(i)
-        v3 = x3[sl]
-        vy = y[sl]
-        is_soc = blk.kind == "soc"
-        s3 = _vector_status(v3, tol, is_soc)
-        sy = _vector_status(vy, tol, is_soc)
-        w = v3 + vy
-        if is_soc:
-            margin = float(w[0] - np.linalg.norm(w[1:]))
-        else:
-            margin = float(np.min(w)) if w.size else 0.0
-        strict = margin > tol
-        if s3 == "boundary" and sy == "boundary":
-            category = "both-boundary-nonzero"
-        elif (s3 == "zero" and sy == "interior") or (sy == "zero" and s3 == "interior"):
-            category = "one-interior-one-zero"
-        else:
-            category = "degenerate"
-        report.append(BlockReport(
-            block_id=i, kind=blk.kind, x3_status=s3, y_status=sy,
-            category=category, strictly_complementary=strict, margin=margin,
-            inner_product=float(v3 @ vy)))
-    return report
+        if blk.kind != "soc":
+            sl = cone.block_slice(i)
+            v3, vy, vw = x3[sl], y[sl], w[sl]
+            lows = [float(np.min(v)) if v.size else 0.0 for v in (v3, vy, vw)]
+            s3[i] = _status_codes(np.linalg.norm(v3), lows[0], tol)
+            sy[i] = _status_codes(np.linalg.norm(vy), lows[1], tol)
+            margin[i] = lows[2]
+            inner[i] = v3 @ vy
+    categories = np.full(nblocks, "degenerate", dtype=object)
+    categories[(s3 == 1) & (sy == 1)] = "both-boundary-nonzero"
+    categories[(np.minimum(s3, sy) == 0) & (np.maximum(s3, sy) == 2)] = \
+        "one-interior-one-zero"
+    return [BlockReport(
+        block_id=i, kind=blk.kind, x3_status=_STATUSES[a],
+        y_status=_STATUSES[b], category=cat, strictly_complementary=mg > tol,
+        margin=mg, inner_product=ip)
+        for i, (blk, a, b, cat, mg, ip) in enumerate(zip(
+            cone.blocks, s3.tolist(), sy.tolist(), categories.tolist(),
+            margin.tolist(), inner.tolist()))]
 
 
 def diagnose_strict_complementarity(problem: ProblemData, result) -> list:

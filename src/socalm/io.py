@@ -377,7 +377,8 @@ def _build_parser():
     ps.add_argument("problem")
     ps.add_argument("--tol", type=float, default=1e-8)
     ps.add_argument("--max-iter", type=int, default=100)
-    ps.add_argument("--sigma0", type=float, default=None)
+    ps.add_argument("--sigma0", type=float, default=1.0,
+                    help="initial penalty parameter (default: 1)")
     ps.add_argument("--criterion-b", action="store_true",
                     help="also enforce the rate-targeting accuracy test")
     ps.add_argument("--out", default=None, help="result file path "
@@ -410,9 +411,9 @@ def _build_parser():
 
 
 def _cmd_solve(args):
-    problem = parse_problem(args.problem)
     options = AlmOptions(tol=args.tol, max_outer=args.max_iter,
                          sigma0=args.sigma0, use_criterion_b=args.criterion_b)
+    problem = parse_problem(args.problem)
     result = solve(problem, options, log=sys.stdout)
     out = args.out if args.out else args.problem + ".result"
     write_result(result, out, include_solution=args.solution)

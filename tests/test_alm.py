@@ -13,6 +13,7 @@ from socalm import (
     ProblemData,
     SparseSymmetric,
     build_srlasso,
+    build_trs,
     diagnose_strict_complementarity,
     dist_to_cone,
     extract_trs_solution,
@@ -25,13 +26,27 @@ from socalm import (
     project,
     solve,
 )
-from socalm.alm import LOG_HEADER, OPTIMAL, format_log_line
+from socalm.alm import (
+    LOG_HEADER,
+    OPTIMAL,
+    BlockReport,
+    _complementarity_report,
+    format_log_line,
+)
+from socalm.cone import Block
 
 
 def linear_1d():
     cone = ConeSpec.make(nonneg=1)
     A = sp.csr_matrix(np.array([[1.0]]))
     return ProblemData(None, A, np.array([1.0]), np.array([0.0]), cone)
+
+
+def _assert_trs_matches_oracle(instance, res):
+    y, val = extract_trs_solution(instance, res)
+    assert np.linalg.norm(y) <= 1.0 + 1e-8
+    _, ref = solve_trs_oracle(instance.H, instance.c)
+    assert abs(val - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
 def infeasible_toy():
@@ -177,16 +192,37 @@ class TestSolve:
 
     def test_trs_at_benchmark_size_matches_oracle(self):
         # the d = 400 instance of the benchmark's trs workload, whose Newton
-        # systems are solved in H's eigenbasis; the counts are the LU route's
+        # systems are solved in H's eigenbasis; the counts pin the start at
+        # sigma0 = 1
         instance, p = gen_trs(400, seed=1)
         res = solve_with_invariants(p, AlmOptions())
         assert res.status == OPTIMAL
-        assert (res.outer_iters, res.newton_iters) == (11, 174)
+        assert (res.outer_iters, res.newton_iters) == (5, 12)
         assert res.kkt_residual <= 1e-8
-        y, val = extract_trs_solution(instance, res)
-        assert np.linalg.norm(y) <= 1.0 + 1e-8
-        _, ref = solve_trs_oracle(instance.H, instance.c)
-        assert abs(val - ref) <= 1e-6 * max(1.0, abs(ref))
+        _assert_trs_matches_oracle(instance, res)
+
+    @pytest.mark.parametrize("d, seed", [(800, 1), (800, 2), (800, 3),
+                                         (400, 5), (1200, 1)])
+    def test_trs_that_stagnated_at_small_sigma0(self, d, seed):
+        # each of these ended in Stagnation after 200 Newton steps in its
+        # first inner solve when sigma0 was 1/lambda_max(H)
+        instance, p = gen_trs(d, seed)
+        res = solve_with_invariants(p, AlmOptions())
+        assert res.status == OPTIMAL
+        assert res.kkt_residual <= 1e-8
+        assert res.newton_iters <= 20
+        _assert_trs_matches_oracle(instance, res)
+
+    @pytest.mark.parametrize("h_scale, c_scale", [(1e3, 1.0), (1.0, 1e3),
+                                                  (1.0, 1e-3)])
+    def test_trs_under_data_scaling(self, h_scale, c_scale):
+        # the default start must not depend on the scale of H or c
+        for seed in range(1, 6):
+            base, _ = gen_trs(200, seed)
+            instance, p = build_trs(h_scale * base.H, c_scale * base.c)
+            res = solve_with_invariants(p, AlmOptions())
+            assert res.status == OPTIMAL, seed
+            _assert_trs_matches_oracle(instance, res)
 
     def test_meb_at_benchmark_size_counts(self):
         # the benchmark's meb_cli instance: a thousand Lorentz blocks of
@@ -215,13 +251,10 @@ class TestSolve:
     def test_trs_past_2000_rows_matches_oracle(self):
         # d = 2000 gives Newton systems of 2002 rows, solved in H's eigenbasis
         instance, p = gen_trs(2000, seed=1)
-        res = solve_with_invariants(p, AlmOptions(sigma0=1.0))
+        res = solve_with_invariants(p, AlmOptions())
         assert res.status == OPTIMAL
         assert res.kkt_residual <= 1e-8
-        y, val = extract_trs_solution(instance, res)
-        assert np.linalg.norm(y) <= 1.0 + 1e-8
-        _, ref = solve_trs_oracle(instance.H, instance.c)
-        assert abs(val - ref) <= 1e-6 * max(1.0, abs(ref))
+        _assert_trs_matches_oracle(instance, res)
 
     def test_srlasso_with_invariants_and_criterion_b(self):
         rng = np.random.default_rng(11)
@@ -310,6 +343,78 @@ class TestDiagnostics:
             r.category for r in report]
 
 
+    def test_vectorized_report_equals_block_loop(self):
+        # random cones (the orthant anywhere, or absent, or empty) at points
+        # whose blocks are zero, on the boundary or interior
+        rng = np.random.default_rng(3)
+        categories = set()
+        for _ in range(100):
+            blocks = [Block("soc", int(d))
+                      for d in rng.integers(2, 9, rng.integers(1, 12))]
+            if rng.random() < 0.7:
+                blocks.insert(int(rng.integers(0, len(blocks) + 1)),
+                              Block("nonneg", int(rng.integers(0, 5))))
+            cone = ConeSpec(blocks)
+            x3, y = (_random_block_point(cone, rng) for _ in range(2))
+            # equal to the bit: both take one BLAS dot per block vector
+            got = _complementarity_report(cone, x3, y)
+            assert got == _report_by_block(cone, x3, y)
+            categories.update(r.category for r in got)
+        assert categories == {"both-boundary-nonzero", "one-interior-one-zero",
+                              "degenerate"}
+
+
+def _random_block_point(cone, rng):
+    """Each block at random zero, on the cone's boundary, or interior."""
+    x = np.zeros(cone.total_dim)
+    for i, blk in enumerate(cone.blocks):
+        sl = cone.block_slice(i)
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            continue
+        u = rng.standard_normal(sl.stop - sl.start)
+        if blk.kind == "soc":
+            u[0] = np.linalg.norm(u[1:]) * (1.0 if kind == 1 else 2.0)
+        else:
+            u = np.abs(u) + (kind == 2)
+            if kind == 1 and u.size:
+                u[0] = 0.0
+        x[sl] = u
+    return x
+
+
+def _report_by_block(cone, x3, y):
+    """The complementarity report evaluated one block at a time."""
+    tol = 1e-8 * (1.0 + np.linalg.norm(x3) + np.linalg.norm(y))
+
+    def margin(v, is_soc):
+        if is_soc:
+            return float(v[0] - np.linalg.norm(v[1:]))
+        return float(np.min(v)) if v.size else 0.0
+
+    def status(v, is_soc):
+        if np.linalg.norm(v) <= tol:
+            return "zero"
+        return "interior" if margin(v, is_soc) > tol else "boundary"
+
+    report = []
+    for i, blk in enumerate(cone.blocks):
+        sl = cone.block_slice(i)
+        v3, vy = x3[sl], y[sl]
+        is_soc = blk.kind == "soc"
+        s3, sy = status(v3, is_soc), status(vy, is_soc)
+        if s3 == sy == "boundary":
+            category = "both-boundary-nonzero"
+        elif {s3, sy} == {"zero", "interior"}:
+            category = "one-interior-one-zero"
+        else:
+            category = "degenerate"
+        mg = margin(v3 + vy, is_soc)
+        report.append(BlockReport(i, blk.kind, s3, sy, category, mg > tol, mg,
+                                  float(v3 @ vy)))
+    return report
+
+
 class TestProblemDataValidation:
     def test_dim_mismatch_rejected(self):
         cone = ConeSpec.make(nonneg=2)
@@ -337,3 +442,8 @@ class TestAlmOptionsValidation:
     def test_growth_must_exceed_one(self):
         with pytest.raises(ValueError):
             AlmOptions(sigma_growth=1.0)
+
+    @pytest.mark.parametrize("sigma0", [0.0, -1.0, np.nan, np.inf])
+    def test_sigma0_must_be_positive_and_finite(self, sigma0):
+        with pytest.raises(ValueError, match="sigma0"):
+            AlmOptions(sigma0=sigma0)

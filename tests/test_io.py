@@ -207,6 +207,13 @@ class TestCli:
         assert cli_main(["gen", "meb", "--m", "6"]) == 2
         assert cli_main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("sigma0", ["0", "-1", "nan", "inf"])
+    def test_invalid_sigma0_exits_2(self, tmp_path, capsys, sigma0):
+        prob = str(tmp_path / "b.prob")
+        assert cli_main(["gen", "meb", "--m", "4", "--d", "2", "-o", prob]) == 0
+        assert cli_main(["solve", prob, "--sigma0", sigma0]) == 2
+        assert "sigma0" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_repeated_pipeline_identical_modulo_timing(self, tmp_path):
