@@ -38,8 +38,9 @@ class ProblemData:
     construction; definiteness is a documented trust assumption, violations
     surface as inner line-search failures).  ``assembly`` holds the
     linear-case Newton structure of ``(A, cone)``, built at the first Newton
-    step that needs it, and the column-major copy of ``A`` that
-    :meth:`rmatvec` reads, built at its first call.
+    step that needs it, and ``A'`` by rows (on the arrays of the one
+    column-major copy of ``A``) that :meth:`rmatvec` reads, built at its
+    first call.
     """
 
     def __init__(self, H, A, b, c, cone: ConeSpec):
@@ -69,7 +70,7 @@ class ProblemData:
 
     def rmatvec(self, v) -> np.ndarray:
         """``A' v``, summed row by row of ``A'`` (the bits of ``A.T @ v``)."""
-        return self.assembly.csc().T @ v
+        return self.assembly.at() @ v
 
     def __repr__(self):
         kind = "quadratic" if self.is_quadratic else "linear"

@@ -226,7 +226,8 @@ class _SocGroupJacobian:
     group: _SocGroup
     codes: np.ndarray   # (count,) SocCase values
     rho: np.ndarray     # (count,) in [-1, 1]; 1 for identity rows, -1 for zero rows
-    omega: np.ndarray   # (count, dim-1) unit rows where the case needs one, else 0
+    rows: np.ndarray    # sorted rows whose case is middle or boundary
+    omega: np.ndarray   # (rows.size, dim-1) their unit vectors, in that order
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,10 @@ class JacobianElement:
             if pos.size:
                 i = int(pos[0])
                 code = SocCase(int(gj.codes[i]))
-                return code, float(gj.rho[i]), gj.omega[i].copy()
+                hit = np.flatnonzero(gj.rows == i)
+                omega = (gj.omega[hit[0]].copy() if hit.size
+                         else np.zeros(gj.group.dim - 1))
+                return code, float(gj.rho[i]), omega
         raise ValueError(f"block {block_id} is not a Lorentz block of this cone")
 
     def dense_block(self, block_id: int) -> np.ndarray:
@@ -308,13 +312,10 @@ def jacobian_element(cone: ConeSpec, x, *, norms=None) -> JacobianElement:
         codes[identity] = SocCase.IDENTITY
         codes[zero] = SocCase.ZERO
         rho = np.where(identity, 1.0, -1.0)
-        # calloc: no zero fill where the memory comes fresh from the OS
-        omega = np.zeros(tail.shape)
         rows = np.nonzero(middle)[0]
-        if rows.size:
-            rho[rows] = head[rows] / nt[rows]
-            omega[rows] = tail[rows] / nt[rows][:, None]
-        groups.append(_SocGroupJacobian(g, codes, rho, omega))
+        rho[rows] = head[rows] / nt[rows]
+        omega = tail[rows] / nt[rows][:, None]
+        groups.append(_SocGroupJacobian(g, codes, rho, rows, omega))
     return JacobianElement(cone, mask, tuple(groups))
 
 
@@ -340,7 +341,7 @@ def make_jacobian(cone: ConeSpec, nonneg_mask=None, soc_cases=None) -> JacobianE
     for g in cone.soc_groups:
         codes = np.empty(g.count, dtype=np.int8)
         rho = np.empty(g.count)
-        omega = np.zeros((g.count, g.dim - 1))
+        rows, omega = [], []
         for i, blk_id in enumerate(g.block_ids):
             try:
                 case, r, w = soc_cases[int(blk_id)]
@@ -368,8 +369,11 @@ def make_jacobian(cone: ConeSpec, nonneg_mask=None, soc_cases=None) -> JacobianE
                 nw = np.linalg.norm(w)
                 if abs(nw - 1.0) > 1e-14:
                     raise ValueError(f"omega for block {blk_id} is not a unit vector")
-                omega[i] = w
-        groups.append(_SocGroupJacobian(g, codes, rho, omega))
+                rows.append(i)
+                omega.append(w)
+        groups.append(_SocGroupJacobian(
+            g, codes, rho, np.array(rows, dtype=np.int64),
+            np.array(omega).reshape(len(rows), g.dim - 1)))
     return JacobianElement(cone, mask_arr, tuple(groups))
 
 
@@ -387,11 +391,11 @@ def apply_jacobian(J: JacobianElement, v) -> np.ndarray:
         R = np.zeros_like(V)
         ident = gj.codes == SocCase.IDENTITY
         R[ident] = V[ident]
-        rows = np.nonzero(gj.codes >= SocCase.MIDDLE)[0]
+        rows = gj.rows
         if rows.size:
             head = V[rows, 0]
             tail = V[rows, 1:]
-            w = gj.omega[rows]
+            w = gj.omega
             r = gj.rho[rows]
             wt = np.einsum("ij,ij->i", w, tail)
             R[rows, 0] = 0.5 * (head + wt)

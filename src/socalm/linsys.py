@@ -8,10 +8,13 @@ low-rank update.
 
 Assembly goes through a per-problem :class:`NewtonAssembly`, built on first
 use.  It keeps every Lorentz block's ``A_i A_i'`` on one fixed pattern, so the
-Lorentz part of ``M_sp`` is a single sparse mat-vec with the block weights,
-and forms the nonneg block's Gram from its active columns only, with BLAS when
-those columns are stored dense.  ``M_sp`` is stored dense (a CSR matrix that
-keeps every entry) when that takes no more memory than its sparse pattern.
+Lorentz part of ``M_sp`` is a single sparse mat-vec with the block weights.
+Only the active nonneg columns of A enter.  When those columns are stored
+dense and there are fewer of them than A has rows, the active ones become
+low-rank columns of weight 1, and ``M_sp`` holds only ``eps*I`` and the
+Lorentz part; otherwise their Gram is added to ``M_sp``, with BLAS when they
+are stored dense.  ``M_sp`` is stored dense (a CSR matrix that keeps every
+entry) when that takes no more memory than its sparse pattern.
 
 The linear case has one direct solve path: factor ``M_sp`` (dense Cholesky
 when it is stored dense, sparse LU otherwise) and add the k low-rank columns
@@ -44,7 +47,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cone import JacobianElement, SocCase
+from .cone import JacobianElement
 
 # low-rank eigenvalue below this is dropped from the update (rank degenerates)
 _DROP_TOL = 1e-14
@@ -255,7 +258,7 @@ def _jacobian_lowrank(J: JacobianElement):
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for gj in J.soc:
         g = gj.group
-        sel = np.nonzero(gj.codes >= SocCase.MIDDLE)[0]
+        sel = gj.rows
         if not sel.size:
             continue
         rho = gj.rho[sel]
@@ -266,7 +269,7 @@ def _jacobian_lowrank(J: JacobianElement):
             nb = keep.size
             vmat = np.empty((nb, g.dim))
             vmat[:, 0] = inv_sqrt2
-            vmat[:, 1:] = sign * inv_sqrt2 * gj.omega[sel[keep]]
+            vmat[:, 1:] = sign * inv_sqrt2 * gj.omega[keep]
             # each column is one block's contiguous, sorted row range
             rows_parts.append(
                 (g.starts[sel[keep], None] + np.arange(g.dim)).ravel())
@@ -297,11 +300,14 @@ class NewtonSystem:
 
     ``M_sp`` is the symmetric part (a CSR matrix that stores every entry when
     it is dense), ``U`` the m x k low-rank columns and ``d`` their weights.
+    ``U`` is sparse CSC, or a dense array whose first columns are the active
+    nonneg columns of A (weight 1) when :class:`NewtonAssembly` takes those
+    out of ``M_sp``.
     """
 
     m: int
     M_sp: sp.csr_matrix
-    U: sp.csc_matrix
+    U: sp.csc_matrix | np.ndarray
     d: np.ndarray
 
     @property
@@ -317,9 +323,13 @@ class NewtonSystem:
     def densify(self):
         M = self.M_sp.toarray()
         if self.k:
-            Ud = self.U.toarray()
+            Ud = _as_array(self.U)
             M = M + (Ud * self.d) @ Ud.T
         return M
+
+
+def _as_array(U):
+    return U.toarray() if sp.issparse(U) else U
 
 
 def _dense_is_smaller(rows, cols, nnz):
@@ -395,6 +405,7 @@ class _GramStructure:
     diag: np.ndarray         # positions of the diagonal among ``keys``
     G: sp.csr_matrix         # G[p, b] = (A_b A_b')[keys[p]], one column per block
     A0t: np.ndarray | sp.csr_matrix | None  # nonneg columns of A, transposed
+    lowrank0: bool           # active nonneg columns go to U, not into M_sp
     full: tuple | None       # (indptr, indices) of a full pattern when M is dense
 
 
@@ -404,9 +415,14 @@ class NewtonAssembly:
     Nothing is computed at construction.  The first :meth:`assemble` builds
     the Lorentz block Grams, the storage of the nonneg columns and the
     storage decision for ``M_sp``, once, under a lock; every later call
-    reuses them.  :meth:`csc`, the one column-major copy of ``A``, is built
-    the same way at its first use.  Nothing is modified once built, so
-    threads may assemble concurrently.  A pickled copy starts unbuilt.
+    reuses them.  The nonneg columns are kept dense when that is no larger
+    than sparse storage.  Dense and fewer than the m rows of ``A``, the
+    active ones become low-rank columns of weight 1 in ``U``, so ``M_sp``
+    holds only ``eps*I`` and the Lorentz Grams; otherwise their Gram is
+    added to ``M_sp``.  :meth:`csc`, the one column-major copy of ``A``, and
+    :meth:`at`, ``A'`` by rows on the same arrays, are built the same way at
+    their first use.  Nothing is modified once built, so threads may
+    assemble concurrently.  A pickled copy starts unbuilt.
     """
 
     def __init__(self, A, cone):
@@ -417,6 +433,7 @@ class NewtonAssembly:
                 f"A has {self.A.shape[1]} columns, cone total_dim is "
                 f"{cone.total_dim}")
         self._csc = None
+        self._at = None
         self._structure = None
         # reentrant: _build asks for the CSC copy while holding it
         self._lock = threading.RLock()
@@ -425,14 +442,23 @@ class NewtonAssembly:
         return NewtonAssembly, (self.A, self.cone)
 
     def csc(self) -> sp.csc_matrix:
-        """``A`` by columns; its transpose is ``A'`` by rows, so ``A' v`` is a gather."""
-        Ac = self._csc
-        if Ac is None:
-            with self._lock:
-                if self._csc is None:
-                    self._csc = self.A.tocsc()
-                Ac = self._csc
-        return Ac
+        """``A`` by columns."""
+        if self._csc is None:
+            self._build_columns()
+        return self._csc
+
+    def at(self) -> sp.csr_matrix:
+        """``A'`` by rows, on the arrays of :meth:`csc`, so ``A' v`` is a gather."""
+        if self._at is None:
+            self._build_columns()
+        return self._at
+
+    def _build_columns(self):
+        with self._lock:
+            if self._csc is None:
+                Ac = self.A.tocsc()
+                self._at = Ac.T
+                self._csc = Ac
 
     def _build(self) -> _GramStructure:
         A, cone = self.A, self.cone
@@ -451,15 +477,18 @@ class NewtonAssembly:
 
         # nnz of M when every block is active decides its storage
         A0t = None
+        lowrank0 = False
         nnz_full = keys.size
         if cone.nonneg_dim:
-            s = cone.nonneg_start
-            A0 = Ac[:, s:s + cone.nonneg_dim]
-            if _dense_is_smaller(m, A0.shape[1], A0.nnz):
+            s, n0 = cone.nonneg_start, cone.nonneg_dim
+            A0 = Ac[:, s:s + n0]
+            if _dense_is_smaller(m, n0, A0.nnz):
                 A0t = A0.T.toarray()
-                used = np.any(A0t != 0.0, axis=0)
-                nnz_full = (int(used.sum()) ** 2
-                            + int(np.count_nonzero(~(used[rows] & used[cols]))))
+                lowrank0 = n0 < m
+                if not lowrank0:
+                    used = np.any(A0t != 0.0, axis=0)
+                    nnz_full = (int(used.sum()) ** 2 + int(
+                        np.count_nonzero(~(used[rows] & used[cols]))))
             elif A0.nnz:
                 A0t = A0.T.tocsr()
                 P = (abs(A0) @ abs(A0t)).tocoo()
@@ -468,7 +497,7 @@ class NewtonAssembly:
         if _dense_is_smaller(m, m, nnz_full):
             F = sp.csr_matrix(np.ones((m, m)))
             full = (F.indptr, F.indices)
-        return _GramStructure(keys, indptr, cols, diag, G, A0t, full)
+        return _GramStructure(keys, indptr, cols, diag, G, A0t, lowrank0, full)
 
     def assemble(self, J: JacobianElement, eps) -> NewtonSystem:
         """The Newton system ``eps*I + sum_i A_i V_i A_i'`` at one element J."""
@@ -484,10 +513,10 @@ class NewtonAssembly:
         w = np.concatenate([0.5 * (1.0 + gj.rho) for gj in J.soc] + [np.zeros(0)])
         lorentz = st.G @ w
         lorentz[st.diag] += eps
-        gram0 = None
+        gram0 = X = None
         if st.A0t is not None:
             X = st.A0t[np.flatnonzero(J.nonneg_mask)]
-            if X.shape[0]:
+            if X.shape[0] and not st.lowrank0:
                 gram0 = X.T @ X
         if st.full is not None:
             M = np.zeros((m, m)) if gram0 is None else gram0
@@ -507,6 +536,10 @@ class NewtonAssembly:
             U.sort_indices()
         else:
             U = sp.csc_matrix((m, 0))
+        if st.lowrank0:
+            # rows of U' in C order, so U is a Fortran-ordered array
+            U = np.concatenate([X, U.T.toarray()]).T
+            d = np.concatenate([np.ones(X.shape[0]), d])
         return NewtonSystem(m=m, M_sp=M_sp, U=U, d=d)
 
 
@@ -576,7 +609,7 @@ def _lowrank_solver(sys_, solve_M):
     if not k:
         return solve_M
     U = sys_.U
-    Ud = U.toarray()
+    Ud = _as_array(U)
     MiU = solve_M(Ud)
     S = MiU.T @ Ud
     S[np.diag_indices(k)] += 1.0 / sys_.d
@@ -603,7 +636,10 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto"):
     Both add the k low-rank columns (k may be 0) through the Schur
     complement of an augmented system, and the solve gets at most two
     refinement steps.  ``"auto"`` takes ``"dense"`` when ``M_sp`` is stored
-    dense or the update is that wide, and ``"augmented"`` otherwise.  Raises
+    dense or the update is that wide, and ``"augmented"`` otherwise.  A
+    narrow dense orthant puts its active columns in the update and leaves
+    ``M_sp`` as ``eps*I`` plus the Lorentz Grams (diagonal for a
+    square-root Lasso), so such a system usually goes ``"augmented"``.  Raises
     :class:`LinearSolveError`, carrying the iterate and its residual, when
     the solve misses the tolerance or the sparse factorization fails.
     """

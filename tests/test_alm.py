@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from invariants import solve_with_invariants
-from oracles import solve_trs_oracle
+from oracles import solve_trs_oracle, srlasso_certificate_gap
 from socalm import (
     AlmOptions,
     ConeSpec,
@@ -16,6 +16,7 @@ from socalm import (
     build_trs,
     diagnose_strict_complementarity,
     dist_to_cone,
+    extract_srlasso_solution,
     extract_trs_solution,
     gen_meb,
     gen_trs,
@@ -34,6 +35,17 @@ from socalm.alm import (
     format_log_line,
 )
 from socalm.cone import Block
+
+
+def _bench_srlasso(m, d):
+    """The benchmark's square-root Lasso at default_rng(0): ten coefficients
+    equal to 3, unit noise, lambda_c = 1."""
+    rng = np.random.default_rng(0)
+    B = rng.standard_normal((m, d))
+    x_true = np.zeros(d)
+    x_true[:10] = 3.0
+    w = B @ x_true + rng.standard_normal(m)
+    return build_srlasso(B, w, lambda_from_lambda_c(1.0, d))
 
 
 def linear_1d():
@@ -237,16 +249,30 @@ class TestSolve:
     def test_srlasso_at_benchmark_size_counts(self):
         # the benchmark's square-root Lasso 500x150 at default_rng(0): an
         # orthant and one Lorentz block of dimension 501
-        rng = np.random.default_rng(0)
-        B = rng.standard_normal((500, 150))
-        x_true = np.zeros(150)
-        x_true[:10] = 3.0
-        w = B @ x_true + rng.standard_normal(500)
-        _, p = build_srlasso(B, w, lambda_from_lambda_c(1.0, 150))
+        _, p = _bench_srlasso(500, 150)
         res = solve_with_invariants(p, AlmOptions())
         assert res.status == OPTIMAL
         assert (res.outer_iters, res.newton_iters) == (10, 36)
         assert res.kkt_residual <= 1e-8
+
+    def test_tall_srlasso_through_the_lowrank_orthant(self):
+        # m = 2000 rows against 600 orthant columns: the active columns of
+        # the orthant enter every Newton step as low-rank columns, not as a
+        # dense 2000 x 2000 Gram
+        instance, p = _bench_srlasso(2000, 300)
+        res = solve_with_invariants(p, AlmOptions())
+        assert res.status == OPTIMAL
+        assert (res.outer_iters, res.newton_iters) == (9, 37)
+        assert res.kkt_residual <= 1e-8
+        B, w = instance.B, instance.w
+        x = extract_srlasso_solution(instance, res)
+        stat, excess = srlasso_certificate_gap(B, w, instance.lam, x)
+        # x is accurate to about tol * ||x||, and x -> B'(Bx - w)/||Bx - w||
+        # is ||B||^2 / ||Bx - w|| Lipschitz: at m = 2000 that allows about
+        # 8e-6, where the solve reaches 1.9e-6
+        bound = (1e-8 * np.linalg.norm(x) * np.linalg.norm(B, 2) ** 2
+                 / np.linalg.norm(B @ x - w))
+        assert stat <= bound and excess <= bound
 
     def test_trs_past_2000_rows_matches_oracle(self):
         # d = 2000 gives Newton systems of 2002 rows, solved in H's eigenbasis

@@ -106,7 +106,9 @@ def test_every_solve_route_is_a_known_route():
     # be counted as linsys.route.other
     tracing = _tracing()
     rng = np.random.default_rng(3)
-    cone = ConeSpec.make(nonneg=4, soc=(3, 5))
+    # an orthant as wide as A keeps its Gram in M_sp, stored dense for the
+    # dense A and sparse for the sparse one
+    cone = ConeSpec.make(nonneg=6, soc=(3, 5))
     n, m = cone.total_dim, 6
     J = jacobian_element(cone, 2.0 * rng.standard_normal(n))
     dense_a = sp.csr_matrix(rng.standard_normal((m, n)))

@@ -161,6 +161,7 @@ class TestApplyJacobian:
         omega = np.array([0.6, 0.8])
         for case in (SocCase.BOUNDARY_UPPER, SocCase.BOUNDARY_LOWER):
             J = make_jacobian(SOC3, soc_cases={0: (case, None, omega)})
+            np.testing.assert_array_equal(J.soc[0].rows, [0])
             V = J.dense_block(0)
             np.testing.assert_allclose(V, V.T, atol=1e-15)
             w = np.linalg.eigvalsh(V)
@@ -266,6 +267,11 @@ class TestKernelsBitExact:
                     assert_same_bits(rho, ref[1])
                     assert_same_bits(omega, ref[2])
                     seen.add(code)
+                # unit vectors are stored for the middle rows only
+                for gj in J.soc:
+                    np.testing.assert_array_equal(
+                        gj.rows, np.flatnonzero(gj.codes == SocCase.MIDDLE))
+                    assert gj.omega.shape == (gj.rows.size, gj.group.dim - 1)
                 if cone.nonneg_dim:
                     s = cone.nonneg_start
                     assert_same_bits(

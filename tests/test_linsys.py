@@ -218,13 +218,14 @@ def lowrank_from_coordinates(J):
     for gj in J.soc:
         g = gj.group
         sel = np.nonzero(gj.codes >= SocCase.MIDDLE)[0]
+        np.testing.assert_array_equal(gj.rows, sel)
         for sign, lam in ((1.0, 0.5 * (1.0 - gj.rho[sel])),
                           (-1.0, -0.5 * (1.0 + gj.rho[sel]))):
-            for b, weight in zip(sel, lam):
+            for b, weight, w in zip(sel, lam, gj.omega):
                 if abs(weight) <= 1e-14:
                     continue
                 inv = 1.0 / np.sqrt(2.0)
-                col = np.concatenate(([inv], sign * inv * gj.omega[b]))
+                col = np.concatenate(([inv], sign * inv * w))
                 rows.append(g.starts[b] + np.arange(g.dim))
                 cols.append(np.full(g.dim, k))
                 vals.append(col)
@@ -259,16 +260,19 @@ def orthant_matrix(rng, m, cone, a0):
 
 
 class TestNewtonAssembly:
-    # (A_0 case, m, nonneg dim, whether A_0 is stored dense, whether M is)
-    STORAGE = [("dense", 12, 6, True, True),
-               ("dense_rows", 10, 6, True, False),
-               ("sparse", 30, 10, False, False),
-               ("sparse_wide_gram", 12, 30, False, True)]
+    # (A_0 case, m, nonneg dim, whether A_0 is stored dense, whether its
+    # active columns go to U, whether M is stored dense)
+    STORAGE = [("dense", 12, 6, True, True, False),
+               ("dense_rows", 10, 6, True, True, False),
+               ("dense", 12, 12, True, False, True),
+               ("dense_rows", 10, 12, True, False, False),
+               ("sparse", 30, 10, False, False, False),
+               ("sparse_wide_gram", 12, 30, False, False, True)]
 
-    @pytest.mark.parametrize("a0, m, n0, a0_dense, m_dense", STORAGE)
+    @pytest.mark.parametrize("a0, m, n0, a0_dense, lowrank0, m_dense", STORAGE)
     @pytest.mark.parametrize("mask", ["random", "zeros", "ones"])
     def test_matches_reference_on_both_sides_of_storage_rule(
-            self, a0, m, n0, a0_dense, m_dense, mask):
+            self, a0, m, n0, a0_dense, lowrank0, m_dense, mask):
         rng = np.random.default_rng(len(a0) + m)
         cone = ConeSpec.make(nonneg=n0, soc=(3, 4, 3, 5))
         A = orthant_matrix(rng, m, cone, a0)
@@ -279,9 +283,20 @@ class TestNewtonAssembly:
         assert_assembly_matches(asm, J, 0.3)
         st = asm._structure
         assert isinstance(st.A0t, np.ndarray) == a0_dense
+        assert st.lowrank0 == lowrank0
         assert (st.full is not None) == m_dense
-        M_sp = asm.assemble(J, 0.3).M_sp
-        assert (M_sp.nnz == m * m) == m_dense
+        sys_ = asm.assemble(J, 0.3)
+        assert (sys_.M_sp.nnz == m * m) == m_dense
+        # the active nonneg columns are in U with weight 1, or in M_sp
+        k_lorentz = linsys._jacobian_lowrank(J)[1].size
+        active = int(masks[mask].sum())
+        assert sys_.k == k_lorentz + (active if lowrank0 else 0)
+        if lowrank0:
+            # each Lorentz column of A holds one entry: M_sp is diagonal
+            assert sys_.M_sp.nnz == m
+            np.testing.assert_array_equal(sys_.d[:active], np.ones(active))
+            np.testing.assert_array_equal(
+                sys_.U[:, :active], A.toarray()[:, np.flatnonzero(masks[mask])])
 
     def test_no_nonneg_block(self):
         rng = np.random.default_rng(1)
@@ -358,10 +373,11 @@ class TestNewtonAssembly:
             asm.assemble(J, 0.1)
 
     def test_dense_storage_takes_dense_cholesky_route(self):
+        # an orthant as wide as A: its Gram makes M_sp dense
         rng = np.random.default_rng(6)
-        cone = ConeSpec.make(nonneg=6, soc=(5,))
+        cone = ConeSpec.make(nonneg=8, soc=(5,))
         A = sp.csr_matrix(rng.standard_normal((8, cone.total_dim)))
-        J = make_jacobian(cone, nonneg_mask=np.ones(6), soc_cases={
+        J = make_jacobian(cone, nonneg_mask=np.ones(8), soc_cases={
             1: (SocCase.MIDDLE, 0.3, unit(rng, 4))})
         sys_ = assemble_linear(A, J, 1.0, 0.1)
         assert sys_.M_sp.nnz == 64 and sys_.k == 2
@@ -396,7 +412,7 @@ class TestAssemblyCache:
     def test_problem_construction_builds_nothing(self, builds):
         problem = small_srlasso()
         assert builds == []
-        assert problem.assembly._csc is None
+        assert problem.assembly._csc is None and problem.assembly._at is None
 
     def test_one_csc_copy_of_a_serves_products_and_assembly(self):
         problem = small_srlasso()
@@ -404,10 +420,13 @@ class TestAssemblyCache:
         # a gather through A' by rows sums as the scatter through A by rows
         Atv = problem.A.T @ v
         assert problem.rmatvec(v).tobytes() == Atv.tobytes()
-        Ac = problem.assembly.csc()
+        Ac, At = problem.assembly.csc(), problem.assembly.at()
+        # A' by rows is the CSC copy read the other way, not a second copy
+        assert At.format == "csr" and np.shares_memory(At.data, Ac.data)
         socalm.solve(problem)
         assert problem.assembly._structure is not None
         assert problem.assembly.csc() is Ac
+        assert problem.assembly.at() is At
 
     def test_concurrent_solves_build_one_csc_copy(self, monkeypatch):
         serial = socalm.solve(small_srlasso(seed=3))
@@ -602,6 +621,50 @@ class TestSolveSpd:
             solve_spd(rank_one_example(), np.ones(2), 1e-12,
                       strategy="augmented")
 
+    @pytest.mark.parametrize("pattern", ["diagonal", "full"])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
+    def test_orthant_columns_over_a_zero_lorentz_part(self, eps, pattern):
+        # every Lorentz block is ZERO-case, so M_sp = eps*I and the m - 1
+        # active orthant columns in U leave one eigenvalue eps; the Schur
+        # route meets every target the densified system meets, and misses
+        # only with LinearSolveError
+        rng = np.random.default_rng(31)
+        m, n0 = 40, 39
+        cone = ConeSpec.make(nonneg=n0, soc=(3, 4, 5))
+        n = cone.total_dim
+        A = np.zeros((m, n))
+        A[:, :n0] = rng.standard_normal((m, n0))
+        if pattern == "full":
+            A[:, n0:] = rng.standard_normal((m, n - n0))
+        else:
+            A[rng.integers(0, m, n - n0), np.arange(n0, n)] = (
+                rng.standard_normal(n - n0))
+        J = make_jacobian(cone, nonneg_mask=np.ones(n0), soc_cases={
+            b: (SocCase.ZERO, None, None) for b in cone.soc_block_ids})
+        sys_ = assemble_linear(sp.csr_matrix(A), J, 1.0, eps)
+        assert sys_.k == n0
+        np.testing.assert_array_equal(sys_.M_sp.toarray(), eps * np.eye(m))
+        dense = NewtonSystem(m=m, M_sp=sp.csr_matrix(sys_.densify()),
+                             U=sp.csc_matrix((m, 0)), d=np.zeros(0))
+        rhs = rng.standard_normal(m)
+        for tol in (1e-4, 1e-6, 1e-8, 1e-10):
+            stop = max(tol, 1e-12 * np.linalg.norm(rhs))
+            try:
+                solve_spd(dense, rhs, tol)
+                dense_met = True
+            except LinearSolveError:
+                dense_met = False
+            try:
+                x, stats = solve_spd(sys_, rhs, tol)
+            except LinearSolveError as err:
+                assert not dense_met, (tol, err)
+                assert not err.residual <= stop
+                continue
+            assert stats.method == {"diagonal": "augmented",
+                                    "full": "dense"}[pattern]
+            assert stats.residual == np.linalg.norm(rhs - sys_.matvec(x))
+            assert stats.residual <= stop
+
     def test_krylov_strategy_is_unknown(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             solve_spd(rank_one_example(), np.ones(2), 1e-12, strategy="krylov")
@@ -715,7 +778,7 @@ class TestSolveQuadratic:
             # eight blocks cycle through every case, so several are middle
             # blocks with different weights and s is not constant on a block
             J = every_case_jacobian(cone, rng, mask)
-        k = assemble_linear(A, J, 1.0, 0.0).k
+        k = linsys._jacobian_lowrank(J)[1].size
         assert (k == 0) == (case == "no_lowrank")
         sigma, eps = 0.9, 0.02
         R1 = rng.standard_normal(n)
