@@ -23,7 +23,6 @@ from .linsys import (
     NewtonSystem,
     SparseSymmetric,
     assemble_linear,
-    estimate_lambda_max,
     solve_quadratic,
     solve_spd,
 )
@@ -78,7 +77,7 @@ __all__ = [
     "apply_jacobian", "dist_to_cone", "jacobian_element", "make_jacobian",
     "project",
     "LinearSolveError", "NewtonAssembly", "NewtonSystem", "SparseSymmetric",
-    "assemble_linear", "estimate_lambda_max", "solve_quadratic", "solve_spd",
+    "assemble_linear", "solve_quadratic", "solve_spd",
     "InnerState", "NewtonParams", "line_search", "make_state",
     "newton_direction", "run_inner",
     "AlmOptions", "Iterate", "ProblemData", "SolveResult",

@@ -23,12 +23,26 @@ from .ssn import NewtonParams, make_state, run_inner
 
 OPTIMAL = "Optimal"
 MAX_ITERATIONS = "MaxIterations"
+INNER_MAX_ITERATIONS = "InnerMaxIterations"
 STAGNATION = "Stagnation"
 LINEAR_SOLVE_FAILURE = "LinearSolveFailure"
 
 # rounds of threshold tightening while the accuracy criteria are re-checked
 # against the realized candidate multiplier
 _MAX_FIXED_POINT_ROUNDS = 60
+# The accuracy sequences epshat_k = _EPSHAT_SCALE * _EPSHAT_RATIO**k and
+# deltahat_k (alike) are geometric, hence summable.  Their decay is
+# deliberately mild: with an aggressive ratio the inner accuracy demand
+# eventually outruns what double precision can deliver at large penalty
+# values, and late outer steps stall.
+_EPSHAT_SCALE = 1.0
+_EPSHAT_RATIO = 0.9
+_DELTAHAT_SCALE = 1.0
+_DELTAHAT_RATIO = 0.9
+# the penalty grows by this factor, up to the cap, after an outer step that
+# leaves primal infeasibility above complementarity
+_SIGMA_GROWTH = 3.0
+_SIGMA_MAX = 1e8
 
 
 class ProblemData:
@@ -79,11 +93,7 @@ class ProblemData:
 
 @dataclass
 class AlmOptions:
-    """Solver options; the accuracy sequences are geometric, hence summable.
-
-    The sequence decay is deliberately mild: with an aggressive ratio the
-    inner accuracy demand eventually outruns what double precision can
-    deliver at large penalty values, and late outer steps stall.
+    """Solver options.
 
     Every problem, linear or quadratic, starts at the penalty ``sigma0``
     (default 1).  Scaling the start down by ``1/lambda_max(H)`` makes the
@@ -94,26 +104,17 @@ class AlmOptions:
     tol: float = 1e-8
     max_outer: int = 100
     sigma0: float = 1.0
-    sigma_growth: float = 3.0
-    sigma_max: float = 1e8
-    epshat_scale: float = 1.0
-    epshat_ratio: float = 0.9
-    deltahat_scale: float = 1.0
-    deltahat_ratio: float = 0.9
     use_criterion_b: bool = False
     newton: NewtonParams = field(default_factory=NewtonParams)
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        for name in ("epshat_ratio", "deltahat_ratio"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1) for summability")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be positive and finite")
+        if not (isinstance(self.max_outer, (int, np.integer))
+                and self.max_outer >= 0):
+            raise ValueError("max_outer must be a non-negative integer")
         if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
             raise ValueError("sigma0 must be positive and finite")
-        if self.sigma_growth <= 1.0:
-            raise ValueError("sigma_growth must exceed 1")
 
 
 @dataclass
@@ -155,10 +156,11 @@ class SolveResult:
     status: str
     outer_iters: int
     newton_iters: int
-    krylov_iters: int
     wall_time: float
     complementarity: list
     iteration_log: list
+    # every linear solve is direct; result-file format 1 still has the line
+    krylov_iters = 0
 
     @property
     def kkt_residual(self):
@@ -216,7 +218,6 @@ class StepInfo:
     """Bookkeeping of one outer step (counters and the realized criteria)."""
 
     newton_iters: int
-    krylov_iters: int
     psi: float
     grad_norm: float
     epshat: float
@@ -265,8 +266,8 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
     """
     sigma = iterate.sigma
     y = iterate.y
-    ehat = options.epshat_scale * options.epshat_ratio ** k
-    dhat = options.deltahat_scale * options.deltahat_ratio ** k
+    ehat = _EPSHAT_SCALE * _EPSHAT_RATIO ** k
+    dhat = _DELTAHAT_SCALE * _DELTAHAT_RATIO ** k
     params = options.newton
     state = make_state(problem, iterate.x1, iterate.x2, y, sigma)
     # the inner gradient at acceptance becomes the dual-feasibility residual of
@@ -278,7 +279,6 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
                                   options.use_criterion_b)
     threshold = min(rhs_a if rhs_b is None else min(rhs_a, rhs_b), floor)
     newton = 0
-    krylov = 0
     accepted = False
     inner_status = ssn.CONVERGED
     x3 = None
@@ -288,7 +288,6 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
             break
         res = run_inner(problem, y, sigma, state, max(threshold, 1e-300), params)
         newton += res.newton_iters
-        krylov += res.krylov_iters
         state = res.state
         x3 = res.x3
         inner_status = res.status
@@ -304,7 +303,7 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
     if x3 is None:
         x3 = project(problem.cone, -state.z / sigma)
     new_iterate = Iterate(state.x1, state.x2, x3, state.proj, sigma)
-    info = StepInfo(newton, krylov, state.psi, state.grad_norm, ehat, dhat,
+    info = StepInfo(newton, state.psi, state.grad_norm, ehat, dhat,
                     rhs_a, rhs_b, y, inner_status, accepted)
     return new_iterate, info
 
@@ -360,7 +359,6 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
 
     lines = []
     newton_total = 0
-    krylov_total = 0
     d = kkt_residuals(problem, iterate.x1, iterate.x2, iterate.x3, iterate.y)
     status = MAX_ITERATIONS
     outer = 0
@@ -372,7 +370,6 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
             iterate, info = outer_step(problem, iterate, options, k)
             outer = k + 1
             newton_total += info.newton_iters
-            krylov_total += info.krylov_iters
             d = kkt_residuals(problem, iterate.x1, iterate.x2, iterate.x3,
                               iterate.y)
             line = format_log_line(k, iterate.sigma, info.psi, info.grad_norm,
@@ -388,11 +385,11 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
                 status = LINEAR_SOLVE_FAILURE
                 break
             if not info.accepted:
-                status = STAGNATION
+                status = (INNER_MAX_ITERATIONS
+                          if info.inner_status == ssn.MAX_ITERS else STAGNATION)
                 break
             if d[2] > d[1]:
-                iterate.sigma = min(options.sigma_growth * iterate.sigma,
-                                    options.sigma_max)
+                iterate.sigma = min(_SIGMA_GROWTH * iterate.sigma, _SIGMA_MAX)
 
     nat = float(np.linalg.norm(natural_map(
         problem, iterate.x1, iterate.x2, iterate.x3, iterate.y)))
@@ -402,7 +399,7 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
         delta1=d[0], delta2=d[1], delta3=d[2], delta4=d[3],
         pobj=d[4], dobj=d[5], natural_map_norm=nat,
         status=status, outer_iters=outer, newton_iters=newton_total,
-        krylov_iters=krylov_total, wall_time=time.perf_counter() - t0,
+        wall_time=time.perf_counter() - t0,
         complementarity=report, iteration_log=lines)
 
 

@@ -328,8 +328,9 @@ def parse_result(path) -> ResultData:
     if len(head) != 3 or head[1] != "result":
         r.error("expected header 'socalm result <version>'")
     toks = r.keyword("status")
-    status = toks[1]
-    fields = {"status": status}
+    if len(toks) != 2:
+        r.error("field 'status' needs exactly one value")
+    fields = {"status": toks[1]}
     fields["pobj"] = r.keyword_float("pobj")
     fields["dobj"] = r.keyword_float("dobj")
     for i in range(1, 5):

@@ -98,7 +98,6 @@ class SparseSymmetric:
         self.row_support = np.diff(self._csr.indptr) > 0
         self.row_support.flags.writeable = False
         self._fro = None
-        self._lam_max = None
         self._dense = None
         self._eigen = None
 
@@ -156,11 +155,6 @@ class SparseSymmetric:
             self._fro = float(sp.linalg.norm(self._csr, "fro"))
         return self._fro
 
-    def lambda_max_estimate(self):
-        if self._lam_max is None:
-            self._lam_max = estimate_lambda_max(self)
-        return self._lam_max
-
     def dense_copy(self):
         """Read-only dense array of the matrix, or None when CSR is smaller.
 
@@ -191,45 +185,13 @@ class SparseSymmetric:
         return f"SparseSymmetric(n={self.n}, nnz_lower={self.nnz_lower})"
 
 
-def estimate_lambda_max(H: SparseSymmetric) -> float:
-    """Upper estimate of the largest eigenvalue of a PSD symmetric matrix.
-
-    Power iteration (at most 50 steps, relative tolerance 1e-4) scaled by a
-    1.2 safety factor, capped by the infinity-norm row bound.  Returns 0 for
-    the zero matrix.
-    """
-    if H.is_zero:
-        return 0.0
-    Hc = H.to_csr()
-    inf_bound = float(np.abs(Hc).sum(axis=1).max())
-    n = H.n
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(50):
-        w = Hc @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # started in the null space; restart from the heaviest diagonal
-            j = int(np.argmax(np.abs(Hc.diagonal())))
-            v = np.zeros(n)
-            v[j] = 1.0
-            continue
-        lam_new = float(v @ w)
-        v = w / nw
-        if abs(lam_new - lam) <= 1e-4 * max(abs(lam_new), 1e-30):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(min(1.2 * max(lam, 0.0), inf_bound))
-
-
 @dataclass
 class SolveStats:
     method: str
+    residual: float = 0.0
     # every route is direct, so this stays 0; kept because solve results and
     # the result file report the total as ``krylov_iters``
-    iterations: int = 0
-    residual: float = 0.0
+    iterations = 0
 
 
 def _jacobian_scale(J: JacobianElement) -> np.ndarray:
@@ -797,7 +759,8 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
         [[I + sigma*V*H, -sigma*V*A'], [-sigma*A*V*H, eps*I + sigma*A*V*A']]
 
     applied to ``(d1, d2) = (R1, R2)`` with residual at most
-    ``tol / max(1, lambda_max_estimate(H))``.  Only ``H @ d1`` and the
+    ``max(tol / max(1, ||H||_F), 1e-12 ||(R1; R2)||)``.  ``||H||_F`` is
+    cached on H and bounds its largest eigenvalue.  Only ``H @ d1`` and the
     quadratic form of ``d1`` are meaningful to callers; both agree with the
     range-space projected direction, which is never formed.
 
@@ -823,8 +786,7 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     if R1.shape != (n,) or R2.shape != (m,):
         raise ValueError("right-hand side block dimensions do not match A")
     rhs_scale = np.sqrt(R1 @ R1 + R2 @ R2)
-    stop = max(float(tol) / max(1.0, H.lambda_max_estimate()),
-               1e-12 * rhs_scale)
+    stop = max(float(tol) / max(1.0, H.fro_norm()), 1e-12 * rhs_scale)
     rhs = np.concatenate([R1, R2])
 
     Hd = H.dense_copy()

@@ -20,7 +20,7 @@ and ``<x1, H x1>`` are ever consumed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -265,19 +265,14 @@ def _dot(quadratic, u1, v1, u2, v2):
 
 @dataclass
 class InnerResult:
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
-    grad_norm: float
-    newton_iters: int
-    krylov_iters: int
-    status: str
     state: InnerState
-    steps: list = field(default_factory=list)
+    x3: np.ndarray
+    newton_iters: int
+    status: str
 
 
-def run_inner(problem, y, sigma, start, stop_threshold, params: NewtonParams,
-              collect_steps=False) -> InnerResult:
+def run_inner(problem, y, sigma, start, stop_threshold,
+              params: NewtonParams) -> InnerResult:
     """Drive the Newton iteration until ``||grad psi|| <= stop_threshold``.
 
     ``start`` is either an :class:`InnerState` or an ``(x1, x2)`` pair.  A
@@ -296,8 +291,6 @@ def run_inner(problem, y, sigma, start, stop_threshold, params: NewtonParams,
         x1, x2 = (start.x1, start.x2) if isinstance(start, InnerState) else start
         state = make_state(problem, x1, x2, y, sigma)
     newton = 0
-    krylov = 0
-    steps = []
     tiny_run = 0
     status = MAX_ITERS
     for _ in range(params.max_newton_iters):
@@ -305,22 +298,15 @@ def run_inner(problem, y, sigma, start, stop_threshold, params: NewtonParams,
             status = CONVERGED
             break
         try:
-            d1, d2, eps_j, nu_j, lstats = newton_direction(
-                problem, state, sigma, params)
+            d1, d2, _, _, _ = newton_direction(problem, state, sigma, params)
         except LinearSolveError as err:
             logger.warning("inner solve aborted: %s", err)
             status = LINEAR_SOLVE_FAILURE
             break
-        if lstats is not None:
-            krylov += lstats.iterations
         psi_old = state.psi
         gnorm_old = state.grad_norm
         alpha, new_state, info = line_search(problem, state, d1, d2, params)
         newton += 1
-        if collect_steps:
-            steps.append({"psi_old": psi_old, "gd": info["gd"], "alpha": alpha,
-                          "psi_new": new_state.psi, "eps_j": eps_j,
-                          "nu_j": nu_j, "warned": info["warned"]})
         step_len = alpha * float(np.sqrt(
             _dot(problem.is_quadratic, d1, d1, d2, d2)))
         tiny_run = tiny_run + 1 if step_len < _STAGNATION_STEP else 0
@@ -334,10 +320,7 @@ def run_inner(problem, y, sigma, start, stop_threshold, params: NewtonParams,
         if tiny_run >= _STAGNATION_RUNS:
             status = STAGNATION
             break
-    else:
-        status = MAX_ITERS
     if state.grad_norm <= stop_threshold:
         status = CONVERGED
     x3 = project(problem.cone, -state.z / sigma)
-    return InnerResult(state.x1, state.x2, x3, state.grad_norm, newton, krylov,
-                       status, state, steps)
+    return InnerResult(state, x3, newton, status)

@@ -1,5 +1,7 @@
 """Outer-loop residuals, multiplier updates, termination, and diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -27,9 +29,12 @@ from socalm import (
     project,
     solve,
 )
+from socalm import alm, ssn
 from socalm.alm import (
+    INNER_MAX_ITERATIONS,
     LOG_HEADER,
     OPTIMAL,
+    STAGNATION,
     BlockReport,
     _complementarity_report,
     format_log_line,
@@ -187,6 +192,28 @@ class TestSolve:
         for name in ("x1", "x2", "x3", "y"):
             assert not np.shares_memory(getattr(res, name),
                                         getattr(start, name))
+
+    def test_inner_iteration_limit_is_named(self):
+        _, p = gen_trs(50, 1)
+        res = solve(p, AlmOptions(newton=ssn.NewtonParams(max_newton_iters=1)))
+        assert res.status == INNER_MAX_ITERATIONS
+        assert (res.outer_iters, res.newton_iters) == (1, 1)
+
+    @pytest.mark.parametrize("inner", [ssn.STAGNATION, ssn.LINESEARCH_FAILURE])
+    def test_other_inner_stops_are_stagnation(self, monkeypatch, inner):
+        # the same unconverged inner solve, reported with another cause
+        run_inner = alm.run_inner
+
+        def relabelled(*args):
+            res = run_inner(*args)
+            assert res.status == ssn.MAX_ITERS
+            res.status = inner
+            return res
+
+        monkeypatch.setattr(alm, "run_inner", relabelled)
+        _, p = gen_trs(50, 1)
+        res = solve(p, AlmOptions(newton=ssn.NewtonParams(max_newton_iters=1)))
+        assert res.status == STAGNATION
 
     def test_infeasible_never_optimal(self):
         res = solve(infeasible_toy(), AlmOptions(max_outer=15))
@@ -461,13 +488,19 @@ class TestProblemDataValidation:
 
 
 class TestAlmOptionsValidation:
-    def test_ratio_must_be_summable(self):
-        with pytest.raises(ValueError):
-            AlmOptions(epshat_ratio=1.0)
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(AlmOptions)] == [
+            "tol", "max_outer", "sigma0", "use_criterion_b", "newton"]
 
-    def test_growth_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            AlmOptions(sigma_growth=1.0)
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            AlmOptions(tol=tol)
+
+    @pytest.mark.parametrize("max_outer", [-3, 2.5])
+    def test_max_outer_must_be_a_non_negative_integer(self, max_outer):
+        with pytest.raises(ValueError, match="max_outer"):
+            AlmOptions(max_outer=max_outer)
 
     @pytest.mark.parametrize("sigma0", [0.0, -1.0, np.nan, np.inf])
     def test_sigma0_must_be_positive_and_finite(self, sigma0):

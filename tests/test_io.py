@@ -214,6 +214,17 @@ class TestCli:
         assert cli_main(["solve", prob, "--sigma0", sigma0]) == 2
         assert "sigma0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--tol", "inf", "tol"), ("--tol", "nan", "tol"), ("--tol", "0", "tol"),
+        ("--max-iter", "-3", "max_outer"),
+    ])
+    def test_invalid_stopping_options_exit_2(self, tmp_path, capsys, flag,
+                                             value, field):
+        prob = str(tmp_path / "b.prob")
+        assert cli_main(["gen", "meb", "--m", "4", "--d", "2", "-o", prob]) == 0
+        assert cli_main(["solve", prob, flag, value]) == 2
+        assert field in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_repeated_pipeline_identical_modulo_timing(self, tmp_path):
@@ -260,7 +271,7 @@ def fixed_result(x=None, y=None):
                        delta3=2.5e-10, delta4=1.0 / 7.0, pobj=-12.5,
                        dobj=-12.500000001, natural_map_norm=3e-11,
                        status="Optimal", outer_iters=3, newton_iters=17,
-                       krylov_iters=0, wall_time=0.125,
+                       wall_time=0.125,
                        complementarity=reports,
                        iteration_log=["iter 1  sigma 1.0", "iter 2  sigma 3.0"])
 
@@ -545,3 +556,17 @@ class TestParserErrorContract:
         with pytest.raises(ProblemFormatError, match=message):
             parse_problem(f)
         assert cli_main(["check", str(f)]) == 2
+
+    @pytest.mark.parametrize("line", ["status", "status Optimal extra"])
+    def test_result_status_needs_one_value(self, tmp_path, capsys, line):
+        res = tmp_path / "bad.res"
+        res.write_text(FIXED_RESULT_TEXT.replace("status Optimal\n",
+                                                 line + "\n", 1))
+        with pytest.raises(ProblemFormatError,
+                           match="line 2: field 'status' needs exactly one "
+                                 "value$"):
+            parse_result(res)
+        prob = tmp_path / "p.prob"
+        prob.write_text(FIXED_PROBLEM_TEXT)
+        assert cli_main(["diag", str(prob), str(res)]) == 2
+        assert "internal error" not in capsys.readouterr().err

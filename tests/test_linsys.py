@@ -19,7 +19,6 @@ from socalm import (
     SparseSymmetric,
     apply_jacobian,
     assemble_linear,
-    estimate_lambda_max,
     jacobian_element,
     make_jacobian,
     solve_quadratic,
@@ -96,25 +95,6 @@ class TestSparseSymmetric:
         np.testing.assert_array_equal(H.matvec(v), store @ v)
         np.testing.assert_array_equal(H.matvec(X), store @ X)
         assert H.quad(v) == float(v @ (store @ v))
-
-
-class TestLambdaMax:
-    def test_zero_matrix(self):
-        assert estimate_lambda_max(SparseSymmetric.zero(4)) == 0.0
-
-    def test_diagonal(self):
-        H = SparseSymmetric.from_dense(np.diag([1.0, 5.0]))
-        lam = estimate_lambda_max(H)
-        assert 5.0 <= lam <= 6.0
-
-    def test_random_psd_within_bound(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            G = rng.standard_normal((30, 30))
-            M = G @ G.T
-            lam_true = np.linalg.eigvalsh(M)[-1]
-            lam = estimate_lambda_max(SparseSymmetric.from_dense(M))
-            assert lam_true * (1 - 1e-8) <= lam <= 1.2 * lam_true + 1e-8
 
 
 class TestAssembly:
@@ -670,16 +650,21 @@ class TestSolveSpd:
             solve_spd(rank_one_example(), np.ones(2), 1e-12, strategy="krylov")
 
 
-def quadratic_reference(H, A, J, sigma, eps, R1, R2):
-    """Solve of the unsymmetric quadratic-case block system, formed densely."""
-    n, m = R1.size, R2.size
+def quadratic_block_matrix(H, A, J, sigma, eps):
+    """The unsymmetric quadratic-case block system, formed densely."""
+    n, m = H.n, A.shape[0]
     V = jacobian_sparse_matrix(J).toarray()
     Hd = H.to_csr().toarray()
     Ad = A.toarray()
-    Mhat = np.block([
+    return np.block([
         [np.eye(n) + sigma * V @ Hd, -sigma * V @ Ad.T],
         [-sigma * Ad @ V @ Hd, eps * np.eye(m) + sigma * Ad @ V @ Ad.T]])
-    return np.linalg.solve(Mhat, np.concatenate([R1, R2]))
+
+
+def quadratic_reference(H, A, J, sigma, eps, R1, R2):
+    """Solve of the unsymmetric quadratic-case block system, formed densely."""
+    return np.linalg.solve(quadratic_block_matrix(H, A, J, sigma, eps),
+                           np.concatenate([R1, R2]))
 
 
 @pytest.fixture
@@ -789,6 +774,48 @@ class TestSolveQuadratic:
         got = np.concatenate([d1, d2])
         assert (np.linalg.norm(got - ref)
                 <= 1e-10 * max(1.0, np.linalg.norm(ref)))
+
+    @pytest.mark.parametrize("route", ["eigenbasis", "dense LU", "splu"])
+    def test_stop_is_scaled_by_the_frobenius_norm_of_h(self, monkeypatch,
+                                                       route):
+        # eigenvalues in [50, 100]: ||H||_F is about 9 times lambda_max
+        rng = np.random.default_rng(11)
+        n, m = 150, 3
+        lam = rng.uniform(50.0, 100.0, n)
+        if route == "splu":
+            H = SparseSymmetric(n, np.arange(n), np.arange(n), lam)
+        else:
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            H = SparseSymmetric.from_dense((Q * lam) @ Q.T)
+        assert (H.dense_copy() is None) == (route == "splu")
+        assert H.fro_norm() > 8.0 * lam.max()
+        # one Lorentz block keeps V's diagonal constant on H's support (the
+        # eigenbasis solve); an orthant beside it does not
+        cone = ConeSpec.make(soc=(n,)) if route == "eigenbasis" else \
+            ConeSpec.make(nonneg=50, soc=(n - 50,))
+        J = jacobian_element(cone, 2.0 * rng.standard_normal(n))
+        A = sp.csr_matrix(rng.standard_normal((m, n)))
+        sigma, eps, tol = 0.5, 0.1, 1e-6
+        if route != "splu":
+            eigen = linsys._quadratic_eigen(H, A, J, sigma, eps)
+            assert (eigen is not None) == (route == "eigenbasis")
+        R1, R2 = rng.standard_normal(n), rng.standard_normal(m)
+        rhs = np.concatenate([R1, R2])
+        bound = max(tol / max(1.0, H.fro_norm()), 1e-12 * np.linalg.norm(rhs))
+        assert bound == tol / H.fro_norm()
+        stops = []
+        refine = linsys._refine
+
+        def recording_refine(solve, matvec, rhs, stop, method):
+            stops.append(stop)
+            return refine(solve, matvec, rhs, stop, method)
+
+        monkeypatch.setattr(linsys, "_refine", recording_refine)
+        d1, d2, stats = solve_quadratic(H, A, J, sigma, eps, R1, R2, tol)
+        assert stats.method == ("splu" if route == "splu" else "dense")
+        assert stops == [bound]
+        M = quadratic_block_matrix(H, A, J, sigma, eps)
+        assert np.linalg.norm(M @ np.concatenate([d1, d2]) - rhs) <= bound
 
     @pytest.mark.parametrize("pairs_removed, route", [(18, "dense"),
                                                       (19, "splu")])

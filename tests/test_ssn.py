@@ -361,27 +361,35 @@ class TestRunInner:
             y = np.array([y0])
             res = run_inner(problem, y, sigma, (np.zeros(1), np.zeros(1)),
                             1e-12, NewtonParams())
-            assert res.grad_norm <= 1e-12
-            assert abs(res.x2[0] - (1.0 - y0) / sigma) <= 1e-10
+            assert res.state.grad_norm <= 1e-12
+            assert abs(res.state.x2[0] - (1.0 - y0) / sigma) <= 1e-10
 
-    def test_meb_inner_solve(self):
+    def test_meb_inner_solve(self, monkeypatch):
         inst, problem = gen_meb(10, 3)
+        steps = []
+
+        def recording_line_search(problem, state, d1, d2, params):
+            out = line_search(problem, state, d1, d2, params)
+            steps.append((state.psi, out))
+            return out
+
+        monkeypatch.setattr(ssn, "line_search", recording_line_search)
+        params = NewtonParams()
         res = run_inner(problem, np.zeros(problem.n), 1.0,
                         (np.zeros(problem.n), np.zeros(problem.m)),
-                        1e-10, NewtonParams(), collect_steps=True)
+                        1e-10, params)
         assert res.status == CONVERGED
-        assert res.grad_norm <= 1e-10
+        assert res.state.grad_norm <= 1e-10
+        assert len(steps) == res.newton_iters > 0
         from socalm import dist_to_cone
         assert dist_to_cone(problem.cone, res.x3) <= 1e-10 * (
             1 + np.linalg.norm(res.x3))
         # every step accepted through the sufficient-decrease test honours the
         # inequality as evaluated (warned steps are the documented fallback)
-        params = NewtonParams()
-        for step in res.steps:
-            if step["warned"]:
+        for psi_old, (alpha, new, info) in steps:
+            if info["warned"]:
                 continue
-            assert (step["psi_new"]
-                    <= step["psi_old"] + params.mu * step["alpha"] * step["gd"])
+            assert new.psi <= psi_old + params.mu * alpha * info["gd"]
 
     def test_start_state_is_evaluated_at_the_given_multiplier(self):
         # a state made at another (y, sigma) is re-evaluated, and one made at
@@ -397,7 +405,7 @@ class TestRunInner:
             start = make_state(problem, x1, x2, y0, sigma0)
             res = run_inner(problem, y, 2.0, start, 1e-10, params)
             assert res.newton_iters == ref.newton_iters
-            assert np.array_equal(res.x2, ref.x2)
+            assert np.array_equal(res.state.x2, ref.state.x2)
             assert np.array_equal(res.state.proj, ref.state.proj)
 
     def test_invalid_threshold(self):
