@@ -10,7 +10,7 @@ relative KKT residuals.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,10 +39,12 @@ _EPSHAT_SCALE = 1.0
 _EPSHAT_RATIO = 0.9
 _DELTAHAT_SCALE = 1.0
 _DELTAHAT_RATIO = 0.9
-# the penalty grows by this factor, up to the cap, after an outer step that
-# leaves primal infeasibility above complementarity
+# the penalty starts at _SIGMA0 and grows by _SIGMA_GROWTH, up to the cap,
+# after an outer step that leaves primal infeasibility above complementarity
+_SIGMA0 = 1.0
 _SIGMA_GROWTH = 3.0
 _SIGMA_MAX = 1e8
+_NEWTON = NewtonParams()
 
 
 class ProblemData:
@@ -64,7 +66,7 @@ class ProblemData:
         self.b = np.asarray(b, dtype=float).ravel()
         self.c = np.asarray(c, dtype=float).ravel()
         if H is None:
-            H = SparseSymmetric.zero(n)
+            H = SparseSymmetric(n)
         if not isinstance(H, SparseSymmetric):
             H = (SparseSymmetric.from_dense(H) if isinstance(H, np.ndarray)
                  else SparseSymmetric.from_sparse(H))
@@ -93,19 +95,12 @@ class ProblemData:
 
 @dataclass
 class AlmOptions:
-    """Solver options.
-
-    Every problem, linear or quadratic, starts at the penalty ``sigma0``
-    (default 1).  Scaling the start down by ``1/lambda_max(H)`` makes the
-    first inner solve of a quadratic problem with large ``H`` take hundreds
-    of Newton steps, or run out of them.
-    """
+    """Solver options: the KKT tolerance, the outer step budget, and whether
+    the rate-targeting accuracy test is enforced as well."""
 
     tol: float = 1e-8
     max_outer: int = 100
-    sigma0: float = 1.0
     use_criterion_b: bool = False
-    newton: NewtonParams = field(default_factory=NewtonParams)
 
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
@@ -113,8 +108,6 @@ class AlmOptions:
         if not (isinstance(self.max_outer, (int, np.integer))
                 and self.max_outer >= 0):
             raise ValueError("max_outer must be a non-negative integer")
-        if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
-            raise ValueError("sigma0 must be positive and finite")
 
 
 @dataclass
@@ -268,7 +261,6 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
     y = iterate.y
     ehat = _EPSHAT_SCALE * _EPSHAT_RATIO ** k
     dhat = _DELTAHAT_SCALE * _DELTAHAT_RATIO ** k
-    params = options.newton
     state = make_state(problem, iterate.x1, iterate.x2, y, sigma)
     # the inner gradient at acceptance becomes the dual-feasibility residual of
     # the next iterate, so cap the threshold at the termination scale; this
@@ -286,7 +278,7 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
         if state.grad_norm == 0.0:
             accepted = True
             break
-        res = run_inner(problem, y, sigma, state, max(threshold, 1e-300), params)
+        res = run_inner(problem, y, sigma, state, max(threshold, 1e-300), _NEWTON)
         newton += res.newton_iters
         state = res.state
         x3 = res.x3
@@ -332,6 +324,8 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
           start: Iterate | None = None, log=None, callback=None) -> SolveResult:
     """Run the outer loop until the relative KKT residual drops below ``tol``.
 
+    A cold start begins at the origin with penalty 1, a warm ``start`` at
+    its own point and ``sigma`` (positive and finite).
     ``log`` may be a callable or a file-like object receiving the fixed-width
     per-iteration lines; ``callback(k, iterate, info, deltas)`` is invoked on
     the solving thread after every outer step (used by diagnostics and tests).
@@ -345,17 +339,18 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
     if options is None:
         options = AlmOptions()
     t0 = time.perf_counter()
-    sigma = float(options.sigma0)
     if start is None:
+        # zero pages take no memory until written, and x1 never is if linear
         iterate = Iterate(np.zeros(problem.n), np.zeros(problem.m),
-                          np.zeros(problem.n), np.zeros(problem.n), sigma)
+                          np.zeros(problem.n), np.zeros(problem.n), _SIGMA0)
     else:
+        sigma = float(start.sigma)
+        if not (np.isfinite(sigma) and sigma > 0):
+            raise ValueError("start.sigma must be positive and finite")
         # copies: in the linear case x1 never moves, so the result's x1
         # would otherwise be the caller's own array
-        iterate = Iterate(np.array(start.x1, dtype=float),
-                          np.array(start.x2, dtype=float),
-                          np.array(start.x3, dtype=float),
-                          np.array(start.y, dtype=float), sigma)
+        iterate = Iterate(*(np.array(v, dtype=float) for v in (
+            start.x1, start.x2, start.x3, start.y)), sigma)
 
     lines = []
     newton_total = 0

@@ -110,6 +110,13 @@ class _Reader:
             self.error(f"expected {' or '.join(expected)!r}, found {toks[0]!r}")
         return toks
 
+    def header(self, kind):
+        head = self.keyword("socalm")
+        if len(head) != 3 or head[1] != kind:
+            self.error(f"expected header 'socalm {kind} <version>'")
+        if head[2] != str(FORMAT_VERSION):
+            self.error(f"unsupported format version {head[2]}")
+
     def keyword_int(self, name):
         return self.int_field(self.keyword(name))
 
@@ -126,10 +133,16 @@ class _Reader:
         toks = self.keyword(name)
         if len(toks) != 2:
             self.error(f"field {name!r} needs exactly one number")
+        return self.finite(toks[1], f"field {name!r}")
+
+    def finite(self, tok, what):
         try:
-            return float(toks[1])
+            value = float(tok)
         except ValueError:
-            self.error(f"field {name!r}: {toks[1]!r} is not a number")
+            self.error(f"{what}: {tok!r} is not a number")
+        if not np.isfinite(value):
+            self.error(f"{what}: {tok!r} is not finite")
+        return value
 
     def next_block(self, k):
         """The next ``k`` raw lines, at most ``_BLOCK_LINES`` of them."""
@@ -217,9 +230,9 @@ def write_problem(problem: ProblemData, path):
         fh.write(f"A {A.nnz}\n")
         _write_triplets(fh, A.row, A.col, A.data)
         if problem.is_quadratic:
-            H = problem.H
-            fh.write(f"H {H.nnz_lower}\n")
-            _write_triplets(fh, H.rows, H.cols, H.vals)
+            rows, cols, vals = problem.H.lower()
+            fh.write(f"H {vals.size}\n")
+            _write_triplets(fh, rows, cols, vals)
         fh.write("end\n")
 
 
@@ -228,11 +241,7 @@ def parse_problem(path) -> ProblemData:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     r = _Reader(text, str(path))
-    head = r.keyword("socalm")
-    if len(head) != 3 or head[1] != "problem":
-        r.error("expected header 'socalm problem <version>'")
-    if head[2] != str(FORMAT_VERSION):
-        r.error(f"unsupported format version {head[2]}")
+    r.header("problem")
     m = r.keyword_int("m")
     n = r.keyword_int("n")
     nblocks = r.keyword_int("cone")
@@ -267,11 +276,10 @@ def parse_problem(path) -> ProblemData:
     if toks[0] == "H":
         hnnz = r.int_field(toks)
         hr, hc, hv = r.read_triplets(hnnz, "H")
-        if hnnz and (hr.min() < 0 or hr.max() >= n or hc.min() < 0 or hc.max() >= n):
-            r.error("section 'H': index out of range")
-        if np.any(hr < hc):
-            r.error("section 'H': entries must satisfy row >= col")
-        H = SparseSymmetric(n, hr, hc, hv)
+        try:
+            H = SparseSymmetric(n, hr, hc, hv)
+        except ValueError as err:
+            r.error(f"section 'H': {err}")
         r.keyword("end")
     try:
         return ProblemData(H, A, b, c, cone)
@@ -324,21 +332,16 @@ def parse_result(path) -> ResultData:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     r = _Reader(text, str(path))
-    head = r.keyword("socalm")
-    if len(head) != 3 or head[1] != "result":
-        r.error("expected header 'socalm result <version>'")
+    r.header("result")
     toks = r.keyword("status")
     if len(toks) != 2:
         r.error("field 'status' needs exactly one value")
     fields = {"status": toks[1]}
-    fields["pobj"] = r.keyword_float("pobj")
-    fields["dobj"] = r.keyword_float("dobj")
-    for i in range(1, 5):
-        fields[f"delta{i}"] = r.keyword_float(f"delta{i}")
-    fields["natural_map_norm"] = r.keyword_float("natural_map_norm")
-    fields["outer_iters"] = r.keyword_int("outer_iters")
-    fields["newton_iters"] = r.keyword_int("newton_iters")
-    fields["krylov_iters"] = r.keyword_int("krylov_iters")
+    for name in ("pobj", "dobj", "delta1", "delta2", "delta3", "delta4",
+                 "natural_map_norm"):
+        fields[name] = r.keyword_float(name)
+    for name in ("outer_iters", "newton_iters", "krylov_iters"):
+        fields[name] = r.keyword_int(name)
     fields["wall_time"] = r.keyword_float("wall_time")
     ncomp = r.keyword_int("complementarity")
     comp = []
@@ -349,8 +352,9 @@ def parse_result(path) -> ResultData:
         comp.append(alm.BlockReport(
             block_id=int(toks[0]), kind=toks[1], x3_status=toks[2],
             y_status=toks[3], category=toks[4],
-            strictly_complementary=bool(int(toks[5])), margin=float(toks[6]),
-            inner_product=float(toks[7])))
+            strictly_complementary=bool(int(toks[5])),
+            margin=r.finite(toks[6], "complementarity margin"),
+            inner_product=r.finite(toks[7], "complementarity inner product")))
     fields["complementarity"] = comp
     nlog = r.keyword_int("iterlog")
     log = []
@@ -378,8 +382,6 @@ def _build_parser():
     ps.add_argument("problem")
     ps.add_argument("--tol", type=float, default=1e-8)
     ps.add_argument("--max-iter", type=int, default=100)
-    ps.add_argument("--sigma0", type=float, default=1.0,
-                    help="initial penalty parameter (default: 1)")
     ps.add_argument("--criterion-b", action="store_true",
                     help="also enforce the rate-targeting accuracy test")
     ps.add_argument("--out", default=None, help="result file path "
@@ -413,7 +415,7 @@ def _build_parser():
 
 def _cmd_solve(args):
     options = AlmOptions(tol=args.tol, max_outer=args.max_iter,
-                         sigma0=args.sigma0, use_criterion_b=args.criterion_b)
+                         use_criterion_b=args.criterion_b)
     problem = parse_problem(args.problem)
     result = solve(problem, options, log=sys.stdout)
     out = args.out if args.out else args.problem + ".result"

@@ -24,15 +24,15 @@ instead.  A solve that still misses its tolerance after two refinement steps
 raises :class:`LinearSolveError`.
 
 The quadratic case solves the unsymmetric two-by-two block system, for any H,
-by a direct solve chosen by the storage of H.  When H is stored dense (its
-lazily built :meth:`SparseSymmetric.dense_copy`), the solve eliminates the
-first block in H's eigenbasis (:meth:`SparseSymmetric.eigen`, one ``eigh``
-per problem, kept): where V's diagonal weights are constant on H's row
-support, ``I + sigma V H`` is diagonal there plus the few low-rank columns
-that touch H, so a step costs O(n^2).  Where they are not, or where those
-columns and the m rows are together at least n, the block matrix is formed
-from the diagonal and low-rank parts of V with dense products into one array
-and factored by LAPACK LU in place.  When H is stored sparse, the assembled
+by a direct solve chosen by the one storage of H (:class:`SparseSymmetric`).
+When H is stored dense, the solve eliminates the first block in H's
+eigenbasis (:meth:`SparseSymmetric.eigen`, one ``eigh`` per problem, kept):
+where V's diagonal weights are constant on H's row support,
+``I + sigma V H`` is diagonal there plus the few low-rank columns that touch
+H, so a step costs O(n^2).  Where they are not, or where those columns and
+the m rows are together at least n, the block matrix is formed from the
+diagonal and low-rank parts of V with dense products into one array and
+factored by LAPACK LU in place.  When H is stored sparse, the assembled
 sparse block matrix goes to sparse LU.  Misses and failed factorizations
 raise :class:`LinearSolveError` as in the linear case.
 """
@@ -47,6 +47,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .blas import single_thread
 from .cone import JacobianElement
 
 # low-rank eigenvalue below this is dropped from the update (rank degenerates)
@@ -65,10 +66,12 @@ class LinearSolveError(RuntimeError):
 
 
 class SparseSymmetric:
-    """Symmetric matrix stored as coordinate entries of its lower triangle.
+    """Symmetric matrix held in one storage, chosen at construction.
 
-    Duplicate coordinates are summed during assembly; the realized matrix is
-    symmetric by construction.
+    A read-only dense array when that is no larger than CSR of the nonzeros
+    (:func:`_dense_is_smaller`), that CSR matrix otherwise; ``row_support``
+    and the Frobenius norm are computed once from it.  The constructor sums
+    duplicate coordinate entries of the lower triangle.
     """
 
     def __init__(self, n, rows=(), cols=(), vals=()):
@@ -86,24 +89,32 @@ class SparseSymmetric:
         low = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
         low.sum_duplicates()
         low.eliminate_zeros()
-        self.n = n
-        self.rows = low.row.copy()
-        self.cols = low.col.copy()
-        self.vals = low.data.copy()
         strict = low.row != low.col
         upper = sp.coo_matrix(
             (low.data[strict], (low.col[strict], low.row[strict])), shape=(n, n))
-        self._csr = (low.tocsr() + upper.tocsr()).tocsr()
-        # rows (equally, columns) that hold a nonzero
-        self.row_support = np.diff(self._csr.indptr) > 0
-        self.row_support.flags.writeable = False
-        self._fro = None
-        self._dense = None
-        self._eigen = None
+        self._hold((low.tocsr() + upper.tocsr()).tocsr())
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
+    def _hold(self, M):
+        """Keep ``M`` (square array or canonical CSR) as the rule picks."""
+        n = M.shape[0]
+        nnz = M.nnz if sp.issparse(M) else np.count_nonzero(M)
+        if _dense_is_smaller(n, n, nnz):
+            M = M.toarray() if sp.issparse(M) else M
+            M.flags.writeable = False
+            mask = M != 0
+            nonzeros, support = M[mask], mask.any(axis=1)
+        else:
+            M = sp.csr_matrix(M)
+            nonzeros, support = M.data, np.diff(M.indptr) > 0
+        # rows (equally, columns) that hold a nonzero
+        support.flags.writeable = False
+        self.n, self._matrix, self.row_support = n, M, support
+        # the 2-norm of the nonzeros in row order, as sparse.linalg.norm of
+        # the CSR form computes it, with the bits of any BLAS thread count
+        with single_thread():
+            self._fro = float(np.linalg.norm(nonzeros))
+        self._eigen = None
+        return self
 
     @classmethod
     def from_dense(cls, M, sym_tol=1e-10):
@@ -113,9 +124,7 @@ class SparseSymmetric:
         scale = 1.0 + np.abs(M).max(initial=0.0)
         if np.abs(M - M.T).max(initial=0.0) > sym_tol * scale:
             raise ValueError("matrix is not symmetric")
-        S = 0.5 * (M + M.T)
-        r, c = np.nonzero(np.tril(S))
-        return cls(M.shape[0], r, c, S[r, c])
+        return cls.__new__(cls)._hold(0.5 * (M + M.T))
 
     @classmethod
     def from_sparse(cls, M, sym_tol=1e-10):
@@ -126,63 +135,53 @@ class SparseSymmetric:
         diff = (M - M.T).tocoo()
         if diff.nnz and np.abs(diff.data).max() > sym_tol * scale:
             raise ValueError("matrix is not symmetric")
-        S = (0.5 * (M + M.T)).tocoo()
-        keep = S.row >= S.col
-        return cls(M.shape[0], S.row[keep], S.col[keep], S.data[keep])
-
-    @property
-    def nnz_lower(self):
-        return self.vals.size
+        S = sp.tril(0.5 * (M + M.T), format="coo")
+        return cls(M.shape[0], S.row, S.col, S.data)
 
     @property
     def is_zero(self):
-        return self.vals.size == 0
+        return not self.row_support.any()
 
     def to_csr(self):
-        return self._csr
+        """CSR form: the storage, or built from the dense array per call."""
+        M = self._matrix
+        return M if sp.issparse(M) else sp.csr_matrix(M)
+
+    def lower(self):
+        """``(rows, cols, vals)`` of the nonzeros with row >= col, row by row."""
+        low = sp.tril(self._matrix, format="coo")
+        return low.row, low.col, low.data
 
     def matvec(self, v):
-        """``H v``, through the dense copy when :meth:`dense_copy` keeps one."""
-        dense = self.dense_copy()
-        return (self._csr if dense is None else dense) @ v
+        """``H v``, a product with the storage."""
+        return self._matrix @ v
 
     def quad(self, v):
         """Quadratic form <v, H v>."""
         return float(v @ self.matvec(v))
 
     def fro_norm(self):
-        if self._fro is None:
-            self._fro = float(sp.linalg.norm(self._csr, "fro"))
         return self._fro
 
     def dense_copy(self):
-        """Read-only dense array of the matrix, or None when CSR is smaller.
-
-        Built on the first call that finds dense storage no larger than the
-        CSR form (see :func:`_dense_is_smaller`) and kept.
-        """
-        if self._dense is None and _dense_is_smaller(self.n, self.n,
-                                                     self._csr.nnz):
-            dense = self._csr.toarray()
-            dense.flags.writeable = False
-            self._dense = dense
-        return self._dense
+        """The read-only dense array when H is stored dense, else None."""
+        return None if sp.issparse(self._matrix) else self._matrix
 
     def eigen(self):
         """Read-only ``(lam, Q)`` with ``H = Q diag(lam) Q'``, or None.
 
-        ``np.linalg.eigh`` of :meth:`dense_copy`, built on the first call and
-        kept; None when H has no dense copy.
+        ``np.linalg.eigh`` of the dense storage, built on the first call and
+        kept; None when H is stored sparse.
         """
         if self._eigen is None and self.dense_copy() is not None:
-            lam, Q = np.linalg.eigh(self.dense_copy())
+            lam, Q = np.linalg.eigh(self._matrix)
             lam.flags.writeable = False
             Q.flags.writeable = False
             self._eigen = lam, Q
         return self._eigen
 
     def __repr__(self):
-        return f"SparseSymmetric(n={self.n}, nnz_lower={self.nnz_lower})"
+        return f"SparseSymmetric(n={self.n}, {type(self._matrix).__name__})"
 
 
 @dataclass
@@ -766,12 +765,12 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
 
     The storage of H picks the route:
 
-    - ``"dense"`` when ``H.dense_copy()`` is not None (dense storage of H is
-      no larger than CSR).  With ``V = diag(s) + W diag(d) W'``, when s is
-      one constant on H's row support and the k_H columns of W that touch
-      that support satisfy ``k_H + m < n``, the solve runs in H's
-      eigenbasis (:func:`_quadratic_eigen`); otherwise the blocks are built
-      with dense products and factored in place by LAPACK LU;
+    - ``"dense"`` when H is stored dense (``H.dense_copy()`` is not None).
+      With ``V = diag(s) + W diag(d) W'``, when s is one constant on H's
+      row support and the k_H columns of W that touch that support satisfy
+      ``k_H + m < n``, the solve runs in H's eigenbasis
+      (:func:`_quadratic_eigen`); otherwise the blocks are built with dense
+      products and factored in place by LAPACK LU;
     - ``"splu"`` otherwise: sparse LU of the assembled block matrix.
 
     The solve gets at most two refinement steps.  Raises

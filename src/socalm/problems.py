@@ -229,9 +229,8 @@ def gen_trs(d: int, seed: int = 0):
     P = rng.uniforms(d * d).reshape(d, d)
     g = np.array([rng.normal() for _ in range(d)])
     c = np.array([rng.normal() for _ in range(d)])
-    H = (P * g) @ P.T
-    H = 0.5 * (H + H.T)
-    return build_trs(H, c)
+    # build_trs symmetrizes the product
+    return build_trs((P * g) @ P.T, c)
 
 
 class _Lcg64:

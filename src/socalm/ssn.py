@@ -63,6 +63,10 @@ class NewtonParams:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if not 0.0 < self.mu < 0.5:
             raise ValueError("mu must lie in (0, 1/2)")
+        for name, least in (("max_newton_iters", 1), ("max_linesearch_steps", 0)):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, np.integer)) and v >= least):
+                raise ValueError(f"{name} must be an integer >= {least}")
 
 
 @dataclass

@@ -193,9 +193,28 @@ class TestSolve:
             assert not np.shares_memory(getattr(res, name),
                                         getattr(start, name))
 
-    def test_inner_iteration_limit_is_named(self):
+    def test_warm_start_runs_at_its_own_sigma(self):
+        _, p = gen_meb(8, 3)
+        n, m = p.n, p.m
+        steps = []
+        start = Iterate(np.zeros(n), np.zeros(m), np.zeros(n), np.zeros(n),
+                        7.5)
+        solve(p, AlmOptions(max_outer=1), start=start,
+              callback=lambda k, it, info, d: steps.append(it.sigma))
+        assert steps == [7.5]
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_warm_start_sigma_must_be_positive_and_finite(self, sigma):
+        p = linear_1d()
+        start = Iterate(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),
+                        sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            solve(p, AlmOptions(), start=start)
+
+    def test_inner_iteration_limit_is_named(self, monkeypatch):
+        monkeypatch.setattr(alm, "_NEWTON", ssn.NewtonParams(max_newton_iters=1))
         _, p = gen_trs(50, 1)
-        res = solve(p, AlmOptions(newton=ssn.NewtonParams(max_newton_iters=1)))
+        res = solve(p, AlmOptions())
         assert res.status == INNER_MAX_ITERATIONS
         assert (res.outer_iters, res.newton_iters) == (1, 1)
 
@@ -211,8 +230,9 @@ class TestSolve:
             return res
 
         monkeypatch.setattr(alm, "run_inner", relabelled)
+        monkeypatch.setattr(alm, "_NEWTON", ssn.NewtonParams(max_newton_iters=1))
         _, p = gen_trs(50, 1)
-        res = solve(p, AlmOptions(newton=ssn.NewtonParams(max_newton_iters=1)))
+        res = solve(p, AlmOptions())
         assert res.status == STAGNATION
 
     def test_infeasible_never_optimal(self):
@@ -477,7 +497,7 @@ class TestProblemDataValidation:
     def test_h_dim_mismatch_rejected(self):
         cone = ConeSpec.make(nonneg=2)
         with pytest.raises(ValueError):
-            ProblemData(SparseSymmetric.zero(3), np.ones((1, 2)), np.ones(1),
+            ProblemData(SparseSymmetric(3), np.ones((1, 2)), np.ones(1),
                         np.ones(2), cone)
 
     def test_asymmetric_h_rejected(self):
@@ -490,7 +510,7 @@ class TestProblemDataValidation:
 class TestAlmOptionsValidation:
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(AlmOptions)] == [
-            "tol", "max_outer", "sigma0", "use_criterion_b", "newton"]
+            "tol", "max_outer", "use_criterion_b"]
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
     def test_tol_must_be_positive_and_finite(self, tol):
@@ -501,8 +521,3 @@ class TestAlmOptionsValidation:
     def test_max_outer_must_be_a_non_negative_integer(self, max_outer):
         with pytest.raises(ValueError, match="max_outer"):
             AlmOptions(max_outer=max_outer)
-
-    @pytest.mark.parametrize("sigma0", [0.0, -1.0, np.nan, np.inf])
-    def test_sigma0_must_be_positive_and_finite(self, sigma0):
-        with pytest.raises(ValueError, match="sigma0"):
-            AlmOptions(sigma0=sigma0)

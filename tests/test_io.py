@@ -13,6 +13,7 @@ from socalm import (
     SparseSymmetric,
     cli_main,
     gen_meb,
+    gen_trs,
     parse_problem,
     parse_result,
     solve,
@@ -207,13 +208,6 @@ class TestCli:
         assert cli_main(["gen", "meb", "--m", "6"]) == 2
         assert cli_main(["frobnicate"]) == 2
 
-    @pytest.mark.parametrize("sigma0", ["0", "-1", "nan", "inf"])
-    def test_invalid_sigma0_exits_2(self, tmp_path, capsys, sigma0):
-        prob = str(tmp_path / "b.prob")
-        assert cli_main(["gen", "meb", "--m", "4", "--d", "2", "-o", prob]) == 0
-        assert cli_main(["solve", prob, "--sigma0", sigma0]) == 2
-        assert "sigma0" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag, value, field", [
         ("--tol", "inf", "tol"), ("--tol", "nan", "tol"), ("--tol", "0", "tol"),
         ("--max-iter", "-3", "max_outer"),
@@ -365,6 +359,75 @@ class TestExactBytes:
             assert same_bits(getattr(r, name), getattr(res, name))
 
 
+TRIDIAGONAL_PROBLEM_TEXT = """\
+socalm problem 1
+m 1
+n 5
+cone 1
+nonneg 5
+b
+1
+c
+1 2 3 4 5
+A 5
+0 0 1
+0 1 1
+0 2 1
+0 3 1
+0 4 1
+H 9
+0 0 2.5
+1 0 -0.33333333333333331
+1 1 2.5
+2 1 -0.33333333333333331
+2 2 2.5
+3 2 -0.33333333333333331
+3 3 2.5
+4 3 -0.33333333333333331
+4 4 2.5
+end
+"""
+
+
+class TestHSectionBytes:
+    """The H section lists the lower triangle row by row, whichever storage
+    H holds, and parsing and writing again gives the same bytes."""
+
+    def test_sparse_tridiagonal(self, tmp_path):
+        n = 5
+        H = SparseSymmetric.from_sparse(sp.diags(
+            [np.full(n - 1, -1 / 3), np.full(n, 2.5), np.full(n - 1, -1 / 3)],
+            [-1, 0, 1]))
+        assert H.dense_copy() is None
+        p = ProblemData(H, np.ones((1, n)), np.ones(1), np.arange(1.0, n + 1),
+                        ConeSpec.make(nonneg=n))
+        f, g = tmp_path / "p.prob", tmp_path / "q.prob"
+        write_problem(p, f)
+        assert f.read_bytes() == TRIDIAGONAL_PROBLEM_TEXT.encode()
+        write_problem(parse_problem(f), g)
+        assert g.read_bytes() == f.read_bytes()
+
+    def test_dense_trust_region(self, tmp_path):
+        inst, p = gen_trs(30, 2)
+        assert p.H.dense_copy() is not None
+        # the lifted H of build_trs, and its lower-triangle nonzeros in
+        # row-major order
+        d = inst.H.shape[0]
+        big = np.zeros((d + 1, d + 1))
+        big[1:, 1:] = inst.H - inst.shift * np.eye(d)
+        S = 0.5 * (big + big.T)
+        rows, cols = np.nonzero(np.tril(S))
+        expected = [f"H {rows.size}"] + [
+            f"{r} {c} {format(S[r, c], '.17g')}" for r, c in zip(rows, cols)]
+        f, g = tmp_path / "p.prob", tmp_path / "q.prob"
+        write_problem(p, f)
+        lines = f.read_text().splitlines()
+        start = lines.index(expected[0])
+        assert lines[start:] == expected + ["end"]
+        write_problem(parse_problem(f), g)
+        assert g.read_bytes() == f.read_bytes()
+
+
 def big_problem():
     """Linear problem whose A section (9000 lines) and c (5000 lines) each
     span more than one block of lines."""
@@ -506,8 +569,8 @@ class TestWriterRefusesNonFinite:
         elif section == "A":
             A.data[3] = -np.inf
         else:
-            H = SparseSymmetric(8, H.rows, H.cols,
-                                np.append(H.vals[:-1], np.nan))
+            rows, cols, vals = H.lower()
+            H = SparseSymmetric(8, rows, cols, np.append(vals[:-1], np.nan))
         with pytest.raises(ValueError, match="non-finite"):
             write_problem(ProblemData(H, A, b, c, p.cone), tmp_path / "p.txt")
 
@@ -565,6 +628,35 @@ class TestParserErrorContract:
         with pytest.raises(ProblemFormatError,
                            match="line 2: field 'status' needs exactly one "
                                  "value$"):
+            parse_result(res)
+        prob = tmp_path / "p.prob"
+        prob.write_text(FIXED_PROBLEM_TEXT)
+        assert cli_main(["diag", str(prob), str(res)]) == 2
+        assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("socalm result 1\n", "socalm result 7\n",
+         "line 1: unsupported format version 7$"),
+        ("pobj -12.5\n", "pobj nan\n", "line 3: field 'pobj': 'nan' is not "
+                                       "finite$"),
+        ("delta2 0\n", "delta2 inf\n", "line 6: field 'delta2': 'inf' is not "
+                                       "finite$"),
+        ("wall_time 0.125\n", "wall_time -inf\n",
+         "line 13: field 'wall_time': '-inf' is not finite$"),
+        ("strict 1 0.25 ", "strict 1 NaN ",
+         "line 15: complementarity margin: 'NaN' is not finite$"),
+        ("degenerate 0 0 0.33333333333333331\n", "degenerate 0 0 inf\n",
+         "line 16: complementarity inner product: 'inf' is not finite$"),
+        ("strict 1 0.25 ", "strict 1 x ",
+         "line 15: complementarity margin: 'x' is not a number$"),
+    ])
+    def test_result_parser_refuses_what_the_writer_refuses(
+            self, tmp_path, capsys, old, new, message):
+        text = FIXED_RESULT_TEXT.replace(old, new, 1)
+        assert text != FIXED_RESULT_TEXT
+        res = tmp_path / "bad.res"
+        res.write_text(text)
+        with pytest.raises(ProblemFormatError, match=message):
             parse_result(res)
         prob = tmp_path / "p.prob"
         prob.write_text(FIXED_PROBLEM_TEXT)

@@ -49,12 +49,81 @@ def random_setup(seed, m=None, nonneg=0, soc=(3, 4, 5), scale=2.0):
     return rng, cone, A, J
 
 
+def symmetric_with_zeros(n, pairs_removed, seed=7):
+    """Random symmetric n x n matrix with that many off-diagonal pairs zeroed."""
+    rng = np.random.default_rng(seed)
+    Hd = rng.standard_normal((n, n))
+    Hd = Hd + Hd.T
+    lower = np.transpose(np.tril_indices(n, -1))
+    for r, c in lower[rng.choice(len(lower), pairs_removed, replace=False)]:
+        Hd[r, c] = Hd[c, r] = 0.0
+    return Hd
+
+
+def held_arrays(H):
+    """Every array or sparse matrix that H keeps."""
+    return [v for v in vars(H).values()
+            if isinstance(v, np.ndarray) or sp.issparse(v)]
+
+
 class TestSparseSymmetric:
     def test_duplicates_coalesce(self):
         H = SparseSymmetric(2, [0, 0, 1], [0, 0, 0], [1.0, 2.0, 0.5])
         M = H.to_csr().toarray()
         np.testing.assert_allclose(M, [[3.0, 0.5], [0.5, 0.0]])
-        assert H.nnz_lower == 2
+        rows, cols, vals = H.lower()
+        assert (rows.tolist(), cols.tolist(), vals.tolist()) == (
+            [0, 1], [0, 0], [3.0, 0.5])
+
+    @pytest.mark.parametrize("source", ["triplets", "from_dense",
+                                        "from_sparse", "parse_problem"])
+    @pytest.mark.parametrize("pairs_removed, dense", [(18, True), (19, False)])
+    def test_one_storage_chosen_by_the_rule(self, tmp_path, source,
+                                            pairs_removed, dense):
+        # n = 10: dense storage (800 bytes) is no larger than CSR from 63
+        # stored entries on, so 64 entries go dense and 62 stay sparse
+        n = 10
+        Hd = symmetric_with_zeros(n, pairs_removed)
+        assert linsys._dense_is_smaller(n, n, np.count_nonzero(Hd)) == dense
+        if source == "triplets":
+            # every entry arrives as two halves that the constructor sums
+            r, c = np.nonzero(np.tril(Hd))
+            H = SparseSymmetric(n, np.tile(r, 2), np.tile(c, 2),
+                                np.tile(0.5 * Hd[r, c], 2))
+        elif source == "from_dense":
+            H = SparseSymmetric.from_dense(Hd)
+        elif source == "from_sparse":
+            H = SparseSymmetric.from_sparse(sp.csr_matrix(Hd))
+        else:
+            rng = np.random.default_rng(8)
+            f = tmp_path / "h.prob"
+            socalm.write_problem(socalm.ProblemData(
+                Hd, rng.standard_normal((2, n)), rng.standard_normal(2),
+                rng.standard_normal(n), ConeSpec.make(nonneg=3, soc=(3, 4))), f)
+            H = socalm.parse_problem(f).H
+        np.testing.assert_array_equal(H.to_csr().toarray(), Hd)
+        assert (H.dense_copy() is not None) == dense
+        storage = H.dense_copy() if dense else H.to_csr()
+        held = held_arrays(H)
+        assert len(held) == 2
+        assert {id(a) for a in held} == {id(storage), id(H.row_support)}
+        if dense:
+            assert not storage.flags.writeable
+        np.testing.assert_array_equal(H.row_support, np.any(Hd != 0, axis=1))
+
+    @pytest.mark.parametrize("pairs_removed", [0, 18, 19, 44])
+    def test_frobenius_norm_is_that_of_the_csr_nonzeros(self, pairs_removed):
+        H = SparseSymmetric.from_dense(symmetric_with_zeros(10, pairs_removed))
+        assert (H.dense_copy() is not None) == (pairs_removed <= 18)
+        norm = np.linalg.norm(H.to_csr().data)
+        assert np.float64(H.fro_norm()).tobytes() == norm.tobytes()
+
+    def test_zero_matrix(self):
+        H = SparseSymmetric(4)
+        assert H.is_zero and H.fro_norm() == 0.0
+        assert H.dense_copy() is None and H.to_csr().nnz == 0
+        assert not H.row_support.any()
+        assert [a.size for a in H.lower()] == [0, 0, 0]
 
     def test_upper_entry_rejected(self):
         with pytest.raises(ValueError):
@@ -706,7 +775,7 @@ class TestSolveQuadratic:
     def test_decoupled_when_h_zero(self):
         rng, cone, A, J = random_setup(4, m=8, soc=(3, 4))
         n = cone.total_dim
-        H = SparseSymmetric.zero(n)
+        H = SparseSymmetric(n)
         R1 = rng.standard_normal(n)
         R2 = rng.standard_normal(8)
         sigma, eps = 1.3, 0.05
@@ -845,24 +914,30 @@ class TestSolveQuadratic:
                 <= 1e-10 * max(1.0, np.linalg.norm(ref)))
 
     def test_dense_copy_of_h_is_built_once(self, monkeypatch):
+        # the dense storage is built at construction; every solve multiplies
+        # by that same array
         rng, cone, A, J = random_setup(9, m=5, nonneg=2, soc=(3, 4))
         n = cone.total_dim
         G = rng.standard_normal((n, n))
         H = SparseSymmetric.from_dense(G @ G.T)
-        calls = []
-        toarray = H.to_csr().toarray
-        monkeypatch.setattr(H.to_csr(), "toarray",
-                            lambda *a, **k: calls.append(1) or toarray(*a, **k))
-        copies = set()
+        stored = H.dense_copy()
+        used = []
+        operator = linsys._quadratic_operator
+
+        def recording_operator(Hd, *args):
+            used.append(Hd)
+            return operator(Hd, *args)
+
+        monkeypatch.setattr(linsys, "_quadratic_operator", recording_operator)
         for _ in range(3):
             _, _, stats = solve_quadratic(H, A, J, 1.0, 0.1,
                                           rng.standard_normal(n),
                                           rng.standard_normal(5), 1e-10)
             assert stats.method == "dense"
-            copies.add(id(H.dense_copy()))
-        assert len(calls) == 1 and len(copies) == 1
-        assert not H.dense_copy().flags.writeable
-        np.testing.assert_array_equal(H.dense_copy(), G @ G.T)
+            assert H.dense_copy() is stored
+        assert len(used) == 3 and all(Hd is stored for Hd in used)
+        assert not stored.flags.writeable
+        np.testing.assert_array_equal(stored, G @ G.T)
 
     @pytest.mark.parametrize("case, m", [
         ("interior", 3), ("zero", 3), ("middle", 3), ("one_block_of_many", 3),

@@ -512,3 +512,16 @@ class TestNewtonParamsValidation:
             NewtonParams(delta=0.0)
         with pytest.raises(ValueError):
             NewtonParams(tau=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_newton_iters", 0), ("max_newton_iters", -3),
+        ("max_newton_iters", 2.5), ("max_newton_iters", 1.0),
+        ("max_linesearch_steps", -1), ("max_linesearch_steps", 0.5)])
+    def test_step_budgets_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NewtonParams(**{field: value})
+
+    def test_smallest_step_budgets(self):
+        params = NewtonParams(max_newton_iters=1, max_linesearch_steps=0)
+        assert (params.max_newton_iters, params.max_linesearch_steps) == (1, 0)
+        assert NewtonParams(max_newton_iters=np.int64(5)).max_newton_iters == 5
