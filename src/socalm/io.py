@@ -5,10 +5,16 @@ payloads wrapped at a few values per line, everything serialized with 17
 significant digits so writing and re-parsing reproduces doubles bit-exactly.
 Non-finite values are refused both ways.  Numeric sections move in blocks
 of ``_BLOCK_LINES`` lines: the writer checks a section for non-finite values
-at once and formats each block with one ``%.17g`` template (the same text as
-``format(v, ".17g")``); the parser joins, splits and converts each block into
-a preallocated array, and its errors name the section and the line where it
-starts, as a one-line-at-a-time reader would.
+at once, formats each block with one ``%.17g`` template (the same text as
+``format(v, ".17g")``) and writes each run of rows of +0.0 as one repeated
+constant line.  The parser finds every line feed of the file once; a
+section laid out as the writer lays it out (six values a line plus one
+shorter tail line, or one ``row col value`` triplet a line) goes to numpy's
+C text reader in one slice of the text.  Any other layout, or a token that
+reader refuses, goes to the general reader for that section, which joins,
+splits and converts blocks of lines with ``float``.  Both give the same
+values, and errors name the section and the line where it starts, as a
+one-line-at-a-time reader would.
 
 Exit codes: 0 success, 2 malformed input, 3 non-convergence, 4 internal
 error.
@@ -17,6 +23,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 import numpy as np
@@ -33,6 +40,11 @@ FORMAT_VERSION = 1
 _VALUES_PER_LINE = 6
 # Lines formatted, or joined and parsed, per step of a numeric section.
 _BLOCK_LINES = 4096
+# A row of +0.0 as "%.17g" prints it (-0.0 prints as "-0").
+_ZERO_ROW = " ".join(["0"] * _VALUES_PER_LINE) + "\n"
+# Character codes that str.splitlines() breaks a line at besides "\n"
+# ("\r" stays only in text not read in text mode).
+_OTHER_BREAKS = (0x0b, 0x0c, 0x0d, 0x1c, 0x1d, 0x1e)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -66,10 +78,19 @@ def _write_rows(fh, line, table):
 def _write_array(fh, values):
     values = _finite(values).ravel()
     full = values.size - values.size % _VALUES_PER_LINE
-    for table in (values[:full].reshape(-1, _VALUES_PER_LINE),
-                  values[full:].reshape(1, -1)):
-        if table.size:
-            _write_rows(fh, " ".join(["%.17g"] * table.shape[1]) + "\n", table)
+    table = values[:full].reshape(-1, _VALUES_PER_LINE)
+    # +0.0 is the one double whose bits are all zero
+    zero = ~table.view(np.uint64).any(axis=1)
+    cuts = (np.flatnonzero(zero[1:] != zero[:-1]) + 1).tolist()
+    row = " ".join(["%.17g"] * _VALUES_PER_LINE) + "\n"
+    for lo, hi in zip([0, *cuts], [*cuts, len(table)]):
+        if lo < hi and zero[lo]:
+            fh.write(_ZERO_ROW * (hi - lo))
+        else:
+            _write_rows(fh, row, table[lo:hi])
+    if values.size > full:
+        _write_rows(fh, " ".join(["%.17g"] * (values.size - full)) + "\n",
+                    values[full:].reshape(1, -1))
 
 
 def _write_triplets(fh, rows, cols, vals):
@@ -78,9 +99,35 @@ def _write_triplets(fh, rows, cols, vals):
                 np.column_stack((rows, cols, _finite(vals))))
 
 
+def _line_bounds(text):
+    """``(text, bounds)`` with every line break of ``text`` a "\\n" and
+    line ``i`` equal to ``text[bounds[i]:bounds[i + 1] - 1]``.
+
+    The lines are those of ``str.splitlines``.  ASCII text that breaks lines
+    at "\\n" alone is kept as it is and scanned once with numpy; any other
+    text is rebuilt from its ``splitlines`` first.
+    """
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), np.uint8)
+        controls = np.flatnonzero(codes < 0x20)
+        kinds = codes[controls]
+        if not np.isin(kinds, _OTHER_BREAKS).any():
+            ends = controls[kinds == 0x0a]
+            if text and not text.endswith("\n"):
+                ends = np.append(ends, len(text))
+            return text, np.concatenate(([0], ends + 1))
+    lines = text.splitlines()
+    lengths = np.fromiter(map(len, lines), np.int64, len(lines))
+    return ("".join(line + "\n" for line in lines),
+            np.concatenate(([0], np.cumsum(lengths + 1))))
+
+
 class _Reader:
+    """The lines of a file, read in order; ``pos`` counts the lines read."""
+
     def __init__(self, text, name):
-        self.lines = text.splitlines()
+        self.text, self.bounds = _line_bounds(text)
+        self.nlines = len(self.bounds) - 1
         self.name = name
         self.pos = 0
 
@@ -88,18 +135,20 @@ class _Reader:
         line = self.pos if line is None else line
         raise ProblemFormatError(f"{self.name}: line {line}: {msg}")
 
+    def span(self, k):
+        """The text of the next ``k`` lines, without the last line break."""
+        return self.text[self.bounds[self.pos]:self.bounds[self.pos + k] - 1]
+
     def next_line(self):
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
+        while True:
+            line = self.next_raw_line().strip()
             if line:
                 return line
-        self.error("unexpected end of file")
 
     def next_raw_line(self):
-        if self.pos >= len(self.lines):
+        if self.pos >= self.nlines:
             self.error("unexpected end of file")
-        line = self.lines[self.pos]
+        line = self.span(1)
         self.pos += 1
         return line
 
@@ -146,17 +195,41 @@ class _Reader:
 
     def next_block(self, k):
         """The next ``k`` raw lines, at most ``_BLOCK_LINES`` of them."""
-        block = self.lines[self.pos:self.pos + min(k, _BLOCK_LINES)]
-        if not block:
-            self.pos = len(self.lines)
+        k = min(k, _BLOCK_LINES, self.nlines - self.pos)
+        if k <= 0:
             self.error("unexpected end of file")
-        return block
+        return self.span(k).split("\n")
+
+    def table(self, k, width):
+        """The next ``k`` lines as a ``k x width`` array when each of them
+        holds ``width`` numbers that numpy's C reader parses, else None."""
+        if not 0 < k <= self.nlines - self.pos:
+            return None
+        text = self.span(k)
+        if not text or text.isspace():  # no rows, which loadtxt warns of
+            return None
+        try:
+            # a non-ASCII character fails the encoding, and an empty line
+            # or a token the reader refuses fails the parse or the shape
+            rows = np.loadtxt(io.BytesIO(text.encode("ascii")), ndmin=2,
+                              comments=None)
+        except ValueError:
+            return None
+        if rows.shape != (k, width):
+            return None
+        self.pos += k
+        return rows
 
     def read_floats(self, count, what):
         """``count`` values on as many lines as they take; reading stops
-        after the line that completes the count."""
+        after the line that completes the count.  The full lines of the
+        writer's layout go through :meth:`table` at once."""
         start, got, numeric = self.pos, 0, True
         out = np.empty(max(count, 0))
+        full = self.table(out.size // _VALUES_PER_LINE, _VALUES_PER_LINE)
+        if full is not None:
+            got = full.size
+            out[:got] = full.reshape(-1)
         while got < count:
             block = self.next_block(-(-(count - got) // _VALUES_PER_LINE))
             toks = " ".join(block).split()
@@ -176,18 +249,21 @@ class _Reader:
 
     def read_triplets(self, count, what):
         """``count`` non-blank 'row col value' lines."""
-        start, nlines, ntok, numeric = self.pos, 0, 0, True
-        out = np.empty((max(count, 0), 3))
-        while nlines < count:
-            block = self.next_block(count - nlines)
-            self.pos += len(block)
-            nlines += len(block) - block.count("") - sum(map(str.isspace, block))
-            toks = " ".join(block).split()
-            numeric = numeric and _convert(out.reshape(-1), ntok, toks)
-            ntok += len(toks)
-        if ntok != 3 * count:
-            self.error(f"section {what!r}: expected {count} 'row col value' "
-                       f"lines", line=start + 1)
+        start, numeric = self.pos, True
+        out = self.table(count, 3)
+        if out is None:
+            out, nlines, ntok = np.empty((max(count, 0), 3)), 0, 0
+            while nlines < count:
+                block = self.next_block(count - nlines)
+                self.pos += len(block)
+                nlines += (len(block) - block.count("")
+                           - sum(map(str.isspace, block)))
+                toks = " ".join(block).split()
+                numeric = numeric and _convert(out.reshape(-1), ntok, toks)
+                ntok += len(toks)
+            if ntok != 3 * count:
+                self.error(f"section {what!r}: expected {count} 'row col "
+                           f"value' lines", line=start + 1)
         self._check_numbers(out, numeric, what, "entry", start)
         idx = out[:, :2]
         if np.any(idx != np.floor(idx)):

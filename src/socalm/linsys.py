@@ -17,10 +17,10 @@ are stored dense.  ``M_sp`` is stored dense (a CSR matrix that keeps every
 entry) when that takes no more memory than its sparse pattern.
 
 The linear case has one direct solve path: factor ``M_sp`` (dense Cholesky
-when it is stored dense, sparse LU otherwise) and add the k low-rank columns
-(k may be 0) through the Schur complement of an augmented system.  Only when
-the update is at least as wide as the system is the whole matrix densified
-instead.  A solve that still misses its tolerance after two refinement steps
+when it is stored dense, a division when it is diagonal, sparse LU
+otherwise) and add the k low-rank columns (k may be 0) through the Schur
+complement of an augmented system.  Only when the update is at least as wide
+as the system is the whole matrix densified instead.  A solve that still misses its tolerance after two refinement steps
 raises :class:`LinearSolveError`.
 
 The quadratic case solves the unsymmetric two-by-two block system, for any H,
@@ -527,6 +527,16 @@ def _dense_view(M):
     return M.data.reshape(m, n)
 
 
+def _diagonal_view(M):
+    """Diagonal of a CSR matrix that stores its diagonal alone, else None."""
+    m = M.shape[0]
+    if (M.format != "csr" or M.nnz != m
+            or not np.array_equal(M.indptr, np.arange(m + 1))
+            or not np.array_equal(M.indices, np.arange(m))):
+        return None
+    return M.data
+
+
 def _dense_factor(M):
     """Solve function of a dense factorization: Cholesky, LU if that fails."""
     try:
@@ -592,7 +602,8 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto"):
     - ``"dense"``: dense Cholesky of ``M_sp`` (LU if that fails), or of the
       whole densified operator when the low-rank update is at least as wide
       as the system;
-    - ``"augmented"``: sparse LU of ``M_sp``.
+    - ``"augmented"``: sparse LU of ``M_sp``, or a division by its diagonal
+      when it stores nothing else.
 
     Both add the k low-rank columns (k may be 0) through the Schur
     complement of an augmented system, and the solve gets at most two
@@ -618,10 +629,18 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto"):
         solve = _lowrank_solver(
             sys_, _dense_factor(sys_.M_sp.toarray() if M is None else M))
     elif strategy == "augmented":
-        try:
-            solve_M = spla.splu(sys_.M_sp.tocsc()).solve
-        except RuntimeError as err:
-            raise LinearSolveError(f"sparse LU of M_sp failed: {err}") from err
+        diag = _diagonal_view(sys_.M_sp)
+        if diag is None:
+            try:
+                solve_M = spla.splu(sys_.M_sp.tocsc()).solve
+            except RuntimeError as err:
+                raise LinearSolveError(
+                    f"sparse LU of M_sp failed: {err}") from err
+        elif not (np.isfinite(diag).all() and diag.all()):
+            raise LinearSolveError("diagonal M_sp has a zero or non-finite "
+                                   "entry")
+        else:
+            solve_M = lambda r: r / (diag[:, None] if r.ndim == 2 else diag)
         solve = _lowrank_solver(sys_, solve_M)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

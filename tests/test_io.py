@@ -1,5 +1,7 @@
 """File-format round trips, validation diagnostics, and the CLI."""
 
+import io
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +13,7 @@ from socalm import (
     ProblemFormatError,
     SolveResult,
     SparseSymmetric,
+    build_srlasso,
     cli_main,
     gen_meb,
     gen_trs,
@@ -20,6 +23,7 @@ from socalm import (
     write_problem,
     write_result,
 )
+from socalm import io as socalm_io
 from socalm.alm import BlockReport
 
 
@@ -662,3 +666,239 @@ class TestParserErrorContract:
         prob.write_text(FIXED_PROBLEM_TEXT)
         assert cli_main(["diag", str(prob), str(res)]) == 2
         assert "internal error" not in capsys.readouterr().err
+
+
+def outcome(parse, path):
+    """What ``parse`` returns for ``path``, or its ProblemFormatError text."""
+    try:
+        return parse(path)
+    except ProblemFormatError as err:
+        return str(err)
+
+
+def parse_both(parse, path, monkeypatch):
+    """``(fast, general, tables)``: the outcome of ``parse`` with numpy's
+    reader taking the sections it can, the outcome with the general reader
+    alone, and how many sections numpy's reader took."""
+    real, tables = socalm_io._Reader.table, []
+
+    def spy(self, k, width):
+        rows = real(self, k, width)
+        tables.append(rows is not None)
+        return rows
+
+    with monkeypatch.context() as mp:
+        mp.setattr(socalm_io._Reader, "table", spy)
+        fast = outcome(parse, path)
+    with monkeypatch.context() as mp:
+        mp.setattr(socalm_io._Reader, "table", lambda self, k, width: None)
+        general = outcome(parse, path)
+    return fast, general, sum(tables)
+
+
+def parsed_fields(parsed):
+    """Everything a parse returns, arrays as (dtype, shape, bytes), so that
+    equal fields mean equal bits and the same sign of every zero."""
+    if isinstance(parsed, str):
+        return parsed
+    if isinstance(parsed, ProblemData):
+        A = parsed.A.tocsr()
+        arrays = [parsed.b, parsed.c, A.indptr, A.indices, A.data]
+        arrays += list(parsed.H.lower()) if parsed.is_quadratic else []
+        fields = [parsed.m, parsed.n, parsed.cone]
+    else:
+        arrays = [getattr(parsed, k) for k in ("x1", "x2", "x3", "y")
+                  if parsed.has_solution]
+        fields = sorted((k, v) for k, v in vars(parsed).items()
+                        if k not in ("x1", "x2", "x3", "y"))
+    return fields + [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def srlasso_problem():
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((25, 8))
+    return build_srlasso(B, B[:, 0] + rng.standard_normal(25), 0.3)[1]
+
+
+SOURCE_PROBLEMS = {
+    # b: one full line and a tail of 2, c: 26 full lines and a tail of 4
+    "meb": lambda: gen_meb(20, 7)[1],
+    "trs": lambda: gen_trs(30, 2)[1],
+    "srlasso": srlasso_problem,
+}
+
+
+def header_index(lines, word):
+    return next(i for i, ln in enumerate(lines) if ln.split()[:1] == [word])
+
+
+def rewrap_section(lines, name, width):
+    """Lines with the values of section ``name`` (b or c) at ``width`` a
+    line."""
+    lo = header_index(lines, name) + 1
+    hi = next(i for i in range(lo, len(lines)) if lines[i][:1].isalpha())
+    toks = " ".join(lines[lo:hi]).split()
+    return lines[:lo] + [" ".join(toks[i:i + width])
+                         for i in range(0, len(toks), width)] + lines[hi:]
+
+
+def edit_token(lines, name, row, col, token):
+    """Lines with token ``col`` of line ``row`` of section ``name`` set."""
+    at = header_index(lines, name) + 1 + row
+    toks = lines[at].split()
+    toks[col] = token
+    return lines[:at] + [" ".join(toks)] + lines[at + 1:]
+
+
+def split_line(lines, name, row, sep):
+    """Lines with the first space of line ``row`` of section ``name``
+    replaced by ``sep``."""
+    at = header_index(lines, name) + 1 + row
+    return lines[:at] + [lines[at].replace(" ", sep, 1)] + lines[at + 1:]
+
+
+def insert_line(lines, name, row, line):
+    at = header_index(lines, name) + 1 + row
+    return lines[:at] + [line] + lines[at:]
+
+
+PROBLEM_VARIANTS = {
+    "as_written": lambda ls: ls,
+    "blank_in_b": lambda ls: insert_line(ls, "b", 1, ""),
+    "spaces_in_b": lambda ls: insert_line(ls, "b", 1, " \t "),
+    "blank_in_c": lambda ls: insert_line(ls, "c", 3, ""),
+    "blank_in_A": lambda ls: insert_line(ls, "A", 3, ""),
+    "wrap_1": lambda ls: rewrap_section(rewrap_section(ls, "b", 1), "c", 1),
+    "wrap_5": lambda ls: rewrap_section(rewrap_section(ls, "b", 5), "c", 5),
+    "wrap_7": lambda ls: rewrap_section(rewrap_section(ls, "b", 7), "c", 7),
+    "underscore": lambda ls: edit_token(ls, "c", 2, 3, "1_0"),
+    "exponent_underscore": lambda ls: edit_token(ls, "c", 2, 3, "1e-5_0"),
+    "arabic_indic_digit": lambda ls: edit_token(ls, "c", 2, 3, "\u0661"),
+    "underscore_in_A": lambda ls: edit_token(ls, "A", 4, 2, "2_5"),
+    "inf": lambda ls: edit_token(ls, "c", 2, 3, "inf"),
+    "nan_in_A": lambda ls: edit_token(ls, "A", 4, 2, "nan"),
+    "word": lambda ls: edit_token(ls, "c", 1, 0, "x"),
+    "hash": lambda ls: edit_token(ls, "c", 1, 5, "7 #"),
+    "fractional_index": lambda ls: edit_token(ls, "A", 2, 1, "0.5"),
+    "four_token_triplet": lambda ls: edit_token(ls, "A", 2, 2, "1 2"),
+    "two_token_triplet": lambda ls: edit_token(ls, "A", 2, 2, ""),
+    "extra_value": lambda ls: edit_token(ls, "c", 1, 0, "1 2"),
+    "missing_value": lambda ls: edit_token(ls, "c", 1, 0, ""),
+    "form_feed_in_c": lambda ls: split_line(ls, "c", 1, "\f"),
+    "vertical_tab_in_A": lambda ls: split_line(ls, "A", 2, "\v"),
+    "line_separator_in_b": lambda ls: split_line(ls, "b", 0, "\u2028"),
+    "next_line_in_c": lambda ls: split_line(ls, "c", 0, "\x85"),
+    "truncated_c": lambda ls: ls[:header_index(ls, "c") + 4],
+    "truncated_A": lambda ls: ls[:header_index(ls, "A") + 5],
+    "unterminated_A": lambda ls: ls[:-1],
+}
+
+
+class TestFastReaderMatchesGeneral:
+    """Sections laid out as the writer lays them out go to numpy's C reader;
+    every other layout falls back to the general reader, and both give the
+    same values and the same error texts and line numbers."""
+
+    @pytest.mark.parametrize("variant", sorted(PROBLEM_VARIANTS))
+    @pytest.mark.parametrize("family", sorted(SOURCE_PROBLEMS))
+    def test_problem_files(self, tmp_path, monkeypatch, family, variant):
+        f = tmp_path / "p.prob"
+        write_problem(SOURCE_PROBLEMS[family](), f)
+        lines = PROBLEM_VARIANTS[variant](f.read_text().splitlines())
+        f.write_text("\n".join(lines) + ("" if variant == "unterminated_A"
+                                         else "\n"), encoding="utf-8")
+        fast, general, tables = parse_both(parse_problem, f, monkeypatch)
+        assert parsed_fields(fast) == parsed_fields(general)
+        if variant == "as_written":
+            # c and A, and b when it has a full line
+            assert tables >= 2 and not isinstance(fast, str)
+
+    @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1e", "\r",
+                                     "\x85", "\u2028"])
+    def test_line_numbers_are_those_of_splitlines(self, tmp_path, sep):
+        f = tmp_path / "p.prob"
+        write_problem(SOURCE_PROBLEMS["meb"](), f)
+        lines = split_line(f.read_text().splitlines(), "c", 1, sep)
+        text = "\n".join(edit_token(lines, "A", 4, 2, "x")) + "\n"
+        f.write_text(text, encoding="utf-8")
+        start = header_index(text.splitlines(), "A") + 2
+        with pytest.raises(ProblemFormatError, match=f"line {start}: section "
+                                                     "'A': non-numeric entry$"):
+            parse_problem(f)
+
+    def test_crlf_file_is_the_file(self, tmp_path, monkeypatch):
+        f = tmp_path / "p.prob"
+        write_problem(SOURCE_PROBLEMS["meb"](), f)
+        expected = parse_problem(f)
+        f.write_bytes(f.read_bytes().replace(b"\n", b"\r\n"))
+        fast, general, tables = parse_both(parse_problem, f, monkeypatch)
+        assert tables >= 2
+        assert parsed_fields(fast) == parsed_fields(general) \
+            == parsed_fields(expected)
+
+    @pytest.mark.parametrize("variant", [
+        "as_written", "blank_in_x3", "wrap_5", "underscore_in_y", "inf_in_x1",
+        "truncated_x2"])
+    def test_result_files(self, tmp_path, monkeypatch, variant):
+        x = np.random.default_rng(9).standard_normal(50)
+        x[[0, 7, 8, 9, 10, 11, 49]] = [-0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 5e-324]
+        f = tmp_path / "r.res"
+        write_result(fixed_result(x, np.zeros(13)), f, include_solution=True)
+        lines = f.read_text().splitlines()
+        lines = {
+            "as_written": lambda ls: ls,
+            "blank_in_x3": lambda ls: insert_line(ls, "x3", 2, ""),
+            "wrap_5": lambda ls: rewrap_section(ls, "x2", 5),
+            "underscore_in_y": lambda ls: edit_token(ls, "y", 0, 1, "0_0"),
+            "inf_in_x1": lambda ls: edit_token(ls, "x1", 3, 5, "-inf"),
+            "truncated_x2": lambda ls: ls[:header_index(ls, "x2") + 3],
+        }[variant](lines)
+        f.write_text("\n".join(lines) + "\n")
+        fast, general, tables = parse_both(parse_result, f, monkeypatch)
+        assert parsed_fields(fast) == parsed_fields(general)
+        if variant == "as_written":
+            assert tables == 4
+
+
+def reference_write_array(fh, values):
+    """Six values a line, each through ``format(v, ".17g")``."""
+    values = np.asarray(values, dtype=float).ravel()
+    for i in range(0, values.size, 6):
+        fh.write(" ".join(format(v, ".17g") for v in values[i:i + 6]) + "\n")
+
+
+def zero_rows_alternating(rows):
+    values = np.zeros((rows, 6))
+    values[::2] = np.arange(1.0, 6 * len(values[::2]) + 1).reshape(-1, 6)
+    return values.ravel()
+
+
+class TestWriteArrayBytes:
+    """Runs of rows of +0.0 are written as one constant line and every other
+    row through the ``%.17g`` template: the bytes are the per-value ones."""
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(0), np.zeros(60), np.full(60, -0.0),
+        np.array([0.0, -0.0, 0.0, 0.0, 0.0, 0.0] * 3 + [-0.0]),
+        zero_rows_alternating(9), zero_rows_alternating(10),
+        np.concatenate([np.zeros(6 * 5000), np.ones(7), np.zeros(6 * 4200)]),
+        np.concatenate([np.ones(3), np.zeros(9), [5e-324, 0.0]]),
+    ], ids=["empty", "zeros", "negative_zeros", "mixed_zero_signs",
+            "alternating_odd", "alternating_even", "long_runs",
+            "zero_row_then_tail"])
+    def test_layouts(self, values):
+        got, want = io.StringIO(), io.StringIO()
+        socalm_io._write_array(got, values)
+        reference_write_array(want, values)
+        assert got.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize("size", range(1, 14))
+    @pytest.mark.parametrize("fill", ["zeros", "values", "mixed"])
+    def test_sizes(self, size, fill):
+        values = {"zeros": np.zeros(size),
+                  "values": np.arange(1.0, size + 1) / 3,
+                  "mixed": np.where(np.arange(size) < 6, 0.0, -1.5)}[fill]
+        got, want = io.StringIO(), io.StringIO()
+        socalm_io._write_array(got, values)
+        reference_write_array(want, values)
+        assert got.getvalue() == want.getvalue()

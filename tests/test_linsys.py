@@ -34,6 +34,12 @@ def rank_one_example():
                         U=sp.csc_matrix(np.ones((2, 1))), d=np.ones(1))
 
 
+def diagonal_csr(diag):
+    """CSR matrix that stores ``diag`` on its diagonal, zeros included."""
+    m = diag.size
+    return sp.csr_matrix((diag, np.arange(m), np.arange(m + 1)), shape=(m, m))
+
+
 def fail_factorization(*args, **kwargs):
     raise RuntimeError("Factor is exactly singular")
 
@@ -665,10 +671,39 @@ class TestSolveSpd:
         assert np.isnan(exc.value.residual)
 
     def test_failed_sparse_factorization_raises(self, monkeypatch):
+        # M_sp must not be diagonal: a diagonal one is divided by, not
+        # factored
         monkeypatch.setattr(linsys.spla, "splu", fail_factorization)
+        sys_ = NewtonSystem(m=2, M_sp=sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]]),
+                            U=sp.csc_matrix(np.ones((2, 1))), d=np.ones(1))
         with pytest.raises(LinearSolveError, match="sparse LU"):
-            solve_spd(rank_one_example(), np.ones(2), 1e-12,
-                      strategy="augmented")
+            solve_spd(sys_, np.ones(2), 1e-12, strategy="augmented")
+
+    def test_diagonal_m_sp_is_divided_with_the_sparse_lu_bits(
+            self, monkeypatch):
+        rng = np.random.default_rng(17)
+        m, k = 30, 4
+        sys_ = NewtonSystem(m=m, M_sp=diagonal_csr(rng.uniform(1e-3, 1e3, m)),
+                            U=sp.csc_matrix(rng.standard_normal((m, k))),
+                            d=rng.uniform(0.5, 2.0, k))
+        rhs = rng.standard_normal(m)
+        with monkeypatch.context() as mp:
+            mp.setattr(linsys, "_diagonal_view", lambda M: None)
+            x_lu, stats_lu = solve_spd(sys_, rhs, 1e-10)
+        monkeypatch.setattr(linsys.spla, "splu", fail_factorization)
+        x, stats = solve_spd(sys_, rhs, 1e-10)
+        assert stats.method == stats_lu.method == "augmented"
+        assert x.tobytes() == x_lu.tobytes()
+        assert stats.residual == stats_lu.residual
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, np.inf, np.nan])
+    def test_singular_diagonal_m_sp_raises(self, monkeypatch, bad):
+        # as SuperLU's "exactly singular" does for a zero pivot
+        monkeypatch.setattr(linsys.spla, "splu", fail_factorization)
+        sys_ = NewtonSystem(m=3, M_sp=diagonal_csr(np.array([1.0, bad, 2.0])),
+                            U=sp.csc_matrix(np.ones((3, 1))), d=np.ones(1))
+        with pytest.raises(LinearSolveError, match="zero or non-finite"):
+            solve_spd(sys_, np.ones(3), 1e-12)
 
     @pytest.mark.parametrize("pattern", ["diagonal", "full"])
     @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
