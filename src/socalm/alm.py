@@ -13,12 +13,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import ssn
 from .blas import single_thread
 from .cone import ConeSpec, project
-from .linsys import NewtonAssembly, SparseSymmetric
+from .linsys import NewtonAssembly, SparseSymmetric, canonical_csc
 from .ssn import NewtonParams, make_state, run_inner
 
 OPTIMAL = "Optimal"
@@ -52,17 +51,16 @@ class ProblemData:
 
     ``H`` must be symmetric positive semidefinite (symmetry is enforced at
     construction; definiteness is a documented trust assumption, violations
-    surface as inner line-search failures).  ``assembly`` holds the
-    linear-case Newton structure of ``(A, cone)``, built at the first Newton
-    step that needs it, and ``A'`` by rows (on the arrays of the one
-    column-major copy of ``A``) that :meth:`rmatvec` reads, built at its
-    first call.
+    surface as inner line-search failures).  ``A`` is held once, canonical
+    CSC (:func:`~socalm.linsys.canonical_csc`).  ``assembly`` shares it:
+    :meth:`rmatvec` reads its transpose view, and it builds the linear-case
+    Newton structure of ``(A, cone)`` at the first Newton step that needs it.
     """
 
     def __init__(self, H, A, b, c, cone: ConeSpec):
         self.cone = cone
         n = cone.total_dim
-        self.A = sp.csr_matrix(A)
+        self.A = canonical_csc(A)
         self.b = np.asarray(b, dtype=float).ravel()
         self.c = np.asarray(c, dtype=float).ravel()
         if H is None:
@@ -215,7 +213,6 @@ class StepInfo:
     grad_norm: float
     epshat: float
     deltahat: float
-    criterion_a_rhs: float
     criterion_b_rhs: float | None
     y_prev: np.ndarray
     inner_status: str
@@ -296,7 +293,7 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
         x3 = project(problem.cone, -state.z / sigma)
     new_iterate = Iterate(state.x1, state.x2, x3, state.proj, sigma)
     info = StepInfo(newton, state.psi, state.grad_norm, ehat, dhat,
-                    rhs_a, rhs_b, y, inner_status, accepted)
+                    rhs_b, y, inner_status, accepted)
     return new_iterate, info
 
 

@@ -291,7 +291,8 @@ def _convert(out, at, toks):
 
 def write_problem(problem: ProblemData, path):
     """Serialize a problem instance; round-trips bit-exactly for finite data."""
-    A = sp.coo_matrix(problem.A)
+    # triplets row by row, whatever the storage of A
+    A = problem.A.tocsr().tocoo()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"socalm problem {FORMAT_VERSION}\n")
         fh.write(f"m {problem.m}\n")
@@ -346,7 +347,7 @@ def parse_problem(path) -> ProblemData:
     ar, ac, av = r.read_triplets(nnz, "A")
     if nnz and (ar.min() < 0 or ar.max() >= m or ac.min() < 0 or ac.max() >= n):
         r.error("section 'A': index out of range")
-    A = sp.csr_matrix((av, (ar, ac)), shape=(m, n))
+    A = sp.csc_matrix((av, (ar, ac)), shape=(m, n))
     toks = r.keyword("H", "end")
     H = None
     if toks[0] == "H":

@@ -7,7 +7,8 @@ so the whole operator is a symmetric matrix ``M_sp`` plus a tall-skinny
 low-rank update.
 
 Assembly goes through a per-problem :class:`NewtonAssembly`, built on first
-use.  It keeps every Lorentz block's ``A_i A_i'`` on one fixed pattern, so the
+use, on the problem's one CSC matrix A, which also serves ``A v`` and
+``A' v``.  It keeps every Lorentz block's ``A_i A_i'`` on one fixed pattern, so the
 Lorentz part of ``M_sp`` is a single sparse mat-vec with the block weights.
 Only the active nonneg columns of A enter.  When those columns are stored
 dense and there are fewer of them than A has rows, the active ones become
@@ -370,61 +371,58 @@ class _GramStructure:
     full: tuple | None       # (indptr, indices) of a full pattern when M is dense
 
 
+def canonical_csc(A) -> sp.csc_matrix:
+    """``A`` by columns, duplicates summed and indices sorted: ``A`` itself
+    when it is so already, else a new matrix, so the caller's is unchanged.
+    Then ``A @ v`` sums each row in ascending column order, as CSR does."""
+    if isinstance(A, sp.csc_matrix) and A.has_canonical_format:
+        return A
+    Ac = sp.csc_matrix(A, copy=True)
+    Ac.sum_duplicates()
+    return Ac
+
+
 class NewtonAssembly:
     """Per-problem structure of the linear-case Newton matrix.
 
-    Nothing is computed at construction.  The first :meth:`assemble` builds
-    the Lorentz block Grams, the storage of the nonneg columns and the
-    storage decision for ``M_sp``, once, under a lock; every later call
-    reuses them.  The nonneg columns are kept dense when that is no larger
-    than sparse storage.  Dense and fewer than the m rows of ``A``, the
-    active ones become low-rank columns of weight 1 in ``U``, so ``M_sp``
-    holds only ``eps*I`` and the Lorentz Grams; otherwise their Gram is
-    added to ``M_sp``.  :meth:`csc`, the one column-major copy of ``A``, and
-    :meth:`at`, ``A'`` by rows on the same arrays, are built the same way at
-    their first use.  Nothing is modified once built, so threads may
-    assemble concurrently.  A pickled copy starts unbuilt.
+    :meth:`csc` is the one canonical CSC ``A`` (:func:`canonical_csc`) and
+    :meth:`at` its transpose view; nothing else is made at construction.
+    The first :meth:`assemble` builds the Lorentz block Grams, the storage
+    of the nonneg columns and the storage decision for ``M_sp``, once,
+    under a lock; every later call reuses them.  The nonneg columns are
+    kept dense when that is no larger than sparse storage.  Dense and fewer
+    than the m rows of ``A``, the active ones become low-rank columns of
+    weight 1 in ``U``, so ``M_sp`` holds only ``eps*I`` and the Lorentz
+    Grams; otherwise their Gram is added to ``M_sp``.  Nothing is modified
+    once built, so threads may assemble concurrently.  A pickled copy
+    starts unbuilt.
     """
 
     def __init__(self, A, cone):
-        self.A = sp.csr_matrix(A)
+        self.A = canonical_csc(A)
         self.cone = cone
         if self.A.shape[1] != cone.total_dim:
             raise ValueError(
                 f"A has {self.A.shape[1]} columns, cone total_dim is "
                 f"{cone.total_dim}")
-        self._csc = None
-        self._at = None
+        self._at = self.A.T
         self._structure = None
-        # reentrant: _build asks for the CSC copy while holding it
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def __reduce__(self):
         return NewtonAssembly, (self.A, self.cone)
 
     def csc(self) -> sp.csc_matrix:
         """``A`` by columns."""
-        if self._csc is None:
-            self._build_columns()
-        return self._csc
+        return self.A
 
     def at(self) -> sp.csr_matrix:
         """``A'`` by rows, on the arrays of :meth:`csc`, so ``A' v`` is a gather."""
-        if self._at is None:
-            self._build_columns()
         return self._at
 
-    def _build_columns(self):
-        with self._lock:
-            if self._csc is None:
-                Ac = self.A.tocsc()
-                self._at = Ac.T
-                self._csc = Ac
-
     def _build(self) -> _GramStructure:
-        A, cone = self.A, self.cone
-        m = A.shape[0]
-        Ac = self.csc()
+        Ac, cone = self.A, self.cone
+        m = Ac.shape[0]
         block_of_col = np.full(cone.total_dim, -1, dtype=np.int64)
         nblocks = 0
         for g in cone.soc_groups:
@@ -493,7 +491,7 @@ class NewtonAssembly:
         W, d = _jacobian_lowrank(J)
         if d.size:
             # by columns the product touches only the columns W selects
-            U = self.csc() @ W
+            U = self.A @ W
             U.sort_indices()
         else:
             U = sp.csc_matrix((m, 0))
@@ -797,7 +795,6 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     system and its residual, when the solve misses the target or the sparse
     factorization fails.
     """
-    A = sp.csr_matrix(A)
     m, n = A.shape
     R1 = np.asarray(R1, dtype=float)
     R2 = np.asarray(R2, dtype=float)

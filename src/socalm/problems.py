@@ -90,10 +90,10 @@ def meb_problem(instance: MebInstance) -> ProblemData:
     packed = np.concatenate(
         [instance.radii[:, None], instance.centers], axis=1).ravel()
     c = -packed
+    # one entry per column: column j holds -1 in row j mod (d+1)
     rows = np.tile(np.arange(d + 1), m)
-    cols = np.arange(n)
-    data = np.full(n, -1.0)
-    A = sp.csr_matrix((data, (rows, cols)), shape=(d + 1, n))
+    A = sp.csc_matrix((np.full(n, -1.0), rows, np.arange(n + 1)),
+                      shape=(d + 1, n))
     cone = ConeSpec([Block("soc", d + 1) for _ in range(m)])
     return ProblemData(None, A, b, c, cone)
 
@@ -181,7 +181,7 @@ def build_trs(H, c):
     big_h = np.zeros((d + 1, d + 1))
     big_h[1:, 1:] = H - shift * np.eye(d)
     big_c = np.concatenate(([0.0], c))
-    A = sp.csr_matrix((np.ones(1), (np.zeros(1, dtype=int), np.zeros(1, dtype=int))),
+    A = sp.csc_matrix((np.ones(1), (np.zeros(1, dtype=int), np.zeros(1, dtype=int))),
                       shape=(1, d + 1))
     cone = ConeSpec([Block("soc", d + 1)])
     problem = ProblemData(SparseSymmetric.from_dense(big_h), A,
@@ -324,10 +324,10 @@ def build_srlasso(B, w, lam):
     instance = SrLassoInstance(B=B, w=w, lam=lam)
     m, d = B.shape
     n = 2 * d + m + 1
-    Bs = sp.csr_matrix(B)
+    Bs = sp.csc_matrix(B)
     A = sp.hstack(
-        [Bs, -Bs, sp.csr_matrix((m, 1)), -sp.identity(m, format="csr")],
-        format="csr")
+        [Bs, -Bs, sp.csc_matrix((m, 1)), -sp.identity(m, format="csc")],
+        format="csc")
     c = np.concatenate([np.full(2 * d, lam), [1.0], np.zeros(m)])
     cone = ConeSpec([Block("nonneg", 2 * d), Block("soc", m + 1)])
     return instance, ProblemData(None, A, w, c, cone)

@@ -507,6 +507,119 @@ class TestProblemDataValidation:
                         np.ones(1), np.ones(2), cone)
 
 
+def _split_entries(A):
+    """CSR twin of ``A`` that stores each entry as two halves, the entries of
+    every row in descending column order: duplicates and unsorted indices."""
+    R = sp.csr_matrix(A)
+    R.sort_indices()
+    indices = np.empty(2 * R.nnz, dtype=R.indices.dtype)
+    data = np.empty(2 * R.nnz)
+    for i in range(R.shape[0]):
+        lo, hi = R.indptr[i], R.indptr[i + 1]
+        indices[2 * lo:2 * hi] = np.repeat(R.indices[lo:hi][::-1], 2)
+        data[2 * lo:2 * hi] = np.repeat(R.data[lo:hi][::-1] / 2, 2)
+    return sp.csr_matrix((data, indices, 2 * R.indptr), shape=R.shape)
+
+
+def _same_bits(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+class TestCanonicalA:
+    """``ProblemData`` holds A once, as a canonical CSC matrix."""
+
+    @staticmethod
+    def _problem(A):
+        cone = ConeSpec.make(nonneg=A.shape[1])
+        return ProblemData(None, A, np.ones(A.shape[0]), np.ones(A.shape[1]),
+                           cone)
+
+    def test_duplicates_count_once_in_a_fro(self):
+        # [[1, 0, 2], [0, 3, 0]] with the 1 stored as two entries of 0.5
+        A = sp.csr_matrix((np.array([0.5, 0.5, 2.0, 3.0]), np.array([0, 0, 2, 1]),
+                           np.array([0, 3, 4])), shape=(2, 3))
+        p = self._problem(A)
+        assert p.a_fro == np.linalg.norm(A.toarray())
+        assert p.A.format == "csc" and p.A.has_canonical_format
+        assert p.A.nnz == 3
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    def test_caller_arrays_are_unchanged(self, fmt):
+        _, ref = _bench_srlasso(30, 12)
+        A = _split_entries(ref.A)
+        if fmt == "csc":
+            A = _split_entries(ref.A.T).T
+        assert A.format == fmt and not A.has_canonical_format
+        saved = [a.copy() for a in (A.data, A.indices, A.indptr)]
+        p = self._problem(A)
+        assert not np.shares_memory(p.A.data, A.data)
+        for got, old in zip((A.data, A.indices, A.indptr), saved):
+            _same_bits(got, old)
+
+    def test_solve_equals_that_of_the_canonical_twin(self):
+        _, ref = _bench_srlasso(30, 12)
+        twin = ProblemData(None, _split_entries(ref.A), ref.b, ref.c, ref.cone)
+        for got, old in ((twin.A.data, ref.A.data), (twin.A.indices, ref.A.indices),
+                         (twin.A.indptr, ref.A.indptr)):
+            _same_bits(got, old)
+        r, s = solve(ref), solve(twin)
+        assert r.status == s.status == OPTIMAL
+        assert (r.outer_iters, r.newton_iters) == (s.outer_iters, s.newton_iters)
+        for name in ("x1", "x2", "x3", "y"):
+            _same_bits(getattr(s, name), getattr(r, name))
+
+    def test_canonical_csc_input_is_held_as_it_is(self):
+        _, ref = _bench_srlasso(30, 12)
+        p = ProblemData(None, ref.A, ref.b, ref.c, ref.cone)
+        assert p.A is ref.A
+        assert p.assembly.csc() is p.A
+
+
+def _random_canonical(rng, m, n):
+    """Random CSR matrix of values spread over 16 decades, with empty rows
+    and empty columns."""
+    A = sp.random(m, n, density=0.3, random_state=rng, format="lil")
+    A[rng.choice(m, m // 4, replace=False), :] = 0
+    A[:, rng.choice(n, n // 4, replace=False)] = 0
+    A = A.tocsr()
+    A.eliminate_zeros()
+    A.data = rng.standard_normal(A.nnz) * 10.0 ** rng.uniform(-8, 8, A.nnz)
+    return A
+
+
+def _exactness_cases():
+    rng = np.random.default_rng(11)
+    B = rng.standard_normal((40, 15))
+    yield "gen_meb", gen_meb(60, 7)[1]
+    yield "build_srlasso", build_srlasso(B, B[:, 0], 0.3)[1]
+    yield "gen_trs", gen_trs(30, 2)[1]
+    for i, (m, n) in enumerate(((25, 40), (60, 30))):
+        A = _random_canonical(rng, m, n)
+        assert (np.diff(A.indptr) == 0).any() and (A.getnnz(axis=0) == 0).any()
+        yield f"random{i}", ProblemData(None, A, np.ones(m), np.ones(n),
+                                        ConeSpec.make(nonneg=n))
+
+
+@pytest.mark.parametrize("name, p", list(_exactness_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_held_csc_products_have_the_bits_of_csr(name, p):
+    """``A @ v``, ``A @ X`` and ``A' w`` through the one held CSC matrix are
+    byte-equal to the products of its CSR form."""
+    rng = np.random.default_rng(5)
+    R = p.A.tocsr()
+    v = rng.standard_normal(p.n) * 10.0 ** rng.uniform(-8, 8, p.n)
+    X = rng.standard_normal((p.n, 3)) * 10.0 ** rng.uniform(-8, 8, (p.n, 3))
+    w = rng.standard_normal(p.m) * 10.0 ** rng.uniform(-8, 8, p.m)
+    _same_bits(p.A @ v, R @ v)
+    _same_bits(p.A @ X, R @ X)
+    _same_bits(p.rmatvec(w), R.T @ w)
+    Ac, At = p.assembly.csc(), p.assembly.at()
+    assert Ac is p.A
+    assert np.shares_memory(At.data, p.A.data)
+    assert np.shares_memory(At.indices, p.A.indices)
+
+
 class TestAlmOptionsValidation:
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(AlmOptions)] == [

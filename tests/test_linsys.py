@@ -3,7 +3,6 @@
 import pickle
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -467,7 +466,13 @@ class TestAssemblyCache:
     def test_problem_construction_builds_nothing(self, builds):
         problem = small_srlasso()
         assert builds == []
-        assert problem.assembly._csc is None and problem.assembly._at is None
+        assert problem.assembly._structure is None
+        # but the transpose view of the one A, which copies nothing
+        At = problem.assembly.at()
+        assert problem.assembly.csc() is problem.A
+        assert At.format == "csr" and At.shape == problem.A.shape[::-1]
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(At, name), getattr(problem.A, name))
 
     def test_one_csc_copy_of_a_serves_products_and_assembly(self):
         problem = small_srlasso()
@@ -483,19 +488,22 @@ class TestAssemblyCache:
         assert problem.assembly.csc() is Ac
         assert problem.assembly.at() is At
 
-    def test_concurrent_solves_build_one_csc_copy(self, monkeypatch):
+    def test_concurrent_solves_copy_no_a(self, monkeypatch):
         serial = socalm.solve(small_srlasso(seed=3))
         problem = small_srlasso(seed=3)
-        A = problem.assembly.A
-        tocsc = A.tocsc
-        copies = []
+        A = problem.A
+        calls = []
 
-        def counted_tocsc(*args, **kwargs):
-            copies.append(1)
-            time.sleep(0.05)  # hold the build open while the other thread asks
-            return tocsc(*args, **kwargs)
+        def counted(name):
+            method = getattr(A, name)
 
-        monkeypatch.setattr(A, "tocsc", counted_tocsc)
+            def call(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return call
+
+        for name in ("tocsr", "tocsc", "tocoo", "copy", "transpose", "astype"):
+            monkeypatch.setattr(A, name, counted(name))
         barrier = threading.Barrier(2)
         results = [None, None]
 
@@ -509,7 +517,8 @@ class TestAssemblyCache:
         for t in threads:
             t.join(timeout=120)
         assert not any(t.is_alive() for t in threads)
-        assert copies == [1]
+        assert calls == []
+        assert problem.assembly.csc() is A
         for r in results:
             assert r.status == serial.status == "Optimal"
             assert (r.outer_iters, r.newton_iters) == (serial.outer_iters,
@@ -567,7 +576,12 @@ class TestAssemblyCache:
         copy = pickle.loads(pickle.dumps(problem))
         assert problem.assembly._structure is not None
         assert copy.assembly._structure is None
-        assert copy.assembly._csc is None
+        # the copy holds its A once too, with the same bits
+        assert copy.assembly.csc() is copy.A
+        assert np.shares_memory(copy.assembly.at().data, copy.A.data)
+        for name in ("data", "indices", "indptr"):
+            assert (getattr(copy.A, name).tobytes()
+                    == getattr(problem.A, name).tobytes())
         assert socalm.solve(copy).status == "Optimal"
 
     def test_concurrent_solves_of_one_problem_agree_bitwise(self):
