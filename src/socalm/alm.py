@@ -52,9 +52,12 @@ class ProblemData:
     ``H`` must be symmetric positive semidefinite (symmetry is enforced at
     construction; definiteness is a documented trust assumption, violations
     surface as inner line-search failures).  ``A`` is held once, canonical
-    CSC (:func:`~socalm.linsys.canonical_csc`).  ``assembly`` shares it:
-    :meth:`rmatvec` reads its transpose view, and it builds the linear-case
-    Newton structure of ``(A, cone)`` at the first Newton step that needs it.
+    CSC (:func:`~socalm.linsys.canonical_csc`).  ``assembly`` shares it and
+    serves :meth:`matvec` and :meth:`rmatvec`: from the one block every
+    Lorentz block repeats when there is one
+    (:func:`~socalm.linsys.shared_block`), else from ``A`` and its transpose
+    view.  It builds the linear-case Newton structure of ``(A, cone)`` at
+    the first Newton step that needs it.
     """
 
     def __init__(self, H, A, b, c, cone: ConeSpec):
@@ -82,9 +85,14 @@ class ProblemData:
         self.a_fro = float(np.sqrt((self.A.data ** 2).sum())) if self.A.nnz else 0.0
         self.assembly = NewtonAssembly(self.A, cone)
 
+    def matvec(self, v) -> np.ndarray:
+        """``A v`` (:meth:`NewtonAssembly.matvec`)."""
+        return self.assembly.matvec(v)
+
     def rmatvec(self, v) -> np.ndarray:
-        """``A' v``, summed row by row of ``A'`` (the bits of ``A.T @ v``)."""
-        return self.assembly.at() @ v
+        """``A' v``, with the bits of ``A.T @ v``
+        (:meth:`NewtonAssembly.rmatvec`)."""
+        return self.assembly.rmatvec(v)
 
     def __repr__(self):
         kind = "quadratic" if self.is_quadratic else "linear"
@@ -164,7 +172,7 @@ def kkt_residuals(problem: ProblemData, x1, x2, x3, y):
     Returns ``(d1, d2, d3, d4, pobj, dobj)``: dual feasibility, cone
     complementarity, primal feasibility, and the relative objective gap.
     """
-    Ay_b = problem.A @ y - problem.b
+    Ay_b = problem.matvec(y) - problem.b
     if problem.is_quadratic:
         Hx1y = problem.H.matvec(x1 - y)
         h_fro = problem.H.fro_norm()
@@ -198,7 +206,7 @@ def natural_map(problem: ProblemData, x1, x2, x3, y) -> np.ndarray:
         Hx1 = np.zeros(problem.n)
     return np.concatenate([
         top,
-        problem.A @ y - problem.b,
+        problem.matvec(y) - problem.b,
         x3 - project(problem.cone, x3 - y),
         Hx1 - problem.rmatvec(x2) - x3 + problem.c,
     ])

@@ -8,21 +8,26 @@ low-rank update.
 
 Assembly goes through a per-problem :class:`NewtonAssembly`, built on first
 use, on the problem's one CSC matrix A, which also serves ``A v`` and
-``A' v``.  It keeps every Lorentz block's ``A_i A_i'`` on one fixed pattern, so the
-Lorentz part of ``M_sp`` is a single sparse mat-vec with the block weights.
-Only the active nonneg columns of A enter.  When those columns are stored
-dense and there are fewer of them than A has rows, the active ones become
-low-rank columns of weight 1, and ``M_sp`` holds only ``eps*I`` and the
-Lorentz part; otherwise their Gram is added to ``M_sp``, with BLAS when they
-are stored dense.  ``M_sp`` is stored dense (a CSR matrix that keeps every
-entry) when that takes no more memory than its sparse pattern.
+``A' v``.  It keeps every Lorentz block's ``A_i A_i'`` on one fixed pattern,
+so the Lorentz part of ``M_sp`` is a single sparse mat-vec with the block
+weights.  When every Lorentz block has the same columns ``A_g`` of A
+(:func:`shared_block`), every product comes from that one m x d block: the
+pattern is ``A_g A_g'`` times the block weights summed in block order, and
+``U`` is ``A_g`` times the low-rank vectors.  Only the active nonneg columns
+of A enter.  When those columns are stored dense and there are fewer of them
+than A has rows, the active ones become low-rank columns of weight 1, and
+``M_sp`` holds only ``eps*I`` and the Lorentz part; otherwise their Gram is
+added to ``M_sp``, with BLAS when they are stored dense.  ``M_sp`` is stored
+dense (a CSR matrix that keeps every entry) when that takes no more memory
+than its sparse pattern.
 
 The linear case has one direct solve path: factor ``M_sp`` (dense Cholesky
 when it is stored dense, a division when it is diagonal, sparse LU
 otherwise) and add the k low-rank columns (k may be 0) through the Schur
-complement of an augmented system.  Only when the update is at least as wide
-as the system is the whole matrix densified instead.  A solve that still misses its tolerance after two refinement steps
-raises :class:`LinearSolveError`.
+complement of an augmented system.  Only when the update is at least as
+wide as the system is the whole matrix densified instead.  A solve that
+still misses its tolerance after two refinement steps raises
+:class:`LinearSolveError`.
 
 The quadratic case solves the unsymmetric two-by-two block system, for any H,
 by a direct solve chosen by the one storage of H (:class:`SparseSymmetric`).
@@ -41,7 +46,7 @@ raise :class:`LinearSolveError` as in the linear case.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -208,15 +213,16 @@ def _jacobian_scale(J: JacobianElement) -> np.ndarray:
     return s
 
 
-def _jacobian_lowrank(J: JacobianElement):
-    """Low-rank remainder of V: returns ``(W, d)`` with V = diag(s) + W diag(d) W'.
+def _lowrank_parts(J: JacobianElement):
+    """The low-rank columns of V, as ``(group, blocks, vals, lam)`` per group
+    and sign: the blocks they sit on, their values on those blocks' rows
+    (one row of ``vals`` per column) and their weights.
 
     Each middle-type Lorentz block contributes the two orthonormal columns
     (e0 +- (0, w))/sqrt(2) with weights (1 - r)/2 and -(1 + r)/2; weights of
     magnitude below 1e-14 (the boundary degeneracies) are dropped.
     """
-    n = J.cone.total_dim
-    rows_parts, vals_parts, len_parts, d_parts = [], [], [], []
+    parts = []
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for gj in J.soc:
         g = gj.group
@@ -228,23 +234,30 @@ def _jacobian_lowrank(J: JacobianElement):
             keep = np.nonzero(np.abs(lam) > _DROP_TOL)[0]
             if not keep.size:
                 continue
-            nb = keep.size
-            vmat = np.empty((nb, g.dim))
+            vmat = np.empty((keep.size, g.dim))
             vmat[:, 0] = inv_sqrt2
             vmat[:, 1:] = sign * inv_sqrt2 * gj.omega[keep]
-            # each column is one block's contiguous, sorted row range
-            rows_parts.append(
-                (g.starts[sel[keep], None] + np.arange(g.dim)).ravel())
-            vals_parts.append(vmat.ravel())
-            len_parts.append(np.full(nb, g.dim))
-            d_parts.append(lam[keep])
-    if not d_parts:
+            parts.append((g, sel[keep], vmat, lam[keep]))
+    return parts
+
+
+def _jacobian_lowrank(J: JacobianElement):
+    """Low-rank remainder of V: ``(W, d)`` with V = diag(s) + W diag(d) W',
+    one CSC column of W per column of :func:`_lowrank_parts`."""
+    n = J.cone.total_dim
+    parts = _lowrank_parts(J)
+    if not parts:
         return sp.csc_matrix((n, 0)), np.zeros(0)
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(len_parts))))
+    # each column is one block's contiguous, sorted row range
+    rows = [(g.starts[blocks, None] + np.arange(g.dim)).ravel()
+            for g, blocks, _, _ in parts]
+    lens = [np.full(blocks.size, g.dim) for g, blocks, _, _ in parts]
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(lens))))
     W = sp.csc_matrix(
-        (np.concatenate(vals_parts), np.concatenate(rows_parts), indptr),
+        (np.concatenate([vmat.ravel() for _, _, vmat, _ in parts]),
+         np.concatenate(rows), indptr),
         shape=(n, indptr.size - 1))
-    return W, np.concatenate(d_parts)
+    return W, np.concatenate([lam for *_, lam in parts])
 
 
 def jacobian_sparse_matrix(J: JacobianElement) -> sp.csr_matrix:
@@ -264,13 +277,17 @@ class NewtonSystem:
     it is dense), ``U`` the m x k low-rank columns and ``d`` their weights.
     ``U`` is sparse CSC, or a dense array whose first columns are the active
     nonneg columns of A (weight 1) when :class:`NewtonAssembly` takes those
-    out of ``M_sp``.
+    out of ``M_sp``.  ``Ut`` is the transpose view of ``U``, made once.
     """
 
     m: int
     M_sp: sp.csr_matrix
     U: sp.csc_matrix | np.ndarray
     d: np.ndarray
+    Ut: sp.csr_matrix | np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.Ut = self.U.T
 
     @property
     def k(self):
@@ -279,7 +296,7 @@ class NewtonSystem:
     def matvec(self, v):
         out = self.M_sp @ v
         if self.k:
-            out = out + self.U @ (self.d * (self.U.T @ v))
+            out = out + self.U @ (self.d * (self.Ut @ v))
         return out
 
     def densify(self):
@@ -366,9 +383,61 @@ class _GramStructure:
     indices: np.ndarray
     diag: np.ndarray         # positions of the diagonal among ``keys``
     G: sp.csr_matrix         # G[p, b] = (A_b A_b')[keys[p]], one column per block
+                             # (one column in all when they share one block)
     A0t: np.ndarray | sp.csr_matrix | None  # nonneg columns of A, transposed
     lowrank0: bool           # active nonneg columns go to U, not into M_sp
     full: tuple | None       # (indptr, indices) of a full pattern when M is dense
+
+
+def shared_block(A, cone):
+    """The m x d block ``A_g`` that every Lorentz block repeats, or None.
+
+    Only a cone of at least two Lorentz blocks of one dimension and no
+    orthant qualifies, and then only when each block's columns of the
+    canonical CSC ``A`` have the same counts, row indices and value bits,
+    so ``A = [A_g, ..., A_g]``.  ``A_g`` is the first block's columns; one
+    vectorized pass over ``A``'s arrays decides.
+    """
+    if cone.nonneg_dim or len(cone.soc_groups) != 1:
+        return None
+    g = cone.soc_groups[0]
+    if g.count < 2:
+        return None
+    p = int(A.indptr[g.dim])
+    ptr = A.indptr[:-1].reshape(g.count, g.dim)
+    if not (A.nnz == g.count * p and np.array_equal(
+            ptr, ptr[:1] + p * np.arange(g.count)[:, None])):
+        return None
+    for arr in (A.indices, A.data):
+        per_block = arr[:A.nnz].view(np.uint8).reshape(g.count, -1)
+        if not np.array_equal(per_block,
+                              np.broadcast_to(per_block[0], per_block.shape)):
+            return None
+    return sp.csc_matrix((A.data[:p], A.indices[:p], A.indptr[:g.dim + 1]),
+                         shape=(A.shape[0], g.dim))
+
+
+def _block_product(Ag, Vt):
+    """``Ag @ Vt'`` as canonical CSC, exact zeros dropped.
+
+    The sparse kernel adds each entry over ``Ag``'s columns in ascending
+    order, as the sparse product of the whole ``A`` with the low-rank
+    columns does, so the two have the same bits.
+    """
+    m, k = Ag.shape[0], Vt.shape[0]
+    T = (Ag @ Vt.T).T   # row j is column j of the product
+    keep = T != 0.0
+    # the index type scipy would pick, built directly: a cast costs a pass
+    idx = np.int32 if m * k <= np.iinfo(np.int32).max else np.int64
+    if keep.all():
+        data = T.ravel()
+        indices = np.tile(np.arange(m, dtype=idx), k)
+        indptr = np.arange(0, m * k + 1, m, dtype=idx)
+    else:
+        data = T[keep]
+        indices = np.nonzero(keep)[1].astype(idx)
+        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1)))).astype(idx)
+    return sp.csc_matrix((data, indices, indptr), shape=(m, k))
 
 
 def canonical_csc(A) -> sp.csc_matrix:
@@ -386,16 +455,18 @@ class NewtonAssembly:
     """Per-problem structure of the linear-case Newton matrix.
 
     :meth:`csc` is the one canonical CSC ``A`` (:func:`canonical_csc`) and
-    :meth:`at` its transpose view; nothing else is made at construction.
-    The first :meth:`assemble` builds the Lorentz block Grams, the storage
-    of the nonneg columns and the storage decision for ``M_sp``, once,
-    under a lock; every later call reuses them.  The nonneg columns are
-    kept dense when that is no larger than sparse storage.  Dense and fewer
-    than the m rows of ``A``, the active ones become low-rank columns of
-    weight 1 in ``U``, so ``M_sp`` holds only ``eps*I`` and the Lorentz
-    Grams; otherwise their Gram is added to ``M_sp``.  Nothing is modified
-    once built, so threads may assemble concurrently.  A pickled copy
-    starts unbuilt.
+    :meth:`at` its transpose view.  ``block`` is the block that every
+    Lorentz block's columns repeat (:func:`shared_block`), or None; when it
+    is set, :meth:`matvec`, :meth:`rmatvec` and :meth:`assemble` read only
+    it.  Nothing else is made at construction.  The first :meth:`assemble`
+    builds the Lorentz block Grams, the storage of the nonneg columns and
+    the storage decision for ``M_sp``, once, under a lock; every later call
+    reuses them.  The nonneg columns are kept dense when that is no larger
+    than sparse storage.  Dense and fewer than the m rows of ``A``, the
+    active ones become low-rank columns of weight 1 in ``U``, so ``M_sp``
+    holds only ``eps*I`` and the Lorentz Grams; otherwise their Gram is
+    added to ``M_sp``.  Nothing is modified once built, so threads may
+    assemble concurrently.  A pickled copy starts unbuilt.
     """
 
     def __init__(self, A, cone):
@@ -406,6 +477,8 @@ class NewtonAssembly:
                 f"A has {self.A.shape[1]} columns, cone total_dim is "
                 f"{cone.total_dim}")
         self._at = self.A.T
+        self.block = shared_block(self.A, cone)
+        self._block_t = None if self.block is None else self.block.T
         self._structure = None
         self._lock = threading.Lock()
 
@@ -420,16 +493,41 @@ class NewtonAssembly:
         """``A'`` by rows, on the arrays of :meth:`csc`, so ``A' v`` is a gather."""
         return self._at
 
+    def matvec(self, v) -> np.ndarray:
+        """``A v``; with a shared block, ``A_g`` times the blocks of v summed
+        in block order."""
+        if self.block is None:
+            return self.A @ v
+        g = self.cone.soc_groups[0]
+        blocks = v.reshape((g.count, g.dim) + v.shape[1:])
+        return self.block @ blocks.sum(axis=0)
+
+    def rmatvec(self, v) -> np.ndarray:
+        """``A' v``, summed row by row of ``A'`` (the bits of ``A.T @ v``);
+        with a shared block, ``A_g' v`` repeated once per block."""
+        if self.block is None:
+            return self._at @ v
+        r = self._block_t @ v
+        count = self.cone.soc_groups[0].count
+        return np.broadcast_to(r, (count,) + r.shape).reshape(
+            (count * r.shape[0],) + r.shape[1:])
+
     def _build(self) -> _GramStructure:
         Ac, cone = self.A, self.cone
         m = Ac.shape[0]
-        block_of_col = np.full(cone.total_dim, -1, dtype=np.int64)
-        nblocks = 0
-        for g in cone.soc_groups:
-            ids = nblocks + np.arange(g.count)
-            g.scatter(block_of_col, np.broadcast_to(ids[:, None], (g.count, g.dim)))
-            nblocks += g.count
-        keys, G = _block_grams(Ac, block_of_col, nblocks)
+        if self.block is not None:
+            # one block's Gram, weighted by the sum of the block weights
+            keys, G = _block_grams(
+                self.block, np.zeros(self.block.shape[1], np.int64), 1)
+        else:
+            block_of_col = np.full(cone.total_dim, -1, dtype=np.int64)
+            nblocks = 0
+            for g in cone.soc_groups:
+                ids = nblocks + np.arange(g.count)
+                g.scatter(block_of_col,
+                          np.broadcast_to(ids[:, None], (g.count, g.dim)))
+                nblocks += g.count
+            keys, G = _block_grams(Ac, block_of_col, nblocks)
         rows, cols = np.divmod(keys, m)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
         diag = np.searchsorted(keys, np.arange(m, dtype=np.int64) * (m + 1))
@@ -470,6 +568,9 @@ class NewtonAssembly:
                 st = self._structure
         m = self.A.shape[0]
         w = np.concatenate([0.5 * (1.0 + gj.rho) for gj in J.soc] + [np.zeros(0)])
+        if self.block is not None:
+            # summed in block order, as G @ w adds a row's equal entries
+            w = np.cumsum(w)[-1:]
         lorentz = st.G @ w
         lorentz[st.diag] += eps
         gram0 = X = None
@@ -488,13 +589,19 @@ class NewtonAssembly:
             M_sp = sp.csr_matrix((lorentz, st.indices, st.indptr), shape=(m, m))
             if gram0 is not None:
                 M_sp = (M_sp + sp.csr_matrix(gram0)).tocsr()
-        W, d = _jacobian_lowrank(J)
-        if d.size:
-            # by columns the product touches only the columns W selects
-            U = self.A @ W
-            U.sort_indices()
+        if self.block is not None:
+            parts = _lowrank_parts(J)
+            d = np.concatenate([lam for *_, lam in parts] + [np.zeros(0)])
+            U = _block_product(self.block, np.concatenate(
+                [vmat for _, _, vmat, _ in parts]
+                + [np.zeros((0, self.block.shape[1]))]))
         else:
+            W, d = _jacobian_lowrank(J)
             U = sp.csc_matrix((m, 0))
+            if d.size:
+                # by columns the product touches only the columns W selects
+                U = self.A @ W
+                U.sort_indices()
         if st.lowrank0:
             # rows of U' in C order, so U is a Fortran-ordered array
             U = np.concatenate([X, U.T.toarray()]).T
@@ -577,8 +684,7 @@ def _lowrank_solver(sys_, solve_M):
     k = sys_.k
     if not k:
         return solve_M
-    U = sys_.U
-    Ud = _as_array(U)
+    Ud = _as_array(sys_.U)
     MiU = solve_M(Ud)
     S = MiU.T @ Ud
     S[np.diag_indices(k)] += 1.0 / sys_.d
@@ -586,7 +692,7 @@ def _lowrank_solver(sys_, solve_M):
 
     def solve(r):
         lam1 = solve_M(r)
-        lam2 = scipy.linalg.lu_solve(S_lu, U.T @ lam1, check_finite=False)
+        lam2 = scipy.linalg.lu_solve(S_lu, sys_.Ut @ lam1, check_finite=False)
         return lam1 - MiU @ lam2
 
     return solve
@@ -649,11 +755,12 @@ def _split_v(J: JacobianElement):
     """``(s, W, d, apply_v)``: V = diag(s) + W diag(d) W' and ``X -> V X``."""
     s = _jacobian_scale(J)
     W, d = _jacobian_lowrank(J)
+    Wt = W.T
 
     def apply_v(X):
         out = s[:, None] * X
         if d.size:
-            out += W @ (d[:, None] * (W.T @ X))
+            out += W @ (d[:, None] * (Wt @ X))
         return out
 
     return s, W, d, apply_v

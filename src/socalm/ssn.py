@@ -133,7 +133,7 @@ def make_state(problem, x1, x2, y, sigma) -> InnerState:
     norms = tail_norms(problem.cone, z)
     proj = project(problem.cone, z, norms=norms)
     psi = _psi(problem, x2, proj, float(y @ y), sigma, quad)
-    g2 = problem.A @ proj - problem.b
+    g2 = problem.matvec(proj) - problem.b
     if problem.is_quadratic:
         g1 = Hx1 - problem.H.matvec(proj)
         gnorm = float(np.sqrt(g1 @ g1 + g2 @ g2))

@@ -614,10 +614,47 @@ def test_held_csc_products_have_the_bits_of_csr(name, p):
     _same_bits(p.A @ v, R @ v)
     _same_bits(p.A @ X, R @ X)
     _same_bits(p.rmatvec(w), R.T @ w)
+    # through the shared block of gen_meb, through A for the others
+    assert (p.assembly.block is not None) == (name == "gen_meb")
+    _same_bits(p.matvec(v), R @ v)
+    _same_bits(p.matvec(X), R @ X)
+    Y = rng.standard_normal((p.m, 2))
+    _same_bits(p.rmatvec(Y), R.T @ Y)
     Ac, At = p.assembly.csc(), p.assembly.at()
     assert Ac is p.A
     assert np.shares_memory(At.data, p.A.data)
     assert np.shares_memory(At.indices, p.A.indices)
+
+
+class _Unread:
+    """Stands in for A's arrays: any product with it fails."""
+
+    shape = property(lambda self: pytest.fail("A was read"))
+
+    def __matmul__(self, other):
+        pytest.fail("A was read")
+
+
+def test_meb_state_and_residuals_read_only_the_shared_block():
+    """make_state, kkt_residuals and natural_map of an enclosing-ball problem
+    take every product with A from its m x (d+1) block: with the whole A and
+    its transpose view taken away they give the bits they gave before."""
+    p = gen_meb(60, 7)[1]
+    rng = np.random.default_rng(3)
+    x2, y = rng.standard_normal(p.m), rng.standard_normal(p.n)
+    x3 = project(p.cone, rng.standard_normal(p.n))
+    x1 = np.zeros(p.n)
+
+    def evaluate():
+        st = ssn.make_state(p, x1, x2, y, 2.5)
+        return ([st.z, st.proj, st.g2, np.array([st.psi, st.grad_norm])]
+                + [np.array(kkt_residuals(p, x1, x2, x3, y)),
+                   natural_map(p, x1, x2, x3, y)])
+
+    before = evaluate()
+    p.A = p.assembly.A = p.assembly._at = _Unread()
+    for got, ref in zip(evaluate(), before):
+        _same_bits(got, ref)
 
 
 class TestAlmOptionsValidation:

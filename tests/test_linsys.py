@@ -25,6 +25,7 @@ from socalm import (
 )
 from socalm import linsys
 from socalm.linsys import LinearSolveError, jacobian_sparse_matrix
+from socalm.problems import meb_problem
 
 
 def rank_one_example():
@@ -605,6 +606,214 @@ class TestAssemblyCache:
             assert r.newton_iters == serial.newton_iters
             for name in ("x1", "x2", "x3", "y"):
                 assert np.array_equal(getattr(r, name), getattr(serial, name))
+
+
+def meb_twin(problem, change):
+    """The enclosing-ball problem with its A edited by ``change`` (COO in,
+    COO out)."""
+    A = problem.A.tocoo()
+    return socalm.ProblemData(None, change(A), problem.b, problem.c,
+                              problem.cone)
+
+
+def selection_block(rng, m, dim):
+    """m x dim block with at most one entry, +-1, in each row."""
+    rows = np.flatnonzero(rng.random(m) < 0.8)
+    return sp.csc_matrix((rng.choice([-1.0, 1.0], rows.size),
+                          (rows, rng.integers(0, dim, rows.size))),
+                         shape=(m, dim))
+
+
+def repeated(Ag, count):
+    """The problem whose cone is ``count`` Lorentz blocks and whose A repeats
+    ``Ag`` once per block."""
+    m, dim = Ag.shape
+    cone = ConeSpec.make(soc=(dim,) * count)
+    return socalm.ProblemData(None, sp.hstack([Ag] * count, format="csc"),
+                              np.ones(m), np.ones(count * dim), cone)
+
+
+class TestSharedBlock:
+    """A cone of equal Lorentz blocks whose columns of A repeat one block."""
+
+    def test_detected_on_enclosing_ball_problems(self, tmp_path):
+        instance, problem = socalm.gen_meb(40, 5)
+        socalm.write_problem(problem, tmp_path / "meb.prob")
+        for p in (problem, meb_problem(instance),
+                  socalm.parse_problem(tmp_path / "meb.prob")):
+            Ag = p.assembly.block
+            assert Ag is not None and Ag.shape == (6, 6)
+            np.testing.assert_array_equal(Ag.toarray(), -np.eye(6))
+            first = p.A[:, :6]
+            for name in ("data", "indices", "indptr"):
+                assert (getattr(Ag, name).tobytes()
+                        == getattr(first, name).tobytes())
+
+    def _bump_value(A):
+        A.data[A.col == 6 * 3 + 2] *= 2.0
+        return A
+
+    def _move_row(A):
+        hit = A.col == 6 * 3 + 2
+        A.row[hit] = (A.row[hit] + 1) % 6
+        return A
+
+    def _add_entry(A):
+        return sp.coo_matrix(
+            (np.append(A.data, 1.0), (np.append(A.row, 0),
+                                      np.append(A.col, 6 * 3 + 2))),
+            shape=A.shape)
+
+    @pytest.mark.parametrize("change", [_bump_value, _move_row, _add_entry])
+    def test_not_detected_when_one_block_differs(self, change):
+        _, problem = socalm.gen_meb(40, 5)
+        assert meb_twin(problem, change).assembly.block is None
+
+    def test_not_detected_on_other_cones(self):
+        assert small_srlasso().assembly.block is None
+        assert socalm.gen_trs(6, 1)[1].assembly.block is None
+        eye = -sp.identity(4, format="csc")
+        cases = [(ConeSpec.make(nonneg=4, soc=(4, 4)), sp.hstack([eye] * 3)),
+                 (ConeSpec.make(soc=(4, 4, 2, 2)),
+                  sp.hstack([eye, eye, eye[:, :2], eye[:, 2:]])),
+                 (ConeSpec.make(soc=(4,)), eye)]
+        for cone, A in cases:
+            assert NewtonAssembly(A, cone).block is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_selection_block_products_have_the_bits_of_a(self, seed):
+        rng = np.random.default_rng(seed)
+        p = repeated(selection_block(rng, 9, 5), 30)
+        assert p.assembly.block is not None
+        v = rng.standard_normal(p.n) * 10.0 ** rng.uniform(-8, 8, p.n)
+        w = rng.standard_normal(p.m)
+        assert p.matvec(v).tobytes() == (p.A @ v).tobytes()
+        assert p.rmatvec(w).tobytes() == (p.A.T @ w).tobytes()
+
+    def test_block_with_several_entries_per_row_agrees(self):
+        rng = np.random.default_rng(4)
+        Ag = sp.random(7, 5, density=0.7, random_state=4, format="csc")
+        assert (np.diff(Ag.tocsr().indptr) > 1).any()
+        p = repeated(Ag, 25)
+        v, w = rng.standard_normal(p.n), rng.standard_normal(p.m)
+        ref = p.A @ v
+        assert np.abs(p.matvec(v) - ref).max() <= 1e-13 * np.abs(ref).max()
+        # A' w keeps its bits: each column is summed as before
+        assert p.rmatvec(w).tobytes() == (p.A.T @ w).tobytes()
+
+    @staticmethod
+    def general_twin(monkeypatch, make):
+        """The problem ``make()`` builds, taking the general path."""
+        with monkeypatch.context() as mp:
+            mp.setattr(linsys, "shared_block", lambda A, cone: None)
+            p = make()
+        assert p.assembly.block is None
+        return p
+
+    @staticmethod
+    def assert_same_system(shared, ref):
+        for M, R in ((shared.M_sp, ref.M_sp), (shared.U, ref.U)):
+            assert M.format == R.format
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(M, name), getattr(R, name)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        assert shared.d.tobytes() == ref.d.tobytes()
+
+    def test_assembly_has_the_bits_of_the_general_path(self, monkeypatch):
+        _, problem = socalm.gen_meb(60, 6)
+        general = self.general_twin(monkeypatch,
+                                    lambda: socalm.gen_meb(60, 6)[1])
+        assembled = []
+        real = NewtonAssembly.assemble
+
+        def both(asm, J, eps):
+            shared = real(asm, J, eps)
+            self.assert_same_system(shared, real(general.assembly, J, eps))
+            assembled.append(shared.k)
+            return shared
+
+        monkeypatch.setattr(NewtonAssembly, "assemble", both)
+        assert socalm.solve(problem).status == "Optimal"
+        assert len(assembled) > 10 and min(assembled) > 0
+        # every block interior: no low-rank column
+        z = np.zeros(problem.n)
+        z[::7] = 1.0
+        problem.assembly.assemble(jacobian_element(problem.cone, z), 0.5)
+        assert assembled[-1] == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_selection_block_assembly_has_the_bits_of_the_general_path(
+            self, monkeypatch, seed):
+        # empty rows of the block give exact zeros in U, which both drop
+        rng = np.random.default_rng(seed)
+        Ag = selection_block(rng, 9, 5)
+        problem = repeated(Ag, 30)
+        general = self.general_twin(monkeypatch, lambda: repeated(Ag, 30))
+        for _ in range(3):
+            J = jacobian_element(problem.cone, rng.standard_normal(problem.n))
+            shared = problem.assembly.assemble(J, 0.1)
+            assert sp.issparse(shared.U) and shared.k > 0
+            self.assert_same_system(shared,
+                                    general.assembly.assemble(J, 0.1))
+
+    def test_solve_has_the_bits_of_the_general_path(self, monkeypatch):
+        shared = socalm.solve(socalm.gen_meb(200, 20)[1])
+        general = socalm.solve(
+            self.general_twin(monkeypatch, lambda: socalm.gen_meb(200, 20)[1]))
+        assert shared.status == general.status == "Optimal"
+        assert ((shared.outer_iters, shared.newton_iters)
+                == (general.outer_iters, general.newton_iters))
+        for name in ("x1", "x2", "x3", "y"):
+            assert (getattr(shared, name).tobytes()
+                    == getattr(general, name).tobytes())
+
+    def test_pickled_problem_detects_its_block_again(self):
+        _, problem = socalm.gen_meb(30, 4)
+        copy = pickle.loads(pickle.dumps(problem))
+        assert copy.assembly.block is not None
+        np.testing.assert_array_equal(copy.assembly.block.toarray(),
+                                      problem.assembly.block.toarray())
+
+
+class TestTransposesHeld:
+    """Each sparse factor is transposed once, not once per product."""
+
+    @pytest.fixture
+    def transposes(self, monkeypatch):
+        calls = []
+        original = sp.csc_matrix.transpose
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.shape)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csc_matrix, "transpose", counted)
+        return calls
+
+    def test_newton_solve_transposes_no_factor(self, transposes):
+        _, problem = socalm.gen_meb(30, 4)
+        rng = np.random.default_rng(2)
+        J = jacobian_element(problem.cone, rng.standard_normal(problem.n))
+        sys_ = problem.assembly.assemble(J, 1e-3)
+        assert sp.issparse(sys_.U) and sys_.k > 0
+        transposes.clear()
+        rhs = rng.standard_normal(problem.m)
+        d, _ = solve_spd(sys_, rhs, 1e-10)
+        for _ in range(3):
+            sys_.matvec(d)
+        assert transposes == []
+
+    def test_quadratic_products_transpose_w_once(self, transposes):
+        rng = np.random.default_rng(3)
+        cone = ConeSpec.make(soc=(4, 4, 5))
+        J = every_case_jacobian(cone, rng, None)
+        *_, apply_v = linsys._split_v(J)
+        assert len(transposes) == 1
+        X = rng.standard_normal((cone.total_dim, 2))
+        for _ in range(4):
+            apply_v(X)
+        assert len(transposes) == 1
 
 
 class TestSolveSpd:
