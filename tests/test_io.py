@@ -902,3 +902,216 @@ class TestWriteArrayBytes:
         socalm_io._write_array(got, values)
         reference_write_array(want, values)
         assert got.getvalue() == want.getvalue()
+
+
+def assert_same_text(got, want):
+    """Equal texts; a mismatch names the first line that differs, since
+    pytest's diff of two texts of thousands of lines runs for minutes."""
+    if got != want:
+        g, w = got.splitlines(), want.splitlines()
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b),
+                 min(len(g), len(w)))
+        pytest.fail(f"texts differ at line {i + 1} of {len(g)} and "
+                    f"{len(w)}: {g[i:i + 1]} != {w[i:i + 1]}")
+
+
+def reference_write_triplets(fh, rows, cols, vals):
+    """One 'row col value' line an entry, the value through
+    ``format(v, ".17g")``."""
+    for r, c, v in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist(),
+                       np.asarray(vals, dtype=float).tolist()):
+        fh.write(f"{r} {c} {format(v, '.17g')}\n")
+
+
+def reference_problem_text(problem):
+    """The problem file with every value formatted on its own."""
+    fh = io.StringIO()
+    fh.write(f"socalm problem 1\nm {problem.m}\nn {problem.n}\n"
+             f"cone {len(problem.cone.blocks)}\n")
+    for blk in problem.cone.blocks:
+        fh.write(f"{blk.kind} {blk.dim}\n")
+    fh.write("b\n")
+    reference_write_array(fh, problem.b)
+    fh.write("c\n")
+    reference_write_array(fh, problem.c)
+    A = problem.A.tocsr()
+    fh.write(f"A {A.nnz}\n")
+    reference_write_triplets(
+        fh, np.repeat(np.arange(problem.m), np.diff(A.indptr)), A.indices,
+        A.data)
+    if problem.is_quadratic:
+        rows, cols, vals = problem.H.lower()
+        fh.write(f"H {vals.size}\n")
+        reference_write_triplets(fh, rows, cols, vals)
+    fh.write("end\n")
+    return fh.getvalue()
+
+
+def incidence_problem():
+    """Shortest path on a 40-node ring with chords: A is the +-1 node-arc
+    incidence matrix, c the arc costs 1 to 4 with one -0.0."""
+    nodes = 40
+    tails = np.concatenate([np.arange(nodes), np.arange(0, nodes, 3)])
+    heads = np.concatenate([(tails[:nodes] + 1) % nodes,
+                            (tails[nodes:] + 7) % nodes])
+    arcs = tails.size
+    A = sp.csc_matrix((np.concatenate([np.ones(arcs), -np.ones(arcs)]),
+                       (np.concatenate([tails, heads]),
+                        np.tile(np.arange(arcs), 2))), shape=(nodes, arcs))
+    b = np.zeros(nodes)
+    b[[0, nodes // 2]] = [1.0, -1.0]
+    c = 1.0 + np.arange(arcs) % 4
+    c[5] = -0.0
+    return ProblemData(None, A, b, c, ConeSpec.make(nonneg=arcs))
+
+
+def spy_tables(monkeypatch):
+    """Record, for each value table asked for, whether it was built."""
+    built, make = [], socalm_io._value_table
+
+    def spy(values):
+        text = make(values)
+        built.append(text is not None)
+        return text
+
+    monkeypatch.setattr(socalm_io, "_value_table", spy)
+    return built
+
+
+def repeated(distinct, size, seed=0):
+    return np.random.default_rng(seed).choice(np.asarray(distinct), size)
+
+
+SIGNED_ZEROS = [0.0, -0.0, 5e-324, -5e-324, 1.5]
+EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
+            2.2250738585072014e-308, -2.2250738585072014e-308, 1e-5, 0.1]
+# (values, whether at most half of them are distinct)
+TABLE_SECTIONS = {
+    "signed_zeros_subnormal": (repeated(SIGNED_ZEROS, 300), True),
+    "extremes": (repeated(EXTREMES, 90, seed=1), True),
+    "half_distinct": (np.repeat(np.arange(1.0, 7.0) / 3, 2), True),
+    "half_plus_one": (np.append(np.repeat(np.arange(1.0, 6.0) / 3, 2),
+                                [7.0, 8.0]), False),
+    "short_tail": (repeated([-2.5, 1 / 7, 0.0], 6 * 11 + 4, seed=2), True),
+    "zero_rows_between": (np.concatenate([
+        np.tile([2.0, -0.0, 1e-300], 4), np.zeros(18),
+        np.tile([2.0, -0.0, 1e-300], 2), np.zeros(6), [5e-324]]), True),
+    "several_blocks": (repeated(EXTREMES + SIGNED_ZEROS, 6 * 9000 + 5,
+                                seed=3), True),
+    "all_distinct": (np.arange(1.0, 40.0) / 7, False),
+    "empty": (np.zeros(0), False),
+}
+
+
+class TestValueTableBytes:
+    """A problem section in which at most half of the values are distinct
+    is written from a table of their texts, each formatted once; on both
+    sides of that rule the bytes are the per-value ones."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_SECTIONS))
+    def test_arrays(self, monkeypatch, name):
+        values, table = TABLE_SECTIONS[name]
+        built = spy_tables(monkeypatch)
+        got, want = io.StringIO(), io.StringIO()
+        socalm_io._write_array(got, values, table=True)
+        reference_write_array(want, values)
+        assert built == [table]
+        assert_same_text(got.getvalue(), want.getvalue())
+
+    @pytest.mark.parametrize("name", sorted(TABLE_SECTIONS))
+    def test_triplets(self, monkeypatch, name):
+        values, table = TABLE_SECTIONS[name]
+        # indices as scipy holds them, one past int32 in the last row
+        rows = (np.arange(values.size) // 5).astype(np.int32)
+        cols = (np.arange(values.size) * 7919) % 100003
+        rows64 = rows.astype(np.int64)
+        rows64[-1:] = 2 ** 31
+        built = spy_tables(monkeypatch)
+        for r in (rows, rows64):
+            got, want = io.StringIO(), io.StringIO()
+            socalm_io._write_triplets(got, r, cols, values)
+            reference_write_triplets(want, r, cols, values)
+            assert_same_text(got.getvalue(), want.getvalue())
+        assert built == [table, table]
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_trs(30, 2)[1], srlasso_problem, incidence_problem],
+        ids=["trs", "srlasso", "incidence"])
+    def test_write_problem(self, tmp_path, monkeypatch, make):
+        p = make()
+        built = spy_tables(monkeypatch)
+        f = tmp_path / "p.prob"
+        write_problem(p, f)
+        assert_same_text(f.read_text(), reference_problem_text(p))
+        assert len(built) == 3 + p.is_quadratic
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_empty_sections(self, tmp_path, m):
+        # no constraint rows, or rows with no entries: A (and at m = 0 also
+        # b) is an empty section, written and read back like any other
+        c = np.array([1.0, -0.0, 2.0, 1.0])
+        p = ProblemData(None, sp.csc_matrix((m, c.size)), np.zeros(m), c,
+                        ConeSpec.make(nonneg=c.size))
+        f = tmp_path / "p.prob"
+        write_problem(p, f)
+        assert_same_text(f.read_text(), reference_problem_text(p))
+        q = parse_problem(f)
+        assert q.A.shape == (m, c.size) and q.A.nnz == 0
+        assert np.array_equal(q.b, p.b)
+        assert np.array_equal(q.c.view(np.uint64), c.view(np.uint64))
+
+    @pytest.mark.parametrize("m, c_table", [(700, False), (2000, True)])
+    def test_meb_sections(self, tmp_path, monkeypatch, m, c_table):
+        # c holds m * 7 values of a sequence of period 4096: at m = 700,
+        # 4096 of its 4900 values are distinct; b is (-1, 0, ...) and all of
+        # A is -1
+        p = gen_meb(m, 6)[1]
+        built = spy_tables(monkeypatch)
+        f = tmp_path / "p.prob"
+        write_problem(p, f)
+        assert built == [True, c_table, True]
+        assert_same_text(f.read_text(), reference_problem_text(p))
+
+    def test_write_result_keeps_the_template(self, tmp_path, monkeypatch):
+        def refuse(values):
+            raise AssertionError("a result file built a value table")
+
+        monkeypatch.setattr(socalm_io, "_value_table", refuse)
+        x = repeated(SIGNED_ZEROS, 61)
+        f = tmp_path / "r.res"
+        write_result(fixed_result(x, np.ones(13)), f, include_solution=True)
+        lines = f.read_text().splitlines()
+        start = lines.index("x1 61") + 1
+        want = io.StringIO()
+        reference_write_array(want, x)
+        assert lines[start:start + 11] == want.getvalue().splitlines()
+
+
+class TestComplementarityBytes:
+    def test_rows_match_per_row_formatting(self, tmp_path):
+        rng = np.random.default_rng(2)
+        reps = [BlockReport(i, ("nonneg", "soc")[i % 2], "interior", "zero",
+                            "strict", bool(i % 3), float(v), float(w))
+                for i, (v, w) in enumerate(zip(
+                    rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300,
+                                                                   50),
+                    np.append(rng.standard_normal(49), -0.0)))]
+        res = fixed_result()
+        res.complementarity = reps
+        f = tmp_path / "r.res"
+        write_result(res, f)
+        lines = f.read_text().splitlines()
+        start = lines.index("complementarity 50") + 1
+        assert lines[start:start + 50] == [
+            f"{r.block_id} {r.kind} {r.x3_status} {r.y_status} {r.category} "
+            f"{int(r.strictly_complementary)} {format(r.margin, '.17g')} "
+            f"{format(r.inner_product, '.17g')}" for r in reps]
+        assert parse_result(f).complementarity == reps
+
+    @pytest.mark.parametrize("field", ["margin", "inner_product"])
+    def test_non_finite_refused(self, tmp_path, field):
+        res = fixed_result()
+        rep = res.complementarity[1]
+        setattr(rep, field, np.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            write_result(res, tmp_path / "r.txt")
