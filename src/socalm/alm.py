@@ -49,15 +49,20 @@ _NEWTON = NewtonParams()
 class ProblemData:
     """Problem instance ``(H, A, b, c, cone)``.
 
-    ``H`` must be symmetric positive semidefinite (symmetry is enforced at
+    Every entry of ``H``, ``A``, ``b`` and ``c`` must be finite; a
+    non-finite one raises ``ValueError`` naming its field.  ``H`` must be
+    symmetric positive semidefinite (symmetry is enforced at
     construction; definiteness is a documented trust assumption, violations
     surface as inner line-search failures).  ``A`` is held once, canonical
     CSC (:func:`~socalm.linsys.canonical_csc`).  ``assembly`` shares it and
     serves :meth:`matvec` and :meth:`rmatvec`: from the one block every
     Lorentz block repeats when there is one
     (:func:`~socalm.linsys.shared_block`), else from ``A`` and its transpose
-    view.  It builds the linear-case Newton structure of ``(A, cone)`` at
-    the first Newton step that needs it.
+    view, skipping zero columns of a sparse ``v`` in ``A v`` and computing
+    an orthant half that is the other half negated once in ``A' v``
+    (:class:`~socalm.linsys.NewtonAssembly`).  It builds the linear-case
+    Newton structure of ``(A, cone)`` at the first Newton step that needs
+    it.
     """
 
     def __init__(self, H, A, b, c, cone: ConeSpec):
@@ -79,6 +84,11 @@ class ProblemData:
             raise ValueError(f"c has length {self.c.size}, cone total_dim is {n}")
         if self.H.n != n:
             raise ValueError(f"H has dimension {self.H.n}, expected {n}")
+        Hd = self.H.dense_copy()
+        for name, vals in (("A", self.A.data), ("b", self.b), ("c", self.c),
+                           ("H", self.H.to_csr().data if Hd is None else Hd)):
+            if not np.isfinite(vals).all():
+                raise ValueError(f"{name} holds a non-finite value")
         self.m = self.A.shape[0]
         self.n = n
         self.is_quadratic = not self.H.is_zero
@@ -172,28 +182,41 @@ def kkt_residuals(problem: ProblemData, x1, x2, x3, y):
     Returns ``(d1, d2, d3, d4, pobj, dobj)``: dual feasibility, cone
     complementarity, primal feasibility, and the relative objective gap.
     """
+    return _kkt(problem, x1, x2, x3, y)[0]
+
+
+def _kkt(problem, x1, x2, x3, y):
+    """:func:`kkt_residuals` and what it forms of :func:`natural_map`:
+    ``(H x1, H y)`` (read only in the quadratic case), ``A y - b``,
+    ``x3 - P_K(x3 - y)`` and the last block negated,
+    ``-H x1 + A' x2 + x3 - c``."""
     Ay_b = problem.matvec(y) - problem.b
     if problem.is_quadratic:
         Hx1y = problem.H.matvec(x1 - y)
         h_fro = problem.H.fro_norm()
         Hx1 = problem.H.matvec(x1)
+        Hy = problem.H.matvec(y)
         quad_x = 0.5 * float(x1 @ Hx1)
-        quad_y = 0.5 * problem.H.quad(y)
+        quad_y = 0.5 * float(y @ Hy)
     else:
         Hx1y = 0.0
         h_fro = 0.0
         quad_x = quad_y = 0.0
         Hx1 = 0.0
+        Hy = None
     d1 = np.sqrt(np.linalg.norm(Ay_b) ** 2 + np.linalg.norm(Hx1y) ** 2)
     d1 /= 1.0 + np.linalg.norm(problem.b) + h_fro
-    d2 = np.linalg.norm(x3 - project(problem.cone, x3 - y))
+    comp = x3 - project(problem.cone, x3 - y)
+    d2 = np.linalg.norm(comp)
     d2 /= 1.0 + np.linalg.norm(y) + np.linalg.norm(x3)
-    d3 = np.linalg.norm(-Hx1 + problem.rmatvec(x2) + x3 - problem.c)
+    dual = -Hx1 + problem.rmatvec(x2) + x3 - problem.c
+    d3 = np.linalg.norm(dual)
     d3 /= 1.0 + np.linalg.norm(problem.c)
     pobj = quad_x - float(problem.b @ x2)
     dobj = -quad_y - float(problem.c @ y)
     d4 = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    return float(d1), float(d2), float(d3), float(d4), pobj, dobj
+    deltas = float(d1), float(d2), float(d3), float(d4), pobj, dobj
+    return deltas, ((Hx1, Hy), Ay_b, comp, dual)
 
 
 def natural_map(problem: ProblemData, x1, x2, x3, y) -> np.ndarray:
@@ -359,7 +382,7 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
 
     lines = []
     newton_total = 0
-    d = kkt_residuals(problem, iterate.x1, iterate.x2, iterate.x3, iterate.y)
+    d, parts = _kkt(problem, iterate.x1, iterate.x2, iterate.x3, iterate.y)
     status = MAX_ITERATIONS
     outer = 0
     if max(d[:4]) < options.tol:
@@ -367,11 +390,14 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
     else:
         _emit(log, LOG_HEADER)
         for k in range(options.max_outer):
+            # the residuals' vectors serve only the last natural map; an
+            # outer step must not hold them
+            parts = None
             iterate, info = outer_step(problem, iterate, options, k)
             outer = k + 1
             newton_total += info.newton_iters
-            d = kkt_residuals(problem, iterate.x1, iterate.x2, iterate.x3,
-                              iterate.y)
+            d, parts = _kkt(problem, iterate.x1, iterate.x2, iterate.x3,
+                            iterate.y)
             line = format_log_line(k, iterate.sigma, info.psi, info.grad_norm,
                                    info.newton_iters, d[:4])
             lines.append(line)
@@ -391,8 +417,11 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
             if d[2] > d[1]:
                 iterate.sigma = min(_SIGMA_GROWTH * iterate.sigma, _SIGMA_MAX)
 
-    nat = float(np.linalg.norm(natural_map(
-        problem, iterate.x1, iterate.x2, iterate.x3, iterate.y)))
+    # natural_map from the last residuals' blocks: the sign of its last
+    # block does not change the norm
+    (Hx1, Hy), Ay_b, comp, dual = parts
+    top = Hx1 - Hy if problem.is_quadratic else np.zeros(problem.n)
+    nat = float(np.linalg.norm(np.concatenate([top, Ay_b, comp, dual])))
     report = _complementarity_report(problem.cone, iterate.x3, iterate.y)
     return SolveResult(
         x1=iterate.x1, x2=iterate.x2, x3=iterate.x3, y=iterate.y,

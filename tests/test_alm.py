@@ -29,7 +29,7 @@ from socalm import (
     project,
     solve,
 )
-from socalm import alm, ssn
+from socalm import alm, linsys, ssn
 from socalm.alm import (
     INNER_MAX_ITERATIONS,
     LOG_HEADER,
@@ -126,6 +126,18 @@ class TestNaturalMap:
             Hd @ (x1 - y), A @ y - b, x3 - project(cone, x3 - y),
             Hd @ x1 - A.T @ x2 - x3 + c])
         np.testing.assert_allclose(r, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_meb(40, 5)[1], lambda: _bench_srlasso(60, 20)[1],
+        lambda: gen_trs(30, 2)[1]])
+    @pytest.mark.parametrize("max_outer", [0, 2, 100])
+    def test_solve_reports_its_norm(self, make, max_outer):
+        # solve forms the map from the last residuals' vectors
+        p = make()
+        res = solve(p, AlmOptions(max_outer=max_outer))
+        with alm.single_thread():
+            ref = np.linalg.norm(natural_map(p, res.x1, res.x2, res.x3, res.y))
+        assert res.natural_map_norm == ref
 
 
 class TestOuterStep:
@@ -506,6 +518,29 @@ class TestProblemDataValidation:
             ProblemData(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones((1, 2)),
                         np.ones(1), np.ones(2), cone)
 
+    @pytest.mark.parametrize("field", ["A", "b", "c", "H", "H_dense"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_data_rejected(self, field, bad):
+        _, trs = gen_trs(6, 1)
+        data = {"H": trs.H, "A": trs.A.copy(), "b": trs.b.copy(),
+                "c": trs.c.copy()}
+        if field == "A":
+            data["A"].data[-1] = bad
+        elif field == "H":
+            data["H"] = SparseSymmetric(trs.n, [0, 3], [0, 3], [1.0, bad])
+            assert data["H"].dense_copy() is None
+        elif field == "H_dense":
+            rows, cols = np.tril_indices(trs.n)
+            vals = np.ones(rows.size)
+            vals[2] = bad
+            data["H"] = SparseSymmetric(trs.n, rows, cols, vals)
+            assert data["H"].dense_copy() is not None
+        else:
+            data[field][-1] = bad
+        name = field[0]
+        with pytest.raises(ValueError, match=f"^{name} holds a non-finite"):
+            ProblemData(data["H"], data["A"], data["b"], data["c"], trs.cone)
+
 
 def _split_entries(A):
     """CSR twin of ``A`` that stores each entry as two halves, the entries of
@@ -609,6 +644,9 @@ def test_held_csc_products_have_the_bits_of_csr(name, p):
     rng = np.random.default_rng(5)
     R = p.A.tocsr()
     v = rng.standard_normal(p.n) * 10.0 ** rng.uniform(-8, 8, p.n)
+    # nine in ten entries +0.0 or -0.0: A v reads only the other columns
+    zeros = np.where(rng.random(p.n) < 0.1, v,
+                     np.copysign(0.0, rng.standard_normal(p.n)))
     X = rng.standard_normal((p.n, 3)) * 10.0 ** rng.uniform(-8, 8, (p.n, 3))
     w = rng.standard_normal(p.m) * 10.0 ** rng.uniform(-8, 8, p.m)
     _same_bits(p.A @ v, R @ v)
@@ -617,6 +655,7 @@ def test_held_csc_products_have_the_bits_of_csr(name, p):
     # through the shared block of gen_meb, through A for the others
     assert (p.assembly.block is not None) == (name == "gen_meb")
     _same_bits(p.matvec(v), R @ v)
+    _same_bits(p.matvec(zeros), R @ zeros)
     _same_bits(p.matvec(X), R @ X)
     Y = rng.standard_normal((p.m, 2))
     _same_bits(p.rmatvec(Y), R.T @ Y)
@@ -624,6 +663,26 @@ def test_held_csc_products_have_the_bits_of_csr(name, p):
     assert Ac is p.A
     assert np.shares_memory(At.data, p.A.data)
     assert np.shares_memory(At.indices, p.A.indices)
+
+
+@pytest.mark.parametrize("m, d", [(500, 150), (200, 1000)])
+def test_srlasso_solve_has_the_bits_of_the_whole_products(monkeypatch, m, d):
+    """The bench square-root Lasso solves bit for bit as it does with A v
+    over every column and A' v over both orthant halves."""
+    p = _bench_srlasso(m, d)[1]
+    got = solve(p)
+    assert p.assembly.negated_half() == d
+    with monkeypatch.context() as mp:
+        mp.setattr(linsys, "_SUBSET_SHARE", -1.0)
+        mp.setattr(linsys, "negated_half", lambda A, cone: 0)
+        q = _bench_srlasso(m, d)[1]
+        ref = solve(q)
+        assert q.assembly.negated_half() == 0
+    assert got.status == ref.status
+    assert ((got.outer_iters, got.newton_iters)
+            == (ref.outer_iters, ref.newton_iters))
+    for name in ("x2", "y", "x3"):
+        _same_bits(getattr(got, name), getattr(ref, name))
 
 
 class _Unread:

@@ -563,6 +563,8 @@ class TestIrregularLayout:
 class TestWriterRefusesNonFinite:
     @pytest.mark.parametrize("section", ["b", "c", "A", "H"])
     def test_problem(self, tmp_path, section):
+        # ProblemData refuses the value, naming its field; the writer still
+        # refuses a problem whose arrays were changed after construction
         p = fixed_quadratic_problem()
         b, c, A = p.b.copy(), p.c.copy(), p.A.copy()
         H = p.H
@@ -575,8 +577,12 @@ class TestWriterRefusesNonFinite:
         else:
             rows, cols, vals = H.lower()
             H = SparseSymmetric(8, rows, cols, np.append(vals[:-1], np.nan))
-        with pytest.raises(ValueError, match="non-finite"):
-            write_problem(ProblemData(H, A, b, c, p.cone), tmp_path / "p.txt")
+        with pytest.raises(ValueError, match=f"^{section} holds a non-finite"):
+            ProblemData(H, A, b, c, p.cone)
+        changed = fixed_quadratic_problem()
+        setattr(changed, section, {"b": b, "c": c, "A": A, "H": H}[section])
+        with pytest.raises(ValueError, match="cannot serialize non-finite"):
+            write_problem(changed, tmp_path / "p.txt")
 
     @pytest.mark.parametrize("vector", ["x1", "y"])
     def test_result(self, tmp_path, vector):

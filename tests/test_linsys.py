@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 import socalm
 from socalm import (
+    Block,
     ConeSpec,
     NewtonAssembly,
     NewtonSystem,
@@ -774,6 +775,181 @@ class TestSharedBlock:
         assert copy.assembly.block is not None
         np.testing.assert_array_equal(copy.assembly.block.toarray(),
                                       problem.assembly.block.toarray())
+
+
+def split_orthant(rng, m, d, lorentz_first=False, odd=False):
+    """A problem whose orthant holds ``[B, -B]`` (one more column of B when
+    ``odd``), B with an empty column and values spread over 16 decades,
+    before or after a Lorentz block of dimension 5 whose columns are C."""
+    B = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-8, 8, (m, d))
+    B[rng.random((m, d)) < 0.3] = 0.0
+    B[:, 1] = 0.0
+    Bs = sp.csc_matrix(B)
+    parts = [Bs, -Bs] + ([Bs[:, :1]] if odd else [])
+    C = sp.csc_matrix(rng.standard_normal((m, 5)))
+    blocks = [Block("nonneg", 2 * d + odd), Block("soc", 5)]
+    if lorentz_first:
+        parts, blocks = [C] + parts, blocks[::-1]
+    else:
+        parts = parts + [C]
+    A = sp.hstack(parts, format="csc")
+    return socalm.ProblemData(None, A, np.ones(m), np.ones(A.shape[1]),
+                              ConeSpec(blocks))
+
+
+def signed_zeros(rng, x, share):
+    """``x`` with all but ``share`` of its entries set to +0.0 or -0.0."""
+    zero = np.copysign(0.0, rng.standard_normal(x.size))
+    return np.where(rng.random(x.size) < share, x, zero)
+
+
+def spread(rng, size):
+    return rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
+
+
+SKIP_CASES = {
+    "srlasso": lambda rng: socalm.build_srlasso(
+        np.where(np.arange(12) == 4, 0.0, rng.standard_normal((30, 12))),
+        rng.standard_normal(30), 0.7)[1],
+    "orthant_first": lambda rng: split_orthant(rng, 9, 7),
+    "orthant_after_lorentz": lambda rng: split_orthant(rng, 9, 7,
+                                                       lorentz_first=True),
+    "odd_orthant": lambda rng: split_orthant(rng, 9, 7, odd=True),
+}
+
+
+class TestSkipRules:
+    """``A v`` over v's nonzero columns and ``A' v`` with a negated orthant
+    half give the bits of the CSR products."""
+
+    @pytest.fixture
+    def column_reads(self, monkeypatch):
+        """Count column selections of any CSC matrix."""
+        calls = []
+        original = sp.csc_matrix.__getitem__
+
+        def counted(self, key):
+            calls.append(key)
+            return original(self, key)
+
+        monkeypatch.setattr(sp.csc_matrix, "__getitem__", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", SKIP_CASES)
+    def test_detected_on_split_orthants(self, case):
+        p = SKIP_CASES[case](np.random.default_rng(0))
+        assert p.A.getnnz(axis=0).min() == 0
+        want = 0 if case == "odd_orthant" else p.cone.nonneg_dim // 2
+        assert p.assembly.negated_half() == want
+        assert linsys.negated_half(p.A, p.cone) == want
+
+    @pytest.mark.parametrize("case", SKIP_CASES)
+    @pytest.mark.parametrize("share", [-1.0, linsys._SUBSET_SHARE, 1.0])
+    def test_products_have_the_bits_of_csr(self, monkeypatch, case, share):
+        # share -1 never takes the column subset, 1 always does
+        monkeypatch.setattr(linsys, "_SUBSET_SHARE", share)
+        rng = np.random.default_rng(1)
+        p = SKIP_CASES[case](rng)
+        R = p.A.tocsr()
+        one = np.zeros(p.n)
+        one[p.n // 2] = -2.5
+        for v in (signed_zeros(rng, spread(rng, p.n), 0.1),
+                  signed_zeros(rng, spread(rng, p.n), 0.0),
+                  np.zeros(p.n), -np.zeros(p.n), one, spread(rng, p.n)):
+            assert p.matvec(v).tobytes() == (R @ v).tobytes()
+        for w in (spread(rng, p.m), signed_zeros(rng, spread(rng, p.m), 0.5),
+                  np.zeros(p.m), -np.zeros(p.m),
+                  signed_zeros(rng, spread(rng, 3 * p.m), 0.5).reshape(-1, 3)):
+            assert p.rmatvec(w).tobytes() == (R.T @ w).tobytes()
+
+    def test_rule_picks_the_product(self, column_reads):
+        rng = np.random.default_rng(2)
+        p = SKIP_CASES["srlasso"](rng)
+        v = np.zeros(p.n)
+        v[p.cone.nonneg_dim:] = 1.0
+        # the Lorentz block's columns hold 30 of A's 690 entries
+        p.matvec(v)
+        assert len(column_reads) == 1
+        p.matvec(spread(rng, p.n))
+        p.matvec(spread(rng, (p.n, 2)))
+        assert len(column_reads) == 1
+
+    def test_halves_are_views_of_a(self):
+        p = SKIP_CASES["orthant_first"](np.random.default_rng(3))
+        assert p.assembly.negated_half() == 7
+        # B's columns, then C's
+        head, tail = p.assembly._halves_t
+        assert head.shape == (7, p.m) and tail.shape == (5, p.m)
+        for part in (head, tail):
+            assert np.shares_memory(part.data, p.A.data)
+            assert np.shares_memory(part.indices, p.A.indices)
+
+    def test_decided_once_and_again_after_pickling(self, monkeypatch):
+        calls = []
+        real = linsys.negated_half
+
+        def counted(A, cone):
+            calls.append(cone)
+            return real(A, cone)
+
+        monkeypatch.setattr(linsys, "negated_half", counted)
+        p = small_srlasso()
+        assert calls == []
+        w = np.random.default_rng(4).standard_normal(p.m)
+        for _ in range(3):
+            p.rmatvec(w)
+        assert len(calls) == 1
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy.rmatvec(w).tobytes() == p.rmatvec(w).tobytes()
+        assert len(calls) == 2
+
+    def _free_row(A, at):
+        """A row where the column of entry ``at`` holds no entry."""
+        taken = A.row[A.col == A.col[at]]
+        return np.setdiff1d(np.arange(A.shape[0]), taken)[0]
+
+    def _move_row(A, at, free_row=_free_row):
+        A.row[at] = free_row(A, at)
+        return A
+
+    def _same_sign(A, at):
+        A.data[at] = -A.data[at]
+        return A
+
+    def _one_ulp(A, at):
+        A.data[at] = np.nextafter(A.data[at], np.inf)
+        return A
+
+    def _one_more_entry(A, at, free_row=_free_row):
+        return sp.coo_matrix(
+            (np.append(A.data, 1.0), (np.append(A.row, free_row(A, at)),
+                                      np.append(A.col, A.col[at]))),
+            shape=A.shape)
+
+    @pytest.mark.parametrize(
+        "change", [_move_row, _same_sign, _one_ulp, _one_more_entry])
+    def test_near_misses_are_not_detected(self, change):
+        rng = np.random.default_rng(5)
+        p = SKIP_CASES["orthant_first"](rng)
+        assert p.assembly.negated_half() == 7
+        A = p.A.tocoo()
+        # the second half's column 12 (B's column 5, negated), which has
+        # entries and empty rows
+        assert 0 < np.count_nonzero(A.col == 12) < p.m
+        at = int(np.flatnonzero(A.col == 12)[0])
+        q = socalm.ProblemData(None, change(A, at), p.b, p.c, p.cone)
+        assert q.assembly.negated_half() == 0
+        w = spread(rng, p.m)
+        assert q.rmatvec(w).tobytes() == (q.A.tocsr().T @ w).tobytes()
+
+    def test_detection_needs_float64_and_no_shared_block(self):
+        _, meb = socalm.gen_meb(30, 4)
+        assert meb.assembly.negated_half() == 0
+        assert socalm.gen_trs(6, 1)[1].assembly.negated_half() == 0
+        cone = ConeSpec.make(nonneg=4)
+        A = sp.csc_matrix(np.array([[1.0, 2.0, -1.0, -2.0]]))
+        assert NewtonAssembly(A, cone).negated_half() == 2
+        assert NewtonAssembly(A.astype(np.float32), cone).negated_half() == 0
 
 
 class TestTransposesHeld:
