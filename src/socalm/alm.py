@@ -221,18 +221,15 @@ def _kkt(problem, x1, x2, x3, y):
 
 def natural_map(problem: ProblemData, x1, x2, x3, y) -> np.ndarray:
     """Stacked fixed-point residual whose zeros are exactly the KKT points."""
-    if problem.is_quadratic:
-        Hx1 = problem.H.matvec(x1)
-        top = Hx1 - problem.H.matvec(y)
-    else:
-        top = np.zeros(problem.n)
-        Hx1 = np.zeros(problem.n)
-    return np.concatenate([
-        top,
-        problem.matvec(y) - problem.b,
-        x3 - project(problem.cone, x3 - y),
-        Hx1 - problem.rmatvec(x2) - x3 + problem.c,
-    ])
+    return _natural_map(problem, _kkt(problem, x1, x2, x3, y)[1])
+
+
+def _natural_map(problem, parts):
+    """:func:`natural_map` from the vectors :func:`_kkt` formed:
+    ``(H x1 - H y, A y - b, x3 - P_K(x3 - y), H x1 - A' x2 - x3 + c)``."""
+    (Hx1, Hy), Ay_b, comp, dual = parts
+    top = Hx1 - Hy if problem.is_quadratic else np.zeros(problem.n)
+    return np.concatenate([top, Ay_b, comp, -dual])
 
 
 @dataclass
@@ -417,11 +414,7 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
             if d[2] > d[1]:
                 iterate.sigma = min(_SIGMA_GROWTH * iterate.sigma, _SIGMA_MAX)
 
-    # natural_map from the last residuals' blocks: the sign of its last
-    # block does not change the norm
-    (Hx1, Hy), Ay_b, comp, dual = parts
-    top = Hx1 - Hy if problem.is_quadratic else np.zeros(problem.n)
-    nat = float(np.linalg.norm(np.concatenate([top, Ay_b, comp, dual])))
+    nat = float(np.linalg.norm(_natural_map(problem, parts)))
     report = _complementarity_report(problem.cone, iterate.x3, iterate.y)
     return SolveResult(
         x1=iterate.x1, x2=iterate.x2, x3=iterate.x3, y=iterate.y,

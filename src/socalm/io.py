@@ -649,7 +649,7 @@ def cli_main(argv) -> int:
         if args.command == "diag":
             return _cmd_diag(args)
         return EXIT_INPUT
-    except (ProblemFormatError, FileNotFoundError, ValueError) as err:
+    except (ProblemFormatError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:  # internal failure: keep the exit-code contract

@@ -29,9 +29,9 @@ The linear case has one direct solve path: factor ``M_sp`` (dense Cholesky
 when it is stored dense, a division when it is diagonal, sparse LU
 otherwise) and add the k low-rank columns (k may be 0) through the Schur
 complement of an augmented system.  Only when the update is at least as
-wide as the system is the whole matrix densified instead.  A solve that
-still misses its tolerance after two refinement steps raises
-:class:`LinearSolveError`.
+wide as the system is the whole matrix densified instead.  A failed
+factorization, or a solve that still misses its tolerance after two
+refinement steps, raises :class:`LinearSolveError`.
 
 The quadratic case solves the unsymmetric two-by-two block system, for any H,
 by a direct solve chosen by the one storage of H (:class:`SparseSymmetric`).
@@ -745,13 +745,14 @@ def _diagonal_view(M):
 
 
 def _dense_factor(M):
-    """Solve function of a dense factorization: Cholesky, LU if that fails."""
+    """Solve function of a dense Cholesky factorization of ``M``; raises
+    :class:`LinearSolveError` when ``M`` is not numerically positive
+    definite."""
     try:
         cho = scipy.linalg.cho_factor(M, check_finite=False)
-        return lambda r: scipy.linalg.cho_solve(cho, r, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        lu = scipy.linalg.lu_factor(M, check_finite=False)
-        return lambda r: scipy.linalg.lu_solve(lu, r, check_finite=False)
+    except scipy.linalg.LinAlgError as err:
+        raise LinearSolveError(f"dense Cholesky failed: {err}") from err
+    return lambda r: scipy.linalg.cho_solve(cho, r, check_finite=False)
 
 
 def _refine(solve, matvec, rhs, stop, method):
@@ -805,9 +806,8 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto"):
 
     Routes:
 
-    - ``"dense"``: dense Cholesky of ``M_sp`` (LU if that fails), or of the
-      whole densified operator when the low-rank update is at least as wide
-      as the system;
+    - ``"dense"``: dense Cholesky of ``M_sp``, or of the whole densified
+      operator when the low-rank update is at least as wide as the system;
     - ``"augmented"``: sparse LU of ``M_sp``, or a division by its diagonal
       when it stores nothing else.
 
@@ -818,8 +818,9 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto"):
     narrow dense orthant puts its active columns in the update and leaves
     ``M_sp`` as ``eps*I`` plus the Lorentz Grams (diagonal for a
     square-root Lasso), so such a system usually goes ``"augmented"``.  Raises
-    :class:`LinearSolveError`, carrying the iterate and its residual, when
-    the solve misses the tolerance or the sparse factorization fails.
+    :class:`LinearSolveError` when a factorization fails (the dense Cholesky,
+    the sparse LU, or a zero or non-finite diagonal), and, carrying the
+    iterate and its residual, when the solve misses the tolerance.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (sys_.m,):

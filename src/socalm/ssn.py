@@ -152,9 +152,9 @@ def newton_direction(problem, state: InnerState, sigma, params: NewtonParams):
         || M_j (d1; d2) + eps_j (0; d2) + grad || <= nu_j
 
     with ``M_j`` the generalized Hessian built from the projection Jacobian at
-    ``z``.  The damping ``eps_j`` grows tenfold once if the linear solver
-    fails; a second failure propagates.  In the linear case ``d1`` is a
-    read-only zero vector.
+    ``z``, from one linear solve: a miss or a failed factorization raises
+    :class:`~socalm.linsys.LinearSolveError`.  In the linear case ``d1`` is
+    a read-only zero vector.
     """
     gnorm = state.grad_norm
     if gnorm == 0.0:
@@ -162,24 +162,14 @@ def newton_direction(problem, state: InnerState, sigma, params: NewtonParams):
     eps_j = params.tau1 * min(params.tau2, gnorm)
     nu_j = min(params.nu_hat, gnorm ** (1.0 + params.tau))
     J = jacobian_element(problem.cone, state.z, norms=state.norms)
-    for attempt in range(2):
-        try:
-            if problem.is_quadratic:
-                R1 = state.proj - state.x1
-                R2 = -state.g2
-                d1, d2, stats = solve_quadratic(
-                    problem.H, problem.A, J, sigma, eps_j, R1, R2, nu_j)
-            else:
-                sys_ = assemble_linear(problem.assembly, J, sigma, eps_j / sigma)
-                d2, stats = solve_spd(sys_, -state.g2 / sigma, nu_j / sigma)
-                d1 = _zeros(state.x1.size)
-            return d1, d2, eps_j, nu_j, stats
-        except LinearSolveError:
-            if attempt == 1:
-                raise
-            logger.warning("linear solve failed; retrying with 10x damping")
-            eps_j *= 10.0
-    raise AssertionError("unreachable")
+    if problem.is_quadratic:
+        d1, d2, stats = solve_quadratic(problem.H, problem.A, J, sigma, eps_j,
+                                        state.proj - state.x1, -state.g2, nu_j)
+    else:
+        sys_ = assemble_linear(problem.assembly, J, sigma, eps_j / sigma)
+        d2, stats = solve_spd(sys_, -state.g2 / sigma, nu_j / sigma)
+        d1 = _zeros(state.x1.size)
+    return d1, d2, eps_j, nu_j, stats
 
 
 def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
@@ -194,8 +184,9 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
     state is always exact at its own point.  Returns
     ``(alpha, new_state, info)``; ``info['trials']`` counts the objective
     values tested, and ``info['warned']`` is set when the full step was taken
-    on gradient decrease alone or the step budget ran out and the best trial
-    point is returned.
+    on gradient decrease alone (the decrease test is below the roundoff of
+    psi) or the step budget ran out, in which case the trial with the lowest
+    objective value is returned.
     """
     if state.grad_norm == 0.0:
         return 1.0, state, {"gd": 0.0, "trials": 0, "warned": False}
@@ -246,18 +237,10 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
                                                "warned": False}
         if psi_t < best[1]:
             best = (alpha, psi_t)
-    # near the minimizer the sufficient-decrease margin drowns in the
-    # roundoff of psi; prefer the full step whenever it still contracts the
-    # gradient, otherwise fall back to the lowest trial value seen
-    info = {"gd": gd, "trials": params.max_linesearch_steps + 1, "warned": True}
-    if full.grad_norm < state.grad_norm:
-        logger.debug("line search exhausted; full step accepted on gradient "
-                     "decrease (%.3e -> %.3e)", state.grad_norm, full.grad_norm)
-        return 1.0, full, info
-    alpha = best[0]
     logger.warning("line search exhausted %d steps; returning best trial",
                    params.max_linesearch_steps)
-    return alpha, trial_state(alpha), info
+    return best[0], trial_state(best[0]), {
+        "gd": gd, "trials": params.max_linesearch_steps + 1, "warned": True}
 
 
 def _dot(quadratic, u1, v1, u2, v2):

@@ -1,0 +1,115 @@
+"""The census script: its tiny grid, its records, and its wrappers."""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import logging
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+import socalm
+from socalm import alm, linsys, ssn
+
+CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+STATUSES = {"Optimal", "MaxIterations", "InnerMaxIterations", "Stagnation",
+            "LinearSolveFailure"}
+SAFEGUARDS = {"noise", "exhausted", "rounds", "refine", "steepest"}
+
+
+@pytest.fixture(scope="module")
+def census():
+    spec = importlib.util.spec_from_file_location("census", CENSUS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def tiny(census, tmp_path_factory):
+    out = tmp_path_factory.mktemp("census") / "tiny.json"
+    table = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(table):
+        assert census.main(["--grid", "tiny", "--json", str(out)]) == 0
+    return json.loads(out.read_text()), table.getvalue(), time.perf_counter() - t0
+
+
+def test_tiny_grid_runs_quickly(census, tiny):
+    doc, table, seconds = tiny
+    assert seconds < 10.0
+    assert doc["grids"] == ["tiny"]
+    for key in ("python", "numpy", "scipy"):
+        assert isinstance(doc[key], str) and doc[key]
+    assert [r["label"] for r in doc["records"]] == [
+        c.label for c in census.GRIDS["tiny"]]
+    # a header, one row per instance and the summary line
+    assert len(table.splitlines()) == len(doc["records"]) + 2
+
+
+def test_records_hold_every_field(tiny):
+    for rec in tiny[0]["records"]:
+        assert rec["status"] in STATUSES
+        assert rec["outer"] >= 1 and rec["newton"] >= 1
+        assert rec["seconds"] > 0.0 and rec["kkt"] >= 0.0
+        assert len(rec["md5"]) == 32 and int(rec["md5"], 16) >= 0
+        assert set(rec["safeguards"]) == SAFEGUARDS
+        assert all(v >= 0 for v in rec["safeguards"].values()), rec
+        verdict = rec["check"]
+        checked = rec["family"] in ("meb", "srlasso") or (
+            rec["family"] == "trs" and rec["scaled"] is None)
+        assert (verdict is not None) == checked
+        if checked:
+            assert isinstance(verdict["ok"], bool)
+
+
+def test_counting_leaves_the_solve_alone(census):
+    # the wrapped solve gives the bits and counts of a plain one
+    case = census.Case("tiny", "meb", (40, 4), 0)
+    rec = census.run_case(case)
+    _, problem = census.GENERATORS["meb"](40, 4, 0)
+    plain = socalm.solve(problem)
+    md5 = hashlib.md5(plain.x2.tobytes() + plain.y.tobytes()).hexdigest()
+    assert (rec["status"], rec["outer"], rec["newton"], rec["md5"]) == (
+        plain.status, plain.outer_iters, plain.newton_iters, md5)
+    assert rec["check"]["ok"]
+
+
+@pytest.mark.parametrize("family, size, datum", [
+    ("meb", (40, 4), "c"), ("meb", (40, 4), "A"),
+    ("srlasso", (200, 30), "b"), ("srlasso", (200, 30), "A")])
+def test_scaled_result_is_checked_on_the_original_data(census, family, size,
+                                                       datum):
+    # the enclosing-ball check reads x2 and the square-root Lasso one y, so
+    # a result not mapped back fails it
+    rec = census.run_case(census.Case("tiny", family, size, 0, datum, 4.0))
+    assert rec["status"] == "Optimal"
+    assert rec["check"]["ok"], rec["check"]
+
+
+def test_wrappers_restored_after_a_solve_that_raises(census, monkeypatch):
+    originals = (ssn.line_search, alm.run_inner, linsys._refine)
+    logger = logging.getLogger("socalm.ssn")
+    handlers, level = list(logger.handlers), logger.level
+    solve_spd = ssn.solve_spd
+    calls = []
+
+    def failing(*args, **kwargs):
+        # one good Newton step, so the wrappers have been called, then fail
+        calls.append(1)
+        if len(calls) > 1:
+            raise RuntimeError("forced")
+        return solve_spd(*args, **kwargs)
+
+    monkeypatch.setattr(ssn, "solve_spd", failing)
+    with pytest.raises(RuntimeError, match="forced"):
+        census.run_case(census.Case("tiny", "meb", (40, 4), 0))
+    assert len(calls) == 2
+    assert (ssn.line_search, alm.run_inner, linsys._refine) == originals
+    assert logger.handlers == handlers and logger.level == level

@@ -192,6 +192,17 @@ class TestCli:
     def test_missing_file_exits_2(self):
         assert cli_main(["check", "/nonexistent/file.prob"]) == 2
 
+    def test_directory_in_place_of_a_file_exits_2(self, tmp_path, capsys):
+        prob = str(tmp_path / "m.prob")
+        assert cli_main(["gen", "meb", "--m", "4", "--d", "2", "-o", prob]) == 0
+        for argv in (["solve", str(tmp_path)], ["check", str(tmp_path)],
+                     ["diag", prob, str(tmp_path)],
+                     ["solve", prob, "--out", str(tmp_path)],
+                     ["gen", "meb", "--m", "4", "--d", "2", "-o",
+                      str(tmp_path)]):
+            assert cli_main(argv) == 2, argv
+            assert "internal error" not in capsys.readouterr().err
+
     def test_diag_without_solution_exits_2(self, tmp_path):
         prob = str(tmp_path / "m.prob")
         out = str(tmp_path / "m.res")

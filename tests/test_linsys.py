@@ -1060,14 +1060,13 @@ class TestSolveSpd:
         assert residual == np.linalg.norm(rhs - sys_.matvec(x))
         assert residual > 1e-12 * np.linalg.norm(rhs)
 
-    def test_nan_residual_is_a_miss(self):
-        # singular: the LU solve returns NaN, which no tolerance accepts
+    def test_failed_cholesky_raises(self):
+        # singular: the dense Cholesky fails and raises, as a failed sparse
+        # LU does
         sys_ = NewtonSystem(m=2, M_sp=sp.csr_matrix(np.ones((2, 2))),
                             U=sp.csc_matrix((2, 0)), d=np.zeros(0))
-        with pytest.warns(scipy.linalg.LinAlgWarning), \
-                pytest.raises(LinearSolveError, match="dense solve") as exc:
+        with pytest.raises(LinearSolveError, match="dense Cholesky"):
             solve_spd(sys_, np.array([1.0, 2.0]), 1e-12)
-        assert np.isnan(exc.value.residual)
 
     def test_failed_sparse_factorization_raises(self, monkeypatch):
         # M_sp must not be diagonal: a diagonal one is divided by, not
