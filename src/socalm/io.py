@@ -3,8 +3,8 @@
 The formats are line-oriented: keyword lines in a fixed order, numeric
 payloads wrapped at a few values per line, everything serialized with 17
 significant digits so writing and re-parsing reproduces doubles bit-exactly.
-Non-finite values are refused both ways.  Numeric sections move in blocks
-of ``_BLOCK_LINES`` lines: the writer checks a section for non-finite values
+Non-finite values are refused both ways.  The writer formats a numeric
+section in blocks of ``_BLOCK_LINES`` lines, checks it for non-finite values
 at once and writes each run of rows of +0.0 as one repeated constant line.
 A problem section in which at most half of the values are distinct (the
 ``c`` and ``A`` of a large enclosing ball) has each distinct value
@@ -12,14 +12,14 @@ formatted once, with one ``%.17g`` template, and its blocks written from
 that table of texts.  Other problem sections, and the vectors of a result
 file, format each block with one ``%.17g`` template.  Either way each value
 prints as ``format(v, ".17g")`` does, so the bytes do not depend on the
-path.  The parser finds every line feed of the file once; a
-section laid out as the writer lays it out (six values a line plus one
-shorter tail line, or one ``row col value`` triplet a line) goes to numpy's
-C text reader in one slice of the text.  Any other layout, or a token that
-reader refuses, goes to the general reader for that section, which joins,
-splits and converts blocks of lines with ``float``.  Both give the same
-values, and errors name the section and the line where it starts, as a
-one-line-at-a-time reader would.
+path.  The parser finds every line feed of the file once.  A section
+laid out as the writer lays it out goes to numpy's C text reader: its full
+lines of six values in one slice of the text and its shorter tail line in
+another, or its ``row col value`` triplets, one a line, in one slice.  Any
+other layout, or a token that reader refuses, goes to the general reader,
+which reads the rest of the section a line at a time and converts its
+tokens at once.  Both give the same values, and errors name the section and
+the line where it starts.
 
 Exit codes: 0 success, 2 malformed input, 3 non-convergence, 4 internal
 error.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 
 import numpy as np
@@ -43,7 +44,7 @@ from .problems import build_srlasso, gen_meb, gen_trs, lambda_from_lambda_c, \
 
 FORMAT_VERSION = 1
 _VALUES_PER_LINE = 6
-# Lines formatted, or joined and parsed, per step of a numeric section.
+# Lines formatted per step of a numeric section.
 _BLOCK_LINES = 4096
 # A problem section is written through a table of its distinct values, each
 # formatted once, when at most this share of its values are distinct.  The
@@ -257,13 +258,6 @@ class _Reader:
             self.error(f"{what}: {tok!r} is not finite")
         return value
 
-    def next_block(self, k):
-        """The next ``k`` raw lines, at most ``_BLOCK_LINES`` of them."""
-        k = min(k, _BLOCK_LINES, self.nlines - self.pos)
-        if k <= 0:
-            self.error("unexpected end of file")
-        return self.span(k).split("\n")
-
     def table(self, k, width):
         """The next ``k`` lines as a ``k x width`` array when each of them
         holds ``width`` numbers that numpy's C reader parses, else None."""
@@ -286,71 +280,54 @@ class _Reader:
 
     def read_floats(self, count, what):
         """``count`` values on as many lines as they take; reading stops
-        after the line that completes the count.  The full lines of the
-        writer's layout go through :meth:`table` at once."""
-        start, got, numeric = self.pos, 0, True
+        after the line that completes the count.  The writer's layout, full
+        lines of six values and one shorter tail line, goes through
+        :meth:`table`; whatever it does not take is read a line at a time."""
+        start, got, toks = self.pos, 0, []
         out = np.empty(max(count, 0))
-        full = self.table(out.size // _VALUES_PER_LINE, _VALUES_PER_LINE)
-        if full is not None:
-            got = full.size
-            out[:got] = full.reshape(-1)
-        while got < count:
-            block = self.next_block(-(-(count - got) // _VALUES_PER_LINE))
-            toks = " ".join(block).split()
-            if got + len(toks) > count:
-                # stop at the first line whose running count reaches count
-                ends = got + np.cumsum([len(ln.split()) for ln in block])
-                last = int(np.searchsorted(ends, count))
-                block, toks = block[:last + 1], toks[:ends[last] - got]
-            self.pos += len(block)
-            numeric = numeric and _convert(out, got, toks)
-            got += len(toks)
+        full, rest = divmod(out.size, _VALUES_PER_LINE)
+        for k, width in ((full, _VALUES_PER_LINE), (min(rest, 1), rest)):
+            rows = self.table(k, width)
+            if rows is not None:
+                out[got:got + rows.size] = rows.reshape(-1)
+                got += rows.size
+        while got + len(toks) < count:
+            toks += self.next_raw_line().split()
+        got += len(toks)
         if got != count:
             self.error(f"section {what!r}: expected {count} values, got "
                        f"{got}", line=start + 1)
-        self._check_numbers(out, numeric, what, "value", start)
+        self._numbers(out, toks, what, "value", start)
         return out
 
     def read_triplets(self, count, what):
         """``count`` non-blank 'row col value' lines."""
-        start, numeric = self.pos, True
+        start, toks = self.pos, []
         out = self.table(count, 3)
         if out is None:
-            out, nlines, ntok = np.empty((max(count, 0), 3)), 0, 0
+            out, nlines = np.empty((max(count, 0), 3)), 0
             while nlines < count:
-                block = self.next_block(count - nlines)
-                self.pos += len(block)
-                nlines += (len(block) - block.count("")
-                           - sum(map(str.isspace, block)))
-                toks = " ".join(block).split()
-                numeric = numeric and _convert(out.reshape(-1), ntok, toks)
-                ntok += len(toks)
-            if ntok != 3 * count:
+                line = self.next_raw_line().split()
+                nlines += bool(line)
+                toks += line
+            if len(toks) != 3 * count:
                 self.error(f"section {what!r}: expected {count} 'row col "
                            f"value' lines", line=start + 1)
-        self._check_numbers(out, numeric, what, "entry", start)
+        self._numbers(out.reshape(-1), toks, what, "entry", start)
         idx = out[:, :2]
         if np.any(idx != np.floor(idx)):
             self.error(f"section {what!r}: fractional index", line=start + 1)
         return idx[:, 0].astype(np.int64), idx[:, 1].astype(np.int64), out[:, 2]
 
-    def _check_numbers(self, values, numeric, what, noun, start):
-        if not numeric:
+    def _numbers(self, out, toks, what, noun, start):
+        """Parse ``toks`` into the last entries of the 1-D ``out``, then
+        check that every entry of ``out`` is a finite number."""
+        try:
+            out[out.size - len(toks):] = np.asarray(toks, dtype=float)
+        except ValueError:
             self.error(f"section {what!r}: non-numeric {noun}", line=start + 1)
-        if not np.isfinite(values).all():
+        if not np.isfinite(out).all():
             self.error(f"section {what!r}: non-finite {noun}", line=start + 1)
-
-
-def _convert(out, at, toks):
-    """Parse ``toks`` into ``out[at:]``; False when a token is not a number.
-    Tokens that overrun ``out`` are left to the caller's count check."""
-    if at + len(toks) > out.size:
-        return True
-    try:
-        out[at:at + len(toks)] = np.asarray(toks, dtype=float)
-    except ValueError:
-        return False
-    return True
 
 
 def write_problem(problem: ProblemData, path):
@@ -559,9 +536,14 @@ def _build_parser():
 def _cmd_solve(args):
     options = AlmOptions(tol=args.tol, max_outer=args.max_iter,
                          use_criterion_b=args.criterion_b)
+    out = args.out if args.out else args.problem + ".result"
+    # a result that cannot be written is refused before the solve
+    if os.path.isdir(out):
+        raise IsADirectoryError(f"result path {out!r} is a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(f"result path {out!r}: no such directory")
     problem = parse_problem(args.problem)
     result = solve(problem, options, log=sys.stdout)
-    out = args.out if args.out else args.problem + ".result"
     write_result(result, out, include_solution=args.solution)
     print(f"status {result.status}  kkt {result.kkt_residual:.3e}  "
           f"outer {result.outer_iters}  newton {result.newton_iters}  "

@@ -17,13 +17,15 @@ Lorentz part of ``M_sp`` is a single sparse mat-vec with the block
 weights.  When every Lorentz block has the same columns ``A_g`` of A
 (:func:`shared_block`), every product comes from that one m x d block: the
 pattern is ``A_g A_g'`` times the block weights summed in block order, and
-``U`` is ``A_g`` times the low-rank vectors.  Only the active nonneg columns
-of A enter.  When those columns are stored dense and there are fewer of them
-than A has rows, the active ones become low-rank columns of weight 1, and
-``M_sp`` holds only ``eps*I`` and the Lorentz part; otherwise their Gram is
-added to ``M_sp``, with BLAS when they are stored dense.  ``M_sp`` is stored
-dense (a CSR matrix that keeps every entry) when that takes no more memory
-than its sparse pattern.
+``U`` is the dense array of ``A_g`` times the low-rank vectors.  Only the
+active nonneg columns of A enter.  When those columns are stored dense and
+there are fewer of them than A has rows, the active ones become low-rank
+columns of weight 1 of a dense ``U``, and ``M_sp`` holds only ``eps*I`` and
+the Lorentz part; otherwise their Gram is added to ``M_sp``, with BLAS when
+they are stored dense.  In every other case ``U`` is the sparse CSC product
+of A with the low-rank vectors.  ``M_sp`` is stored dense (a CSR matrix
+that keeps every entry) when that takes no more memory than its sparse
+pattern.
 
 The linear case has one direct solve path: factor ``M_sp`` (dense Cholesky
 when it is stored dense, a division when it is diagonal, sparse LU
@@ -286,9 +288,10 @@ class NewtonSystem:
 
     ``M_sp`` is the symmetric part (a CSR matrix that stores every entry when
     it is dense), ``U`` the m x k low-rank columns and ``d`` their weights.
-    ``U`` is sparse CSC, or a dense array whose first columns are the active
-    nonneg columns of A (weight 1) when :class:`NewtonAssembly` takes those
-    out of ``M_sp``.  ``Ut`` is the transpose view of ``U``, made once.
+    ``U`` is a dense array when every Lorentz block shares one block of A,
+    and when :class:`NewtonAssembly` takes a narrow dense orthant's active
+    columns out of ``M_sp`` (those come first, with weight 1); it is sparse
+    CSC otherwise.  ``Ut`` is the transpose view of ``U``, made once.
     """
 
     m: int
@@ -465,29 +468,6 @@ def _columns_t(A, lo, hi):
     return T
 
 
-def _block_product(Ag, Vt):
-    """``Ag @ Vt'`` as canonical CSC, exact zeros dropped.
-
-    The sparse kernel adds each entry over ``Ag``'s columns in ascending
-    order, as the sparse product of the whole ``A`` with the low-rank
-    columns does, so the two have the same bits.
-    """
-    m, k = Ag.shape[0], Vt.shape[0]
-    T = (Ag @ Vt.T).T   # row j is column j of the product
-    keep = T != 0.0
-    # the index type scipy would pick, built directly: a cast costs a pass
-    idx = np.int32 if m * k <= np.iinfo(np.int32).max else np.int64
-    if keep.all():
-        data = T.ravel()
-        indices = np.tile(np.arange(m, dtype=idx), k)
-        indptr = np.arange(0, m * k + 1, m, dtype=idx)
-    else:
-        data = T[keep]
-        indices = np.nonzero(keep)[1].astype(idx)
-        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1)))).astype(idx)
-    return sp.csc_matrix((data, indices, indptr), shape=(m, k))
-
-
 def canonical_csc(A) -> sp.csc_matrix:
     """``A`` by columns, duplicates summed and indices sorted: ``A`` itself
     when it is so already, else a new matrix, so the caller's is unchanged.
@@ -506,18 +486,21 @@ class NewtonAssembly:
     :meth:`at` its transpose view.  ``block`` is the block that every
     Lorentz block's columns repeat (:func:`shared_block`), or None; when it
     is set, :meth:`matvec`, :meth:`rmatvec` and :meth:`assemble` read only
-    it.  Otherwise :meth:`matvec` of a vector reads only its nonzero
-    columns while they hold at most ``_SUBSET_SHARE`` of A's entries, and
-    :meth:`rmatvec` writes the orthant's second half as the first half's
-    dots negated when :meth:`negated_half` finds it so; both keep the bits
-    of the whole product, for finite A.  Nothing else is made at
+    it, and :meth:`assemble` returns ``U`` as the dense product of the
+    block with the low-rank vectors.  Otherwise :meth:`matvec` of a vector
+    reads only its nonzero columns while they hold at most
+    ``_SUBSET_SHARE`` of A's entries, :meth:`rmatvec` writes the orthant's
+    second half as the first half's dots negated when :meth:`negated_half`
+    finds it so, both keeping the bits of the whole product for finite A,
+    and ``U = A W`` is a sparse product.  Nothing else is made at
     construction.  The first :meth:`assemble` builds the Lorentz block
     Grams, the storage of the nonneg columns and the storage decision for
     ``M_sp``, once, under a lock; every later call reuses them.  The nonneg
     columns are kept dense when that is no larger than sparse storage.
     Dense and fewer than the m rows of ``A``, the active ones become
-    low-rank columns of weight 1 in ``U``, so ``M_sp`` holds only ``eps*I``
-    and the Lorentz Grams; otherwise their Gram is added to ``M_sp``.
+    low-rank columns of weight 1 in a dense ``U``, so ``M_sp`` holds only
+    ``eps*I`` and the Lorentz Grams; otherwise their Gram is added to
+    ``M_sp``.
     Nothing is modified once built, so threads may assemble concurrently.
     A pickled copy starts unbuilt.
     """
@@ -694,9 +677,9 @@ class NewtonAssembly:
         if self.block is not None:
             parts = _lowrank_parts(J)
             d = np.concatenate([lam for *_, lam in parts] + [np.zeros(0)])
-            U = _block_product(self.block, np.concatenate(
+            U = self.block @ np.concatenate(
                 [vmat for _, _, vmat, _ in parts]
-                + [np.zeros((0, self.block.shape[1]))]))
+                + [np.zeros((0, self.block.shape[1]))]).T
         else:
             W, d = _jacobian_lowrank(J)
             U = sp.csc_matrix((m, 0))

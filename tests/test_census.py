@@ -19,6 +19,8 @@ CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
 STATUSES = {"Optimal", "MaxIterations", "InnerMaxIterations", "Stagnation",
             "LinearSolveFailure"}
 SAFEGUARDS = {"noise", "exhausted", "rounds", "refine", "steepest"}
+ROUTES = {"cholesky", "diagonal", "sparse_lu", "densified", "eigen",
+          "dense_lu", "splu"}
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +63,23 @@ def test_records_hold_every_field(tiny):
         assert len(rec["md5"]) == 32 and int(rec["md5"], 16) >= 0
         assert set(rec["safeguards"]) == SAFEGUARDS
         assert all(v >= 0 for v in rec["safeguards"].values()), rec
+        # one linear solve per Newton step, each on one route
+        assert set(rec["routes"]) == ROUTES
+        assert all(v >= 0 for v in rec["routes"].values()), rec
+        assert sum(rec["routes"].values()) == rec["newton"], rec
         verdict = rec["check"]
         checked = rec["family"] in ("meb", "srlasso") or (
             rec["family"] == "trs" and rec["scaled"] is None)
         assert (verdict is not None) == checked
         if checked:
             assert isinstance(verdict["ok"], bool)
+
+
+def test_tiny_grid_takes_five_routes(tiny):
+    # the Cholesky of M_sp once, at the planted infeasible program
+    taken = {r for rec in tiny[0]["records"] for r, v in rec["routes"].items()
+             if v}
+    assert taken == {"cholesky", "diagonal", "densified", "eigen", "splu"}
 
 
 def test_counting_leaves_the_solve_alone(census):
@@ -94,7 +107,12 @@ def test_scaled_result_is_checked_on_the_original_data(census, family, size,
 
 
 def test_wrappers_restored_after_a_solve_that_raises(census, monkeypatch):
-    originals = (ssn.line_search, alm.run_inner, linsys._refine)
+    def wrapped():
+        return (ssn.line_search, alm.run_inner, linsys._refine,
+                linsys.NewtonSystem.densify,
+                *(getattr(linsys, name) for name in census._ROUTE_HELPERS))
+
+    originals = wrapped()
     logger = logging.getLogger("socalm.ssn")
     handlers, level = list(logger.handlers), logger.level
     solve_spd = ssn.solve_spd
@@ -111,5 +129,5 @@ def test_wrappers_restored_after_a_solve_that_raises(census, monkeypatch):
     with pytest.raises(RuntimeError, match="forced"):
         census.run_case(census.Case("tiny", "meb", (40, 4), 0))
     assert len(calls) == 2
-    assert (ssn.line_search, alm.run_inner, linsys._refine) == originals
+    assert wrapped() == originals
     assert logger.handlers == handlers and logger.level == level

@@ -203,6 +203,26 @@ class TestCli:
             assert cli_main(argv) == 2, argv
             assert "internal error" not in capsys.readouterr().err
 
+    def test_unwritable_result_path_exits_2_before_solving(
+            self, tmp_path, monkeypatch, capsys):
+        prob = str(tmp_path / "m.prob")
+        assert cli_main(["gen", "meb", "--m", "4", "--d", "2", "-o", prob]) == 0
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("reached")
+
+        # a parse or solve would end in an internal error, exit 4
+        monkeypatch.setattr(socalm_io, "parse_problem", refuse)
+        monkeypatch.setattr(socalm_io, "solve", refuse)
+        a_dir = tmp_path / "a_dir"
+        a_dir.mkdir()
+        for out, message in ((a_dir, "is a directory"),
+                             (tmp_path / "missing" / "m.res",
+                              "no such directory")):
+            assert cli_main(["solve", prob, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert message in err and "internal error" not in err
+
     def test_diag_without_solution_exits_2(self, tmp_path):
         prob = str(tmp_path / "m.prob")
         out = str(tmp_path / "m.res")
@@ -874,7 +894,8 @@ class TestFastReaderMatchesGeneral:
         fast, general, tables = parse_both(parse_result, f, monkeypatch)
         assert parsed_fields(fast) == parsed_fields(general)
         if variant == "as_written":
-            assert tables == 4
+            # each vector's full lines, and its tail line
+            assert tables == 8
 
 
 def reference_write_array(fh, values):

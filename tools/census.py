@@ -15,10 +15,21 @@ solver's surviving safeguards fired:
 - ``refine``: iterative refinement steps of the direct linear solves;
 - ``steepest``: non-descent Newton directions replaced by steepest descent.
 
-They are counted from outside: ``ssn.line_search``, ``alm.run_inner`` and
-``linsys._refine`` are wrapped, and the steepest-descent switch is read from
-its ``socalm.ssn`` debug record.  Every wrapper is removed again when the
-solve returns or raises.
+Each record also counts the linear solves by route:
+
+- ``cholesky``: dense Cholesky of ``M_sp`` plus the low-rank update;
+- ``diagonal``: division by a diagonal ``M_sp`` plus the update;
+- ``sparse_lu``: sparse LU of ``M_sp`` plus the update;
+- ``densified``: dense Cholesky of the whole densified matrix (k >= m);
+- ``eigen``: the quadratic block system in H's eigenbasis;
+- ``dense_lu``: dense LU of the quadratic block system;
+- ``splu``: sparse LU of the quadratic block system.
+
+They are counted from outside: ``ssn.line_search``, ``alm.run_inner``,
+``linsys._refine`` and the helpers that build each route's solve are
+wrapped, and the steepest-descent switch is read from its ``socalm.ssn``
+debug record.  Every wrapper is removed again when the solve returns or
+raises.
 
 Grids:
 
@@ -262,12 +273,43 @@ class _SteepestRecords(logging.Handler):
             self.counts["steepest"] += 1
 
 
+# the linear-solve routes and their column heads
+ROUTES = {"cholesky": "chol", "diagonal": "diag", "sparse_lu": "slu",
+          "densified": "dnsf", "eigen": "eig", "dense_lu": "dlu",
+          "splu": "splu"}
+
+# the linsys helper that each route's solve is built with, and the route a
+# call counts for: by the helper's result where two routes share a helper
+_ROUTE_HELPERS = {
+    "_dense_factor": lambda out: "cholesky",
+    "_diagonal_view": lambda out: "sparse_lu" if out is None else "diagonal",
+    "_quadratic_eigen": lambda out: None if out is None else "eigen",
+    "_quadratic_dense": lambda out: "dense_lu",
+    "jacobian_sparse_matrix": lambda out: "splu",
+}
+
+
+def _counted(fn, counts, route_of):
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        route = route_of(out)
+        if route is not None:
+            counts[route] += 1
+        return out
+
+    return wrapper
+
+
 @contextlib.contextmanager
 def counting():
-    """Count the safeguards' firings of the solves inside the block."""
+    """Count the safeguards' firings and the linear-solve routes of the
+    solves inside the block, as ``(safeguards, routes)``."""
     counts = dict.fromkeys(("noise", "exhausted", "rounds", "refine",
                             "steepest"), 0)
+    routes = dict.fromkeys(ROUTES, 0)
     line_search, run_inner, refine = ssn.line_search, alm.run_inner, linsys._refine
+    helpers = {name: getattr(linsys, name) for name in _ROUTE_HELPERS}
+    densify = linsys.NewtonSystem.densify
 
     def counted_line_search(problem, state, d1, d2, params):
         out = line_search(problem, state, d1, d2, params)
@@ -301,10 +343,18 @@ def counting():
         ssn.line_search = counted_line_search
         alm.run_inner = counted_run_inner
         linsys._refine = counted_refine
-        yield counts
+        for name, fn in helpers.items():
+            setattr(linsys, name, _counted(fn, routes, _ROUTE_HELPERS[name]))
+        # the densified matrix goes to _dense_factor too
+        linsys.NewtonSystem.densify = _counted(
+            densify, routes, lambda out: "densified")
+        yield counts, routes
     finally:
         ssn.line_search, alm.run_inner, linsys._refine = (
             line_search, run_inner, refine)
+        for name, fn in helpers.items():
+            setattr(linsys, name, fn)
+        linsys.NewtonSystem.densify = densify
         logger.removeHandler(handler)
         logger.setLevel(level)
 
@@ -314,23 +364,26 @@ def run_case(case):
     instance, problem = GENERATORS[case.family](*case.size, case.seed)
     if case.scaled is not None:
         problem = scaled_problem(problem, case.scaled, case.factor)
-    with counting() as counts:
+    with counting() as (counts, routes):
         t0 = time.perf_counter()
         result = socalm.solve(problem)
         seconds = time.perf_counter() - t0
     counts["rounds"] -= result.outer_iters
+    routes["cholesky"] -= routes["densified"]
     x2, y = unscale(case, result.x2, result.y)
     return {
         **asdict(case), "label": case.label, "status": result.status,
         "outer": result.outer_iters, "newton": result.newton_iters,
         "seconds": seconds, "kkt": result.kkt_residual,
         "md5": hashlib.md5(result.x2.tobytes() + result.y.tobytes()).hexdigest(),
-        "check": check(case, instance, x2, y), "safeguards": counts}
+        "check": check(case, instance, x2, y), "safeguards": counts,
+        "routes": routes}
 
 
 HEADER = (f"{'instance':32s} {'status':18s} {'outer/newton':>12s} {'s':>6s} "
           f"{'kkt':>8s} {'check':>5s} {'noise':>5s} {'exh':>4s} {'rnds':>4s} "
-          f"{'refn':>4s} {'stp':>4s} md5")
+          f"{'refn':>4s} {'stp':>4s} "
+          + " ".join(f"{h:>4s}" for h in ROUTES.values()) + " md5")
 
 
 def format_row(rec):
@@ -341,7 +394,8 @@ def format_row(rec):
             f"{rec['outer']:>5d}/{rec['newton']:<6d} {rec['seconds']:6.2f} "
             f"{rec['kkt']:8.1e} {ok:>5s} {g['noise']:5d} {g['exhausted']:4d} "
             f"{g['rounds']:4d} {g['refine']:4d} {g['steepest']:4d} "
-            f"{rec['md5'][:12]}")
+            + "".join(f"{rec['routes'][r]:4d} " for r in ROUTES)
+            + rec["md5"][:12])
 
 
 def run(grids):
