@@ -12,14 +12,14 @@ formatted once, with one ``%.17g`` template, and its blocks written from
 that table of texts.  Other problem sections, and the vectors of a result
 file, format each block with one ``%.17g`` template.  Either way each value
 prints as ``format(v, ".17g")`` does, so the bytes do not depend on the
-path.  The parser finds every line feed of the file once.  A section
-laid out as the writer lays it out goes to numpy's C text reader: its full
-lines of six values in one slice of the text and its shorter tail line in
-another, or its ``row col value`` triplets, one a line, in one slice.  Any
-other layout, or a token that reader refuses, goes to the general reader,
-which reads the rest of the section a line at a time and converts its
-tokens at once.  Both give the same values, and errors name the section and
-the line where it starts.
+path.  The parser finds every line feed of the file once.  A section laid
+out as the writer lays it out has its full lines of six values, or its
+``row col value`` triplets, one a line, read by numpy's C text reader in one
+slice of the text.  The rest (a vector's shorter tail line), any other
+layout, or a token that reader refuses goes to the general reader, which
+reads a line at a time and converts the section's tokens at once.  Both
+give the same values, and errors name the section and the line where it
+starts.
 
 Exit codes: 0 success, 2 malformed input, 3 non-convergence, 4 internal
 error.
@@ -280,17 +280,15 @@ class _Reader:
 
     def read_floats(self, count, what):
         """``count`` values on as many lines as they take; reading stops
-        after the line that completes the count.  The writer's layout, full
-        lines of six values and one shorter tail line, goes through
-        :meth:`table`; whatever it does not take is read a line at a time."""
+        after the line that completes the count.  The full lines of the
+        writer's layout go through :meth:`table` at once; the rest is read a
+        line at a time."""
         start, got, toks = self.pos, 0, []
         out = np.empty(max(count, 0))
-        full, rest = divmod(out.size, _VALUES_PER_LINE)
-        for k, width in ((full, _VALUES_PER_LINE), (min(rest, 1), rest)):
-            rows = self.table(k, width)
-            if rows is not None:
-                out[got:got + rows.size] = rows.reshape(-1)
-                got += rows.size
+        rows = self.table(out.size // _VALUES_PER_LINE, _VALUES_PER_LINE)
+        if rows is not None:
+            got = rows.size
+            out[:got] = rows.reshape(-1)
         while got + len(toks) < count:
             toks += self.next_raw_line().split()
         got += len(toks)
@@ -537,10 +535,12 @@ def _cmd_solve(args):
     options = AlmOptions(tol=args.tol, max_outer=args.max_iter,
                          use_criterion_b=args.criterion_b)
     out = args.out if args.out else args.problem + ".result"
-    # a result that cannot be written is refused before the solve
+    # a result that cannot be written is refused before the solve; the
+    # default one lies beside the problem, whose own read names a missing
+    # directory
     if os.path.isdir(out):
         raise IsADirectoryError(f"result path {out!r} is a directory")
-    if not os.path.isdir(os.path.dirname(out) or "."):
+    if args.out and not os.path.isdir(os.path.dirname(out) or "."):
         raise FileNotFoundError(f"result path {out!r}: no such directory")
     problem = parse_problem(args.problem)
     result = solve(problem, options, log=sys.stdout)

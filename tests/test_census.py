@@ -63,10 +63,12 @@ def test_records_hold_every_field(tiny):
         assert len(rec["md5"]) == 32 and int(rec["md5"], 16) >= 0
         assert set(rec["safeguards"]) == SAFEGUARDS
         assert all(v >= 0 for v in rec["safeguards"].values()), rec
-        # one linear solve per Newton step, each on one route
+        # one linear solve per Newton step, each on one route, and the
+        # failed solve that ends a LinearSolveFailure
         assert set(rec["routes"]) == ROUTES
         assert all(v >= 0 for v in rec["routes"].values()), rec
-        assert sum(rec["routes"].values()) == rec["newton"], rec
+        failed = rec["status"] == "LinearSolveFailure"
+        assert sum(rec["routes"].values()) == rec["newton"] + failed, rec
         verdict = rec["check"]
         checked = rec["family"] in ("meb", "srlasso") or (
             rec["family"] == "trs" and rec["scaled"] is None)
@@ -109,10 +111,9 @@ def test_scaled_result_is_checked_on_the_original_data(census, family, size,
 def test_wrappers_restored_after_a_solve_that_raises(census, monkeypatch):
     def wrapped():
         return (ssn.line_search, alm.run_inner, linsys._refine,
-                linsys.NewtonSystem.densify,
-                *(getattr(linsys, name) for name in census._ROUTE_HELPERS))
+                ssn.solve_spd,
+                *(getattr(linsys, name) for name in census._QUADRATIC_HELPERS))
 
-    originals = wrapped()
     logger = logging.getLogger("socalm.ssn")
     handlers, level = list(logger.handlers), logger.level
     solve_spd = ssn.solve_spd
@@ -126,6 +127,7 @@ def test_wrappers_restored_after_a_solve_that_raises(census, monkeypatch):
         return solve_spd(*args, **kwargs)
 
     monkeypatch.setattr(ssn, "solve_spd", failing)
+    originals = wrapped()
     with pytest.raises(RuntimeError, match="forced"):
         census.run_case(census.Case("tiny", "meb", (40, 4), 0))
     assert len(calls) == 2

@@ -15,7 +15,9 @@ solver's surviving safeguards fired:
 - ``refine``: iterative refinement steps of the direct linear solves;
 - ``steepest``: non-descent Newton directions replaced by steepest descent.
 
-Each record also counts the linear solves by route:
+Each record also counts the linear solves by route.  A solve is counted
+when it is attempted, so a Newton step's solve that fails (status
+``LinearSolveFailure``) counts besides the steps that were taken:
 
 - ``cholesky``: dense Cholesky of ``M_sp`` plus the low-rank update;
 - ``diagonal``: division by a diagonal ``M_sp`` plus the update;
@@ -26,9 +28,10 @@ Each record also counts the linear solves by route:
 - ``splu``: sparse LU of the quadratic block system.
 
 They are counted from outside: ``ssn.line_search``, ``alm.run_inner``,
-``linsys._refine`` and the helpers that build each route's solve are
-wrapped, and the steepest-descent switch is read from its ``socalm.ssn``
-debug record.  Every wrapper is removed again when the solve returns or
+``linsys._refine``, ``ssn.solve_spd`` (its route read from the Newton
+system it is given) and the helpers that build each quadratic route's
+solve are wrapped, and the steepest-descent switch is read from its
+``socalm.ssn`` debug record.  Every wrapper is removed again when the solve returns or
 raises.
 
 Grids:
@@ -278,11 +281,10 @@ ROUTES = {"cholesky": "chol", "diagonal": "diag", "sparse_lu": "slu",
           "densified": "dnsf", "eigen": "eig", "dense_lu": "dlu",
           "splu": "splu"}
 
-# the linsys helper that each route's solve is built with, and the route a
-# call counts for: by the helper's result where two routes share a helper
-_ROUTE_HELPERS = {
-    "_dense_factor": lambda out: "cholesky",
-    "_diagonal_view": lambda out: "sparse_lu" if out is None else "diagonal",
+# The linsys helper that each quadratic route's solve is built with, and
+# the route a call counts for.  This mirrors solve_quadratic: a dense H
+# tries the eigenbasis first, and a None from it leaves the dense LU.
+_QUADRATIC_HELPERS = {
     "_quadratic_eigen": lambda out: None if out is None else "eigen",
     "_quadratic_dense": lambda out: "dense_lu",
     "jacobian_sparse_matrix": lambda out: "splu",
@@ -300,6 +302,18 @@ def _counted(fn, counts, route_of):
     return wrapper
 
 
+def _spd_route(sys_):
+    """The route that ``linsys.solve_spd`` at ``strategy="auto"`` takes for
+    the Newton system ``sys_``."""
+    if sys_.k >= sys_.m:
+        return "densified"
+    if linsys._dense_view(sys_.M_sp) is not None:
+        return "cholesky"
+    if linsys._diagonal_view(sys_.M_sp) is not None:
+        return "diagonal"
+    return "sparse_lu"
+
+
 @contextlib.contextmanager
 def counting():
     """Count the safeguards' firings and the linear-solve routes of the
@@ -308,8 +322,8 @@ def counting():
                             "steepest"), 0)
     routes = dict.fromkeys(ROUTES, 0)
     line_search, run_inner, refine = ssn.line_search, alm.run_inner, linsys._refine
-    helpers = {name: getattr(linsys, name) for name in _ROUTE_HELPERS}
-    densify = linsys.NewtonSystem.densify
+    solve_spd = ssn.solve_spd
+    helpers = {name: getattr(linsys, name) for name in _QUADRATIC_HELPERS}
 
     def counted_line_search(problem, state, d1, d2, params):
         out = line_search(problem, state, d1, d2, params)
@@ -334,6 +348,11 @@ def counting():
 
         return refine(counted_solve, *args, **kwargs)
 
+    def counted_solve_spd(sys_, rhs, tol):
+        # counted before the solve, so a solve that raises counts too
+        routes[_spd_route(sys_)] += 1
+        return solve_spd(sys_, rhs, tol)
+
     logger = logging.getLogger("socalm.ssn")
     level = logger.level
     handler = _SteepestRecords(counts)
@@ -343,18 +362,16 @@ def counting():
         ssn.line_search = counted_line_search
         alm.run_inner = counted_run_inner
         linsys._refine = counted_refine
+        ssn.solve_spd = counted_solve_spd
         for name, fn in helpers.items():
-            setattr(linsys, name, _counted(fn, routes, _ROUTE_HELPERS[name]))
-        # the densified matrix goes to _dense_factor too
-        linsys.NewtonSystem.densify = _counted(
-            densify, routes, lambda out: "densified")
+            setattr(linsys, name, _counted(fn, routes, _QUADRATIC_HELPERS[name]))
         yield counts, routes
     finally:
         ssn.line_search, alm.run_inner, linsys._refine = (
             line_search, run_inner, refine)
+        ssn.solve_spd = solve_spd
         for name, fn in helpers.items():
             setattr(linsys, name, fn)
-        linsys.NewtonSystem.densify = densify
         logger.removeHandler(handler)
         logger.setLevel(level)
 
@@ -369,7 +386,6 @@ def run_case(case):
         result = socalm.solve(problem)
         seconds = time.perf_counter() - t0
     counts["rounds"] -= result.outer_iters
-    routes["cholesky"] -= routes["densified"]
     x2, y = unscale(case, result.x2, result.y)
     return {
         **asdict(case), "label": case.label, "status": result.status,
