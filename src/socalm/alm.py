@@ -10,7 +10,8 @@ relative KKT residuals.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,6 +169,9 @@ class SolveResult:
     wall_time: float
     complementarity: list
     iteration_log: list
+    # what the solve did, totalled over its Newton steps (ssn.InnerResult)
+    # and re-check rounds; a count never taken reads 0
+    counts: Counter = field(default_factory=Counter)
     # every linear solve is direct; result-file format 1 still has the line
     krylov_iters = 0
 
@@ -234,7 +238,10 @@ def _natural_map(problem, parts):
 
 @dataclass
 class StepInfo:
-    """Bookkeeping of one outer step (counters and the realized criteria)."""
+    """Bookkeeping of one outer step (counters and the realized criteria).
+
+    ``counts`` totals the counts of its inner solves, and ``rounds`` the
+    inner solves beyond the first that the re-checks asked for."""
 
     newton_iters: int
     psi: float
@@ -245,6 +252,7 @@ class StepInfo:
     y_prev: np.ndarray
     inner_status: str
     accepted: bool
+    counts: Counter
 
 
 def _criterion_rhs(problem, state, y_prev, sigma, ehat, dhat, use_b):
@@ -299,12 +307,15 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
     accepted = False
     inner_status = ssn.CONVERGED
     x3 = None
-    for _ in range(_MAX_FIXED_POINT_ROUNDS):
+    counts = Counter()
+    for rnd in range(_MAX_FIXED_POINT_ROUNDS):
         if state.grad_norm == 0.0:
             accepted = True
             break
         res = run_inner(problem, y, sigma, state, max(threshold, 1e-300), _NEWTON)
         newton += res.newton_iters
+        counts.update(res.counts)
+        counts["rounds"] += rnd > 0
         state = res.state
         x3 = res.x3
         inner_status = res.status
@@ -321,7 +332,7 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
         x3 = project(problem.cone, -state.z / sigma)
     new_iterate = Iterate(state.x1, state.x2, x3, state.proj, sigma)
     info = StepInfo(newton, state.psi, state.grad_norm, ehat, dhat,
-                    rhs_b, y, inner_status, accepted)
+                    rhs_b, y, inner_status, accepted, counts)
     return new_iterate, info
 
 
@@ -379,6 +390,7 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
 
     lines = []
     newton_total = 0
+    counts = Counter()
     d, parts = _kkt(problem, iterate.x1, iterate.x2, iterate.x3, iterate.y)
     status = MAX_ITERATIONS
     outer = 0
@@ -393,6 +405,7 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
             iterate, info = outer_step(problem, iterate, options, k)
             outer = k + 1
             newton_total += info.newton_iters
+            counts.update(info.counts)
             d, parts = _kkt(problem, iterate.x1, iterate.x2, iterate.x3,
                             iterate.y)
             line = format_log_line(k, iterate.sigma, info.psi, info.grad_norm,
@@ -422,7 +435,7 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
         pobj=d[4], dobj=d[5], natural_map_norm=nat,
         status=status, outer_iters=outer, newton_iters=newton_total,
         wall_time=time.perf_counter() - t0,
-        complementarity=report, iteration_log=lines)
+        complementarity=report, iteration_log=lines, counts=counts)
 
 
 _STATUSES = ("zero", "boundary", "interior")

@@ -238,10 +238,13 @@ class _Reader:
         name = toks[0]
         if len(toks) != 2:
             self.error(f"field {name!r} needs exactly one integer")
+        return self.integer(toks[1], f"field {name!r}")
+
+    def integer(self, tok, what):
         try:
-            return int(toks[1])
+            return int(tok)
         except ValueError:
-            self.error(f"field {name!r}: {toks[1]!r} is not an integer")
+            self.error(f"{what}: {tok!r} is not an integer")
 
     def keyword_float(self, name):
         toks = self.keyword(name)
@@ -468,9 +471,11 @@ def parse_result(path) -> ResultData:
         if len(toks) != 8:
             r.error("complementarity row needs 8 fields")
         comp.append(alm.BlockReport(
-            block_id=int(toks[0]), kind=toks[1], x3_status=toks[2],
-            y_status=toks[3], category=toks[4],
-            strictly_complementary=bool(int(toks[5])),
+            block_id=r.integer(toks[0], "complementarity block id"),
+            kind=toks[1], x3_status=toks[2], y_status=toks[3],
+            category=toks[4],
+            strictly_complementary=bool(r.integer(
+                toks[5], "complementarity flag")),
             margin=r.finite(toks[6], "complementarity margin"),
             inner_product=r.finite(toks[7], "complementarity inner product")))
     fields["complementarity"] = comp

@@ -76,12 +76,19 @@ _SIGN_BIT = np.uint64(1 << 63)
 
 
 class LinearSolveError(RuntimeError):
-    """A linear solve did not reach its residual tolerance."""
+    """A linear solve did not reach its residual tolerance.
 
-    def __init__(self, message, x=None, residual=None):
+    ``route`` names the factorization that failed or missed, and
+    ``refine`` counts the refinement steps taken before the miss, as on
+    :class:`SolveStats`.
+    """
+
+    def __init__(self, message, x=None, residual=None, refine=0):
         super().__init__(message)
         self.x = x
         self.residual = residual
+        self.route = None
+        self.refine = refine
 
 
 class SparseSymmetric:
@@ -205,8 +212,15 @@ class SparseSymmetric:
 
 @dataclass
 class SolveStats:
+    """One direct solve: its strategy ``method``, the residual norm reached,
+    the factorization ``route`` (``cholesky``, ``diagonal``, ``sparse_lu``
+    or ``densified`` in the linear case, ``eigen``, ``dense_lu`` or
+    ``splu`` in the quadratic one) and the refinement steps taken."""
+
     method: str
     residual: float = 0.0
+    route: str | None = None
+    refine: int = 0
     # every route is direct, so this stays 0; kept because solve results and
     # the result file report the total as ``krylov_iters``
     iterations = 0
@@ -743,22 +757,23 @@ def _refine(solve, matvec, rhs, stop, method):
 
     Refinement stops once the residual norm is at most ``stop``.  Returns
     ``(x, SolveStats)``.  Raises :class:`LinearSolveError`, carrying the
-    iterate and its residual norm, unless that norm is at most ``stop``; a
-    NaN residual is a miss.
+    iterate, its residual norm and the steps taken, unless that norm is at
+    most ``stop``; a NaN residual is a miss.
     """
     x = solve(rhs)
     res = rhs - matvec(x)
-    for _ in range(2):
-        if np.linalg.norm(res) <= stop:
-            break
+    steps = 0
+    while steps < 2 and not np.linalg.norm(res) <= stop:
         x = x + solve(res)
         res = rhs - matvec(x)
+        steps += 1
     resnorm = float(np.linalg.norm(res))
     if not resnorm <= stop:
         raise LinearSolveError(
             f"{method} solve missed the residual target "
-            f"({resnorm:.3e} > {stop:.3e})", x=x, residual=resnorm)
-    return x, SolveStats(method, residual=resnorm)
+            f"({resnorm:.3e} > {stop:.3e})", x=x, residual=resnorm,
+            refine=steps)
+    return x, SolveStats(method, residual=resnorm, refine=steps)
 
 
 def _lowrank_solver(sys_, solve_M):
@@ -803,7 +818,9 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto"):
     square-root Lasso), so such a system usually goes ``"augmented"``.  Raises
     :class:`LinearSolveError` when a factorization fails (the dense Cholesky,
     the sparse LU, or a zero or non-finite diagonal), and, carrying the
-    iterate and its residual, when the solve misses the tolerance.
+    iterate and its residual, when the solve misses the tolerance.  The
+    returned stats, or the error, name the factorization tried:
+    ``densified``, ``cholesky``, ``sparse_lu`` or ``diagonal``.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (sys_.m,):
@@ -812,29 +829,39 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto"):
     if strategy == "auto":
         dense = sys_.k >= sys_.m or _dense_view(sys_.M_sp) is not None
         strategy = "dense" if dense else "augmented"
-    if strategy == "dense" and sys_.k >= sys_.m:
-        solve = _dense_factor(sys_.densify())
-    elif strategy == "dense":
-        M = _dense_view(sys_.M_sp)
-        solve = _lowrank_solver(
-            sys_, _dense_factor(sys_.M_sp.toarray() if M is None else M))
+    if strategy == "dense":
+        route = "densified" if sys_.k >= sys_.m else "cholesky"
     elif strategy == "augmented":
         diag = _diagonal_view(sys_.M_sp)
-        if diag is None:
+        route = "sparse_lu" if diag is None else "diagonal"
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    try:
+        if route == "densified":
+            solve = _dense_factor(sys_.densify())
+        elif route == "cholesky":
+            M = _dense_view(sys_.M_sp)
+            solve = _lowrank_solver(
+                sys_, _dense_factor(sys_.M_sp.toarray() if M is None else M))
+        elif route == "sparse_lu":
             try:
                 solve_M = spla.splu(sys_.M_sp.tocsc()).solve
             except RuntimeError as err:
                 raise LinearSolveError(
                     f"sparse LU of M_sp failed: {err}") from err
+            solve = _lowrank_solver(sys_, solve_M)
         elif not (np.isfinite(diag).all() and diag.all()):
             raise LinearSolveError("diagonal M_sp has a zero or non-finite "
                                    "entry")
         else:
-            solve_M = lambda r: r / (diag[:, None] if r.ndim == 2 else diag)
-        solve = _lowrank_solver(sys_, solve_M)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return _refine(solve, sys_.matvec, rhs, stop, strategy)
+            solve = _lowrank_solver(sys_, lambda r: r / (
+                diag[:, None] if r.ndim == 2 else diag))
+        x, stats = _refine(solve, sys_.matvec, rhs, stop, strategy)
+    except LinearSolveError as err:
+        err.route = route
+        raise
+    stats.route = route
+    return x, stats
 
 
 def _split_v(J: JacobianElement):
@@ -986,7 +1013,8 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     The solve gets at most two refinement steps.  Raises
     :class:`LinearSolveError`, carrying the iterate ``(d1; d2)`` of the whole
     system and its residual, when the solve misses the target or the sparse
-    factorization fails.
+    factorization fails.  The returned stats, or the error, name the
+    factorization tried: ``eigen``, ``dense_lu`` or ``splu``.
     """
     m, n = A.shape
     R1 = np.asarray(R1, dtype=float)
@@ -998,32 +1026,39 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     rhs = np.concatenate([R1, R2])
 
     Hd = H.dense_copy()
-    if Hd is not None:
-        method = "dense"
-        eigen = _quadratic_eigen(H, A, J, sigma, eps)
+    method = "splu" if Hd is None else "dense"
+    eigen = None if Hd is None else _quadratic_eigen(H, A, J, sigma, eps)
+    try:
         if eigen is not None:
+            route = "eigen"
             solve, matvec = eigen
-        else:
+        elif Hd is not None:
+            route = "dense_lu"
             M, matvec = _quadratic_dense(Hd, A, J, sigma, eps)
             # M' is Fortran-ordered, so LAPACK factors it in place
             lu = scipy.linalg.lu_factor(M.T, overwrite_a=True,
                                         check_finite=False)
             solve = lambda r: scipy.linalg.lu_solve(lu, r, trans=1,
                                                     check_finite=False)
-    else:
-        method = "splu"
-        V = jacobian_sparse_matrix(J)
-        VH = (V @ H.to_csr()).tocsr()
-        VAT = (V @ A.T).tocsr()
-        Mhat = sp.bmat(
-            [[sp.identity(n) + sigma * VH, -sigma * VAT],
-             [-sigma * (A @ VH), eps * sp.identity(m) + sigma * (A @ VAT)]],
-            format="csc")
-        matvec = Mhat.__matmul__
-        try:
-            solve = spla.splu(Mhat).solve
-        except RuntimeError as err:
-            raise LinearSolveError(
-                f"sparse LU of the block system failed: {err}") from err
-    x, stats = _refine(solve, matvec, rhs, stop, method)
+        else:
+            route = "splu"
+            V = jacobian_sparse_matrix(J)
+            VH = (V @ H.to_csr()).tocsr()
+            VAT = (V @ A.T).tocsr()
+            Mhat = sp.bmat(
+                [[sp.identity(n) + sigma * VH, -sigma * VAT],
+                 [-sigma * (A @ VH),
+                  eps * sp.identity(m) + sigma * (A @ VAT)]],
+                format="csc")
+            matvec = Mhat.__matmul__
+            try:
+                solve = spla.splu(Mhat).solve
+            except RuntimeError as err:
+                raise LinearSolveError(
+                    f"sparse LU of the block system failed: {err}") from err
+        x, stats = _refine(solve, matvec, rhs, stop, method)
+    except LinearSolveError as err:
+        err.route = route
+        raise
+    stats.route = route
     return x[:n], x[n:], stats

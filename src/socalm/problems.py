@@ -359,23 +359,24 @@ def load_srlasso_csv(path):
     """Read ``(B, w)`` from a plain numeric CSV, last column the response.
 
     A single leading header line is skipped automatically when it does not
-    parse as numbers.
+    parse as numbers.  Blank lines are skipped; errors name the line of the
+    file.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh]
-    raw = [ln for ln in raw if ln]
+        raw = [(ln_no, ln.strip()) for ln_no, ln in enumerate(fh, start=1)]
+    raw = [(ln_no, ln) for ln_no, ln in raw if ln]
     if not raw:
         raise ValueError(f"{path}: empty file")
     start = 0
     try:
-        [float(tok) for tok in raw[0].replace(",", " ").split()]
+        [float(tok) for tok in raw[0][1].replace(",", " ").split()]
     except ValueError:
         start = 1
         if len(raw) < 2:
             raise ValueError(f"{path}: only a header line present")
     width = None
-    for ln_no, line in enumerate(raw[start:], start=start + 1):
+    for ln_no, line in raw[start:]:
         toks = line.replace(",", " ").split()
         try:
             vals = [float(t) for t in toks]

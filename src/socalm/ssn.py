@@ -20,6 +20,7 @@ and ``<x1, H x1>`` are ever consumed.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,17 +184,20 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
     ``alpha < 1`` is evaluated again by :func:`make_state`, so the returned
     state is always exact at its own point.  Returns
     ``(alpha, new_state, info)``; ``info['trials']`` counts the objective
-    values tested, and ``info['warned']`` is set when the full step was taken
+    values tested, ``info['warned']`` is set when the full step was taken
     on gradient decrease alone (the decrease test is below the roundoff of
     psi) or the step budget ran out, in which case the trial with the lowest
-    objective value is returned.
+    objective value is returned, and ``info['steepest']`` when steepest
+    descent replaced the direction.
     """
     if state.grad_norm == 0.0:
-        return 1.0, state, {"gd": 0.0, "trials": 0, "warned": False}
+        return 1.0, state, {"gd": 0.0, "trials": 0, "warned": False,
+                            "steepest": False}
     quadratic = problem.is_quadratic
     gd = _dot(quadratic, state.g1, d1, state.g2, d2)
     dnorm = float(np.sqrt(_dot(quadratic, d1, d1, d2, d2)))
-    if gd >= -1e-18 * state.grad_norm * dnorm:
+    steepest = gd >= -1e-18 * state.grad_norm * dnorm
+    if steepest:
         logger.debug("non-descent direction (g.d = %.3e); using steepest descent", gd)
         d1 = -state.g1
         d2 = -state.g2
@@ -211,9 +215,11 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
     # gradient-norm contraction of the full step
     psi_noise = 4.0 * np.finfo(float).eps * (1.0 + abs(state.psi))
     if params.mu * abs(gd) <= psi_noise and full.grad_norm < state.grad_norm:
-        return 1.0, full, {"gd": gd, "trials": 1, "warned": True}
+        return 1.0, full, {"gd": gd, "trials": 1, "warned": True,
+                           "steepest": steepest}
     if full.psi <= state.psi + params.mu * gd:
-        return 1.0, full, {"gd": gd, "trials": 1, "warned": False}
+        return 1.0, full, {"gd": gd, "trials": 1, "warned": False,
+                           "steepest": steepest}
     best = (1.0, full.psi)
     # z(alpha) = z + alpha dz and <x1 + alpha d1, H (x1 + alpha d1)> are
     # affine and quadratic in alpha
@@ -233,14 +239,16 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
         psi_t = _psi(problem, x2 + alpha * d2, proj, y_sq, sigma,
                      q0 + alpha * (q1 + alpha * q2))
         if psi_t <= state.psi + params.mu * alpha * gd:
-            return alpha, trial_state(alpha), {"gd": gd, "trials": step + 1,
-                                               "warned": False}
+            return alpha, trial_state(alpha), {
+                "gd": gd, "trials": step + 1, "warned": False,
+                "steepest": steepest}
         if psi_t < best[1]:
             best = (alpha, psi_t)
     logger.warning("line search exhausted %d steps; returning best trial",
                    params.max_linesearch_steps)
     return best[0], trial_state(best[0]), {
-        "gd": gd, "trials": params.max_linesearch_steps + 1, "warned": True}
+        "gd": gd, "trials": params.max_linesearch_steps + 1, "warned": True,
+        "steepest": steepest}
 
 
 def _dot(quadratic, u1, v1, u2, v2):
@@ -252,10 +260,17 @@ def _dot(quadratic, u1, v1, u2, v2):
 
 @dataclass
 class InnerResult:
+    """Outcome of :func:`run_inner`.  ``counts`` totals its steps' linear
+    solves by route (the failed one of ``LINEAR_SOLVE_FAILURE`` included),
+    their refinement steps (``refine``) and the line searches that took the
+    noise rule (``noise``), ran out of trials (``exhausted``) or replaced
+    the direction by steepest descent (``steepest``)."""
+
     state: InnerState
     x3: np.ndarray
     newton_iters: int
     status: str
+    counts: Counter
 
 
 def run_inner(problem, y, sigma, start, stop_threshold,
@@ -280,20 +295,31 @@ def run_inner(problem, y, sigma, start, stop_threshold,
     newton = 0
     tiny_run = 0
     status = MAX_ITERS
+    counts = Counter()
     for _ in range(params.max_newton_iters):
         if state.grad_norm <= stop_threshold:
             status = CONVERGED
             break
         try:
-            d1, d2, _, _, _ = newton_direction(problem, state, sigma, params)
+            d1, d2, _, _, stats = newton_direction(problem, state, sigma,
+                                                   params)
         except LinearSolveError as err:
             logger.warning("inner solve aborted: %s", err)
+            counts[err.route] += 1
+            counts["refine"] += err.refine
             status = LINEAR_SOLVE_FAILURE
             break
+        counts[stats.route] += 1
+        counts["refine"] += stats.refine
         psi_old = state.psi
         gnorm_old = state.grad_norm
         alpha, new_state, info = line_search(problem, state, d1, d2, params)
         newton += 1
+        if info["trials"] > params.max_linesearch_steps:
+            counts["exhausted"] += 1
+        elif info["warned"]:
+            counts["noise"] += 1
+        counts["steepest"] += info["steepest"]
         step_len = alpha * float(np.sqrt(
             _dot(problem.is_quadratic, d1, d1, d2, d2)))
         tiny_run = tiny_run + 1 if step_len < _STAGNATION_STEP else 0
@@ -310,4 +336,4 @@ def run_inner(problem, y, sigma, start, stop_threshold,
     if state.grad_norm <= stop_threshold:
         status = CONVERGED
     x3 = project(problem.cone, -state.z / sigma)
-    return InnerResult(state, x3, newton, status)
+    return InnerResult(state, x3, newton, status, counts)

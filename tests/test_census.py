@@ -1,11 +1,11 @@
-"""The census script: its tiny grid, its records, and its wrappers."""
+"""The census script: its tiny grid and its records, and the counts of
+``SolveResult.counts`` that it reads."""
 
 import contextlib
 import hashlib
 import importlib.util
 import io
 import json
-import logging
 import sys
 import time
 from pathlib import Path
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import socalm
-from socalm import alm, linsys, ssn
+from socalm import ssn
 
 CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
 STATUSES = {"Optimal", "MaxIterations", "InnerMaxIterations", "Stagnation",
@@ -108,28 +108,78 @@ def test_scaled_result_is_checked_on_the_original_data(census, family, size,
     assert rec["check"]["ok"], rec["check"]
 
 
-def test_wrappers_restored_after_a_solve_that_raises(census, monkeypatch):
-    def wrapped():
-        return (ssn.line_search, alm.run_inner, linsys._refine,
-                ssn.solve_spd,
-                *(getattr(linsys, name) for name in census._QUADRATIC_HELPERS))
-
-    logger = logging.getLogger("socalm.ssn")
-    handlers, level = list(logger.handlers), logger.level
+def test_a_solve_that_raises_propagates(census, monkeypatch):
     solve_spd = ssn.solve_spd
     calls = []
 
     def failing(*args, **kwargs):
-        # one good Newton step, so the wrappers have been called, then fail
+        # one good Newton step, then an error that is not a linear-solve miss
         calls.append(1)
         if len(calls) > 1:
             raise RuntimeError("forced")
         return solve_spd(*args, **kwargs)
 
     monkeypatch.setattr(ssn, "solve_spd", failing)
-    originals = wrapped()
     with pytest.raises(RuntimeError, match="forced"):
         census.run_case(census.Case("tiny", "meb", (40, 4), 0))
     assert len(calls) == 2
-    assert wrapped() == originals
-    assert logger.handlers == handlers and logger.level == level
+
+
+def test_miscounted_record_fails_the_run(census, monkeypatch, capsys):
+    record = census.run_case
+
+    def dropped_route(case):
+        rec = record(case)
+        rec["newton"] += 1
+        return rec
+
+    monkeypatch.setattr(census, "run_case", dropped_route)
+    assert census.main(["--grid", "tiny"]) == 1
+    assert "route totals differ" in capsys.readouterr().out
+
+
+def route_total(counts):
+    return sum(counts[r] for r in ROUTES)
+
+
+@pytest.mark.parametrize("family, size, datum", [
+    ("meb", (40, 4), None), ("srlasso", (200, 30), None),
+    ("trs", (12,), "H"), ("qsocp", (4, 3, 3, 6), None),
+    ("infeasible_x", (6, 4, 2, 3), None)])
+def test_route_total_is_the_newton_count(census, family, size, datum):
+    # a plain solve: one linear solve per Newton step, each on one route
+    _, problem = census.GENERATORS[family](*size, 0)
+    if datum is not None:
+        problem = census.scaled_problem(problem, datum, 1e3)
+    result = socalm.solve(problem)
+    assert result.newton_iters > 0
+    assert route_total(result.counts) == result.newton_iters
+    assert set(result.counts) <= ROUTES | SAFEGUARDS
+
+
+def test_failed_solve_is_counted_on_its_route():
+    # trust-region d = 200 with b*1e3 at seed 1 ends LinearSolveFailure
+    # 4/10: its eleventh eigenbasis solve misses after two refinement steps
+    _, problem = socalm.gen_trs(200, 1)
+    problem = socalm.ProblemData(problem.H, problem.A, problem.b * 1e3,
+                                 problem.c, problem.cone)
+    result = socalm.solve(problem)
+    assert (result.status, result.outer_iters, result.newton_iters) == (
+        "LinearSolveFailure", 4, 10)
+    assert route_total(result.counts) == result.newton_iters + 1
+    assert {k: v for k, v in result.counts.items() if v} == {
+        "eigen": 11, "refine": 2, "noise": 1}
+
+
+def test_scaled_trs_counts_its_safeguards():
+    # trust-region d = 200 with b*1e3 at seed 2 (census unit grid, seed 1)
+    # ends Stagnation 4/43 after 33 steepest-descent switches and 9
+    # exhausted line searches
+    _, problem = socalm.gen_trs(200, 2)
+    problem = socalm.ProblemData(problem.H, problem.A, problem.b * 1e3,
+                                 problem.c, problem.cone)
+    result = socalm.solve(problem)
+    assert (result.status, result.outer_iters, result.newton_iters) == (
+        "Stagnation", 4, 43)
+    assert {k: v for k, v in result.counts.items() if v} == {
+        "eigen": 43, "steepest": 33, "exhausted": 9, "noise": 1}

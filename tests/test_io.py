@@ -696,6 +696,12 @@ class TestParserErrorContract:
          "line 16: complementarity inner product: 'inf' is not finite$"),
         ("strict 1 0.25 ", "strict 1 x ",
          "line 15: complementarity margin: 'x' is not a number$"),
+        ("0 nonneg boundary", "0.5 nonneg boundary",
+         "line 15: complementarity block id: '0.5' is not an integer$"),
+        ("1 soc zero", "b1 soc zero",
+         "line 16: complementarity block id: 'b1' is not an integer$"),
+        ("strict 1 0.25 ", "strict yes 0.25 ",
+         "line 15: complementarity flag: 'yes' is not an integer$"),
     ])
     def test_result_parser_refuses_what_the_writer_refuses(
             self, tmp_path, capsys, old, new, message):

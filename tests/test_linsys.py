@@ -1053,10 +1053,29 @@ class TestSolveSpd:
             linsys._refine(lambda r: r.copy(), lambda v: M @ v, rhs, 0.0, "id")
         assert exc.value.residual == pytest.approx(np.linalg.norm(
             np.linalg.matrix_power(-E, 3) @ rhs), rel=1e-8)
+        assert exc.value.refine == 2
         x, stats = linsys._refine(lambda r: r.copy(), lambda v: M @ v, rhs,
                                   1.01 * np.linalg.norm(E @ rhs), "id")
         assert np.array_equal(x, rhs)
         assert stats.method == "id"
+        assert stats.refine == 0
+        x, stats = linsys._refine(lambda r: r.copy(), lambda v: M @ v, rhs,
+                                  1.01 * np.linalg.norm(E @ E @ rhs), "id")
+        assert stats.refine == 1
+
+    @pytest.mark.parametrize("route, M_sp, k", [
+        ("densified", sp.identity(3, format="csr"), 3),
+        ("cholesky", sp.csr_matrix(np.eye(3) + 0.1), 1),
+        ("diagonal", sp.identity(3, format="csr"), 1),
+        ("sparse_lu", sp.csr_matrix([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0],
+                                     [0.0, 0.0, 1.0]]), 1)])
+    def test_stats_name_the_route(self, route, M_sp, k):
+        sys_ = NewtonSystem(m=3, M_sp=M_sp,
+                            U=sp.csc_matrix(np.eye(3)[:, :k]), d=np.ones(k))
+        rhs = np.arange(1.0, 4.0)
+        d, stats = solve_spd(sys_, rhs, 1e-12)
+        assert stats.route == route
+        assert np.linalg.norm(sys_.matvec(d) - rhs) <= 1e-12
 
     def test_direct_miss_raises_with_iterate(self):
         # cond ~ 1e12: two refinement steps cannot reach a 1e-13 target
@@ -1068,6 +1087,7 @@ class TestSolveSpd:
         with pytest.raises(LinearSolveError) as exc:
             solve_spd(sys_, rhs, 1e-13)
         x, residual = exc.value.x, exc.value.residual
+        assert (exc.value.route, exc.value.refine) == ("cholesky", 2)
         assert x.shape == (12,)
         assert residual == np.linalg.norm(rhs - sys_.matvec(x))
         assert residual > 1e-12 * np.linalg.norm(rhs)
@@ -1077,8 +1097,9 @@ class TestSolveSpd:
         # LU does
         sys_ = NewtonSystem(m=2, M_sp=sp.csr_matrix(np.ones((2, 2))),
                             U=sp.csc_matrix((2, 0)), d=np.zeros(0))
-        with pytest.raises(LinearSolveError, match="dense Cholesky"):
+        with pytest.raises(LinearSolveError, match="dense Cholesky") as exc:
             solve_spd(sys_, np.array([1.0, 2.0]), 1e-12)
+        assert (exc.value.route, exc.value.refine) == ("cholesky", 0)
 
     def test_failed_sparse_factorization_raises(self, monkeypatch):
         # M_sp must not be diagonal: a diagonal one is divided by, not
@@ -1086,8 +1107,9 @@ class TestSolveSpd:
         monkeypatch.setattr(linsys.spla, "splu", fail_factorization)
         sys_ = NewtonSystem(m=2, M_sp=sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]]),
                             U=sp.csc_matrix(np.ones((2, 1))), d=np.ones(1))
-        with pytest.raises(LinearSolveError, match="sparse LU"):
+        with pytest.raises(LinearSolveError, match="sparse LU") as exc:
             solve_spd(sys_, np.ones(2), 1e-12, strategy="augmented")
+        assert exc.value.route == "sparse_lu"
 
     def test_diagonal_m_sp_is_divided_with_the_sparse_lu_bits(
             self, monkeypatch):
@@ -1103,6 +1125,7 @@ class TestSolveSpd:
         monkeypatch.setattr(linsys.spla, "splu", fail_factorization)
         x, stats = solve_spd(sys_, rhs, 1e-10)
         assert stats.method == stats_lu.method == "augmented"
+        assert (stats.route, stats_lu.route) == ("diagonal", "sparse_lu")
         assert x.tobytes() == x_lu.tobytes()
         assert stats.residual == stats_lu.residual
 
@@ -1112,8 +1135,9 @@ class TestSolveSpd:
         monkeypatch.setattr(linsys.spla, "splu", fail_factorization)
         sys_ = NewtonSystem(m=3, M_sp=diagonal_csr(np.array([1.0, bad, 2.0])),
                             U=sp.csc_matrix(np.ones((3, 1))), d=np.ones(1))
-        with pytest.raises(LinearSolveError, match="zero or non-finite"):
+        with pytest.raises(LinearSolveError, match="zero or non-finite") as exc:
             solve_spd(sys_, np.ones(3), 1e-12)
+        assert exc.value.route == "diagonal"
 
     @pytest.mark.parametrize("pattern", ["diagonal", "full"])
     @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
@@ -1327,6 +1351,8 @@ class TestSolveQuadratic:
         monkeypatch.setattr(linsys, "_refine", recording_refine)
         d1, d2, stats = solve_quadratic(H, A, J, sigma, eps, R1, R2, tol)
         assert stats.method == ("splu" if route == "splu" else "dense")
+        assert stats.route == {"eigenbasis": "eigen", "dense LU": "dense_lu",
+                               "splu": "splu"}[route]
         assert stops == [bound]
         M = quadratic_block_matrix(H, A, J, sigma, eps)
         assert np.linalg.norm(M @ np.concatenate([d1, d2]) - rhs) <= bound
@@ -1519,9 +1545,10 @@ class TestSolveQuadratic:
                       np.full(n - 1, -1.0)], [-1, 0, 1]))
         assert H.dense_copy() is None
         monkeypatch.setattr(linsys.spla, "splu", fail_factorization)
-        with pytest.raises(LinearSolveError, match="sparse LU"):
+        with pytest.raises(LinearSolveError, match="sparse LU") as exc:
             solve_quadratic(H, A, J, 0.8, 0.05, rng.standard_normal(n),
                             rng.standard_normal(5), 1e-12)
+        assert (exc.value.route, exc.value.refine) == ("splu", 0)
 
     def test_direct_miss_raises_with_iterate(self):
         # A = hilbert(12) and eps = 1e-12 make the block system so badly
@@ -1535,6 +1562,7 @@ class TestSolveQuadratic:
         with pytest.raises(LinearSolveError, match="dense solve") as exc:
             solve_quadratic(H, A, J, 1.0, 1e-12, R1, R2, 1e-13)
         x, residual = exc.value.x, exc.value.residual
+        assert (exc.value.route, exc.value.refine) == ("dense_lu", 2)
         rhs = np.concatenate([R1, R2])
         assert x.shape == (n + m,)
         _, matvec = linsys._quadratic_dense(H.dense_copy(), A, J, 1.0, 1e-12)

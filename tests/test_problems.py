@@ -369,3 +369,14 @@ class TestCsvLoading:
         f.write_text("1,2,3\n4,x,6\n")
         with pytest.raises(ValueError):
             load_srlasso_csv(f)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,y\n\n1,2,3\n\n4,x,6\n", "line 5: non-numeric entry"),
+        ("\n1,2,3\n\n\n4,5\n", "line 5: expected 3 columns, got 2"),
+    ])
+    def test_errors_name_the_file_line(self, tmp_path, text, message):
+        # blank lines count: the bad row is line 5 of the file
+        f = tmp_path / "data.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_srlasso_csv(f)

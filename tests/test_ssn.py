@@ -270,6 +270,7 @@ class TestLineSearch:
                                        np.zeros(1), NewtonParams())
         assert alpha == 1.0
         assert new is state
+        assert not info["steepest"]
 
     def test_non_descent_direction_falls_back(self):
         problem = toy_quadratic_problem()
@@ -278,6 +279,7 @@ class TestLineSearch:
         alpha, new, info = line_search(problem, state, np.array([5.0]),
                                        np.zeros(1), NewtonParams())
         assert new.psi < state.psi  # steepest-descent fallback still decreases
+        assert info["steepest"]
 
     def test_exhausted_search_returns_best_trial(self):
         # psi = -b'x2 + |A'x2 - c|^2 / 2 while A'x2 - c stays in the orthant,
@@ -299,6 +301,7 @@ class TestLineSearch:
         alpha, new, info = line_search(problem, state, np.zeros(2), d2, params)
         assert alpha == 0.25
         assert info["warned"] and info["trials"] == 3
+        assert not info["steepest"]
         _assert_exact_state(problem, new)
         assert new.psi < make_state(problem, np.zeros(2), 0.5 * d2,
                                     np.zeros(2), 1.0).psi < full.psi

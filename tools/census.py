@@ -27,12 +27,8 @@ when it is attempted, so a Newton step's solve that fails (status
 - ``dense_lu``: dense LU of the quadratic block system;
 - ``splu``: sparse LU of the quadratic block system.
 
-They are counted from outside: ``ssn.line_search``, ``alm.run_inner``,
-``linsys._refine``, ``ssn.solve_spd`` (its route read from the Newton
-system it is given) and the helpers that build each quadratic route's
-solve are wrapped, and the steepest-descent switch is read from its
-``socalm.ssn`` debug record.  Every wrapper is removed again when the solve returns or
-raises.
+Both are read from the solve's own ``SolveResult.counts``, where the
+routes are named by ``socalm.linsys``.
 
 Grids:
 
@@ -55,18 +51,18 @@ checkout; it imports ``socalm`` from the checkout's ``src``:
 
     python3 tools/census.py --grid base [--grid unit ...] [--json FILE]
 
-It exits 0 whatever the statuses are; only an error in a solve or in the
-script itself makes it fail.
+It exits 0 whatever the statuses are.  It exits 1 when a record's route
+total is not its Newton count plus the failed solve of a
+``LinearSolveFailure``, and an error in a solve or in the script itself
+makes it fail.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import importlib.util
 import json
-import logging
 import platform
 import sys
 import time
@@ -81,7 +77,6 @@ import scipy  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
 import socalm  # noqa: E402
-from socalm import alm, linsys, ssn  # noqa: E402
 
 
 def _load(name):
@@ -266,114 +261,10 @@ def check(case, instance, x2, y):
     return None
 
 
-class _SteepestRecords(logging.Handler):
-    def __init__(self, counts):
-        super().__init__(logging.DEBUG)
-        self.counts = counts
-
-    def emit(self, record):
-        if record.msg.startswith("non-descent direction"):
-            self.counts["steepest"] += 1
-
-
 # the linear-solve routes and their column heads
 ROUTES = {"cholesky": "chol", "diagonal": "diag", "sparse_lu": "slu",
           "densified": "dnsf", "eigen": "eig", "dense_lu": "dlu",
           "splu": "splu"}
-
-# The linsys helper that each quadratic route's solve is built with, and
-# the route a call counts for.  This mirrors solve_quadratic: a dense H
-# tries the eigenbasis first, and a None from it leaves the dense LU.
-_QUADRATIC_HELPERS = {
-    "_quadratic_eigen": lambda out: None if out is None else "eigen",
-    "_quadratic_dense": lambda out: "dense_lu",
-    "jacobian_sparse_matrix": lambda out: "splu",
-}
-
-
-def _counted(fn, counts, route_of):
-    def wrapper(*args, **kwargs):
-        out = fn(*args, **kwargs)
-        route = route_of(out)
-        if route is not None:
-            counts[route] += 1
-        return out
-
-    return wrapper
-
-
-def _spd_route(sys_):
-    """The route that ``linsys.solve_spd`` at ``strategy="auto"`` takes for
-    the Newton system ``sys_``."""
-    if sys_.k >= sys_.m:
-        return "densified"
-    if linsys._dense_view(sys_.M_sp) is not None:
-        return "cholesky"
-    if linsys._diagonal_view(sys_.M_sp) is not None:
-        return "diagonal"
-    return "sparse_lu"
-
-
-@contextlib.contextmanager
-def counting():
-    """Count the safeguards' firings and the linear-solve routes of the
-    solves inside the block, as ``(safeguards, routes)``."""
-    counts = dict.fromkeys(("noise", "exhausted", "rounds", "refine",
-                            "steepest"), 0)
-    routes = dict.fromkeys(ROUTES, 0)
-    line_search, run_inner, refine = ssn.line_search, alm.run_inner, linsys._refine
-    solve_spd = ssn.solve_spd
-    helpers = {name: getattr(linsys, name) for name in _QUADRATIC_HELPERS}
-
-    def counted_line_search(problem, state, d1, d2, params):
-        out = line_search(problem, state, d1, d2, params)
-        info = out[2]
-        if info["trials"] > params.max_linesearch_steps:
-            counts["exhausted"] += 1
-        elif info["warned"]:
-            counts["noise"] += 1
-        return out
-
-    def counted_run_inner(*args, **kwargs):
-        counts["rounds"] += 1
-        return run_inner(*args, **kwargs)
-
-    def counted_refine(solve, *args, **kwargs):
-        # the first solve of each call is the direct solve, not a step
-        counts["refine"] -= 1
-
-        def counted_solve(r):
-            counts["refine"] += 1
-            return solve(r)
-
-        return refine(counted_solve, *args, **kwargs)
-
-    def counted_solve_spd(sys_, rhs, tol):
-        # counted before the solve, so a solve that raises counts too
-        routes[_spd_route(sys_)] += 1
-        return solve_spd(sys_, rhs, tol)
-
-    logger = logging.getLogger("socalm.ssn")
-    level = logger.level
-    handler = _SteepestRecords(counts)
-    try:
-        logger.addHandler(handler)
-        logger.setLevel(logging.DEBUG)
-        ssn.line_search = counted_line_search
-        alm.run_inner = counted_run_inner
-        linsys._refine = counted_refine
-        ssn.solve_spd = counted_solve_spd
-        for name, fn in helpers.items():
-            setattr(linsys, name, _counted(fn, routes, _QUADRATIC_HELPERS[name]))
-        yield counts, routes
-    finally:
-        ssn.line_search, alm.run_inner, linsys._refine = (
-            line_search, run_inner, refine)
-        ssn.solve_spd = solve_spd
-        for name, fn in helpers.items():
-            setattr(linsys, name, fn)
-        logger.removeHandler(handler)
-        logger.setLevel(level)
 
 
 def run_case(case):
@@ -381,19 +272,27 @@ def run_case(case):
     instance, problem = GENERATORS[case.family](*case.size, case.seed)
     if case.scaled is not None:
         problem = scaled_problem(problem, case.scaled, case.factor)
-    with counting() as (counts, routes):
-        t0 = time.perf_counter()
-        result = socalm.solve(problem)
-        seconds = time.perf_counter() - t0
-    counts["rounds"] -= result.outer_iters
+    t0 = time.perf_counter()
+    result = socalm.solve(problem)
+    seconds = time.perf_counter() - t0
+    counts = result.counts
     x2, y = unscale(case, result.x2, result.y)
     return {
         **asdict(case), "label": case.label, "status": result.status,
         "outer": result.outer_iters, "newton": result.newton_iters,
         "seconds": seconds, "kkt": result.kkt_residual,
         "md5": hashlib.md5(result.x2.tobytes() + result.y.tobytes()).hexdigest(),
-        "check": check(case, instance, x2, y), "safeguards": counts,
-        "routes": routes}
+        "check": check(case, instance, x2, y),
+        "safeguards": {k: counts[k] for k in ("noise", "exhausted", "rounds",
+                                              "refine", "steepest")},
+        "routes": {r: counts[r] for r in ROUTES}}
+
+
+def miscounted(rec):
+    """Whether ``rec``'s route total is not one solve per Newton step plus
+    the failed solve that ends a ``LinearSolveFailure``."""
+    failed = rec["status"] == "LinearSolveFailure"
+    return sum(rec["routes"].values()) != rec["newton"] + failed
 
 
 HEADER = (f"{'instance':32s} {'status':18s} {'outer/newton':>12s} {'s':>6s} "
@@ -446,6 +345,10 @@ def main(argv=None):
                "numpy": np.__version__, "scipy": scipy.__version__,
                "machine": platform.machine(), "records": records}
         Path(args.json).write_text(json.dumps(doc, indent=1) + "\n")
+    bad = [rec["label"] for rec in records if miscounted(rec)]
+    if bad:
+        print("route totals differ from the Newton counts: " + ", ".join(bad))
+        return 1
     return 0
 
 
