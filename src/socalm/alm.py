@@ -129,11 +129,17 @@ class AlmOptions:
 
 @dataclass
 class Iterate:
+    """An outer iterate.  ``Hx1`` and ``Hy``, when set, are ``H x1`` and
+    ``H y`` as the inner solve formed them; a solve sets them on the
+    iterates it makes, and leaves None where it has not formed them."""
+
     x1: np.ndarray
     x2: np.ndarray
     x3: np.ndarray
     y: np.ndarray
     sigma: float
+    Hx1: np.ndarray | None = field(default=None, repr=False, compare=False)
+    Hy: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -189,17 +195,20 @@ def kkt_residuals(problem: ProblemData, x1, x2, x3, y):
     return _kkt(problem, x1, x2, x3, y)[0]
 
 
-def _kkt(problem, x1, x2, x3, y):
+def _kkt(problem, x1, x2, x3, y, Hx1=None, Hy=None):
     """:func:`kkt_residuals` and what it forms of :func:`natural_map`:
     ``(H x1, H y)`` (read only in the quadratic case), ``A y - b``,
     ``x3 - P_K(x3 - y)`` and the last block negated,
-    ``-H x1 + A' x2 + x3 - c``."""
+    ``-H x1 + A' x2 + x3 - c``.  ``Hx1`` and ``Hy``, when given, are those
+    products and are not formed again."""
     Ay_b = problem.matvec(y) - problem.b
     if problem.is_quadratic:
         Hx1y = problem.H.matvec(x1 - y)
         h_fro = problem.H.fro_norm()
-        Hx1 = problem.H.matvec(x1)
-        Hy = problem.H.matvec(y)
+        if Hx1 is None:
+            Hx1 = problem.H.matvec(x1)
+        if Hy is None:
+            Hy = problem.H.matvec(y)
         quad_x = 0.5 * float(x1 @ Hx1)
         quad_y = 0.5 * float(y @ Hy)
     else:
@@ -267,7 +276,7 @@ def _criterion_rhs(problem, state, y_prev, sigma, ehat, dhat, use_b):
     x_norm = np.sqrt(
         state.x1 @ state.x1 + state.x2 @ state.x2 + yplus @ yplus)
     ck = 1.0 + x_norm + np.linalg.norm(yplus)
-    hy = np.linalg.norm(problem.H.matvec(yplus)) if problem.is_quadratic else 0.0
+    hy = np.linalg.norm(state.Hproj) if problem.is_quadratic else 0.0
     dy = float(np.linalg.norm(yplus - y_prev))
     factor = min(1.0, 1.0 / (hy + dy / sigma + 1.0 / sigma))
     rhs_a = (ehat * ehat / sigma) / ck * factor
@@ -294,7 +303,8 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
     y = iterate.y
     ehat = _EPSHAT_SCALE * _EPSHAT_RATIO ** k
     dhat = _DELTAHAT_SCALE * _DELTAHAT_RATIO ** k
-    state = make_state(problem, iterate.x1, iterate.x2, y, sigma)
+    state = make_state(problem, iterate.x1, iterate.x2, y, sigma,
+                       Hx1=iterate.Hx1)
     # the inner gradient at acceptance becomes the dual-feasibility residual of
     # the next iterate, so cap the threshold at the termination scale; this
     # only ever tightens the summable-sequence tests
@@ -330,7 +340,8 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
         threshold = min(threshold * 0.5, target)
     if x3 is None:
         x3 = project(problem.cone, -state.z / sigma)
-    new_iterate = Iterate(state.x1, state.x2, x3, state.proj, sigma)
+    new_iterate = Iterate(state.x1, state.x2, x3, state.proj, sigma,
+                          state.Hx1, state.Hproj)
     info = StepInfo(newton, state.psi, state.grad_norm, ehat, dhat,
                     rhs_b, y, inner_status, accepted, counts)
     return new_iterate, info
@@ -407,7 +418,7 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
             newton_total += info.newton_iters
             counts.update(info.counts)
             d, parts = _kkt(problem, iterate.x1, iterate.x2, iterate.x3,
-                            iterate.y)
+                            iterate.y, iterate.Hx1, iterate.Hy)
             line = format_log_line(k, iterate.sigma, info.psi, info.grad_norm,
                                    info.newton_iters, d[:4])
             lines.append(line)

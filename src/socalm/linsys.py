@@ -41,12 +41,16 @@ When H is stored dense, the solve eliminates the first block in H's
 eigenbasis (:meth:`SparseSymmetric.eigen`, one ``eigh`` per problem, kept):
 where V's diagonal weights are constant on H's row support,
 ``I + sigma V H`` is diagonal there plus the few low-rank columns that touch
-H, so a step costs O(n^2).  Where they are not, or where those columns and
-the m rows are together at least n, the block matrix is formed from the
-diagonal and low-rank parts of V with dense products into one array and
-factored by LAPACK LU in place.  When H is stored sparse, the assembled
-sparse block matrix goes to sparse LU.  Misses and failed factorizations
-raise :class:`LinearSolveError` as in the linear case.
+H, so a step costs O(n^2), with the dense ``A'`` and ``A Q`` kept on the
+problem's :class:`NewtonAssembly`.  Where they are not, or where those
+columns and the m rows are together at least n, the block matrix is formed
+from the diagonal and low-rank parts of V with dense products into one
+array and factored by LAPACK LU in place.  Both dense routes apply V's
+low-rank part block by block from the Jacobian's arrays, summed in the
+order of the sparse products, so a step builds no sparse matrix.  When H is
+stored sparse, the assembled sparse block matrix goes to sparse LU.  Misses
+and failed factorizations raise :class:`LinearSolveError` as in the linear
+case.
 """
 
 from __future__ import annotations
@@ -514,7 +518,9 @@ class NewtonAssembly:
     Dense and fewer than the m rows of ``A``, the active ones become
     low-rank columns of weight 1 in a dense ``U``, so ``M_sp`` holds only
     ``eps*I`` and the Lorentz Grams; otherwise their Gram is added to
-    ``M_sp``.
+    ``M_sp``.  For the quadratic case it keeps, likewise built on first use
+    under the lock, the dense ``A'`` (:meth:`dense_at`) and ``A Q`` for the
+    eigenvectors Q of H (:meth:`times_q`).
     Nothing is modified once built, so threads may assemble concurrently.
     A pickled copy starts unbuilt.
     """
@@ -532,10 +538,18 @@ class NewtonAssembly:
         self._half = None
         self._halves_t = None
         self._structure = None
+        self._dense_at = None
+        self._aq = None
         self._lock = threading.Lock()
 
     def __reduce__(self):
         return NewtonAssembly, (self.A, self.cone)
+
+    @property
+    def shape(self):
+        """``A``'s shape, so the assembly stands in for ``A`` where a
+        caller reads it."""
+        return self.A.shape
 
     def csc(self) -> sp.csc_matrix:
         """``A`` by columns."""
@@ -544,6 +558,30 @@ class NewtonAssembly:
     def at(self) -> sp.csr_matrix:
         """``A'`` by rows, on the arrays of :meth:`csc`, so ``A' v`` is a gather."""
         return self._at
+
+    def dense_at(self) -> np.ndarray:
+        """``A'`` as a read-only C-ordered array, built on the first call,
+        under the lock."""
+        if self._dense_at is None:
+            with self._lock:
+                if self._dense_at is None:
+                    At = self._at.toarray()
+                    At.flags.writeable = False
+                    self._dense_at = At
+        return self._dense_at
+
+    def times_q(self, Q) -> np.ndarray:
+        """``A Q`` for the eigenvector matrix ``Q`` of H, read-only, built
+        under the lock on the first call with that ``Q`` and kept with it."""
+        held = self._aq
+        if held is None or held[0] is not Q:
+            with self._lock:
+                held = self._aq
+                if held is None or held[0] is not Q:
+                    AQ = self.A @ Q
+                    AQ.flags.writeable = False
+                    held = self._aq = (Q, AQ)
+        return held[1]
 
     def matvec(self, v) -> np.ndarray:
         """``A v``; with a shared block, ``A_g`` times the blocks of v summed
@@ -719,8 +757,12 @@ def assemble_linear(A, J: JacobianElement, sigma, eps) -> NewtonSystem:
     the nonneg block the Gram of its active columns.  ``sigma`` is accepted
     but not used.
     """
-    asm = A if isinstance(A, NewtonAssembly) else NewtonAssembly(A, J.cone)
-    return asm.assemble(J, eps)
+    return _assembly(A, J.cone).assemble(J, eps)
+
+
+def _assembly(A, cone) -> NewtonAssembly:
+    """``A`` when it is a :class:`NewtonAssembly`, else one built for ``A``."""
+    return A if isinstance(A, NewtonAssembly) else NewtonAssembly(A, cone)
 
 
 def _dense_view(M):
@@ -865,49 +907,67 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto"):
 
 
 def _split_v(J: JacobianElement):
-    """``(s, W, d, apply_v)``: V = diag(s) + W diag(d) W' and ``X -> V X``."""
+    """``(s, cols, apply_v)``: V = diag(s) plus the low-rank columns of
+    :func:`_lowrank_parts`, and ``X -> V X``.
+
+    ``cols`` holds ``(rows, vals, w)`` per part: the rows of each column's
+    block (one row of ``rows`` per column), the column's values on them and
+    its weight.  ``apply_v`` reads only those rows of X for the low-rank
+    part, so no matrix is built.  It sums as the sparse products ``W (d (W' X))`` of
+    the columns would: each column's dot with X in row order, and the
+    columns in order from zero, so the bits are theirs.
+    """
     s = _jacobian_scale(J)
-    W, d = _jacobian_lowrank(J)
-    Wt = W.T
+    cols = [(g.starts[blocks, None] + np.arange(g.dim), vals, w)
+            for g, blocks, vals, w in _lowrank_parts(J)]
 
     def apply_v(X):
         out = s[:, None] * X
-        if d.size:
-            out += W @ (d[:, None] * (Wt @ X))
+        if cols:
+            low = np.zeros(out.shape)
+            for rows, vals, w in cols:
+                # a cumulative sum adds in order; the blocks of one part
+                # are distinct, so no row repeats
+                terms = vals[:, :, None] * X[rows]
+                coef = w[:, None] * np.cumsum(terms, axis=1)[:, -1]
+                low[rows] += vals[:, :, None] * coef[:, None, :]
+            out += low
         return out
 
-    return s, W, d, apply_v
+    return s, cols, apply_v
 
 
-def _quadratic_operator(Hd, A, apply_v, sigma, eps):
+def _quadratic_operator(Hd, asm, apply_v, sigma, eps):
     """The quadratic-case block matrix applied in structured form.
 
     ``(x1 + sigma V u, eps x2 - sigma A V u)`` with ``u = H x1 - A' x2``; it
     needs no factored or assembled block, so it checks every route.
     """
-    n = A.shape[1]
-    AT = A.T
+    n = asm.shape[1]
+    A, At = asm.csc(), asm.at()
 
     def matvec(x):
         x1, x2 = x[:n], x[n:]
-        Vu = apply_v((Hd @ x1 - AT @ x2)[:, None])[:, 0]
+        Vu = apply_v((Hd @ x1 - At @ x2)[:, None])[:, 0]
         return np.concatenate([x1 + sigma * Vu, eps * x2 - sigma * (A @ Vu)])
 
     return matvec
 
 
-def _quadratic_dense(Hd, A, J, sigma, eps):
+def _quadratic_dense(Hd, asm, J, sigma, eps):
     """Dense quadratic-case block matrix (C-ordered) and its structured operator.
 
-    With ``V = diag(s) + W diag(d) W'`` the blocks ``V H`` and ``V A'`` are
-    formed by scaling rows of the dense ``H`` and ``A'`` and adding the
-    low-rank part.  The operator (:func:`_quadratic_operator`) stays valid
-    once the array has been factored in place.
+    The blocks ``V H`` and ``V A'`` are formed by scaling rows of the dense
+    ``H`` and ``A'`` (:meth:`NewtonAssembly.dense_at`) and adding the
+    low-rank part of V block by block.  The operator
+    (:func:`_quadratic_operator`) stays valid once the array has been
+    factored in place.
     """
-    m, n = A.shape
+    m, n = asm.shape
+    A = asm.csc()
     *_, apply_v = _split_v(J)
     VH = apply_v(Hd)
-    VAt = apply_v(A.T.toarray())
+    VAt = apply_v(asm.dense_at())
     M = np.empty((n + m, n + m))
     np.multiply(VH, sigma, out=M[:n, :n])
     np.multiply(VAt, -sigma, out=M[:n, n:])
@@ -916,10 +976,10 @@ def _quadratic_dense(Hd, A, J, sigma, eps):
     diag = M.reshape(-1)[::n + m + 1]
     diag[:n] += 1.0
     diag[n:] += eps
-    return M, _quadratic_operator(Hd, A, apply_v, sigma, eps)
+    return M, _quadratic_operator(Hd, asm, apply_v, sigma, eps)
 
 
-def _quadratic_eigen(H: SparseSymmetric, A, J, sigma, eps):
+def _quadratic_eigen(H: SparseSymmetric, asm, J, sigma, eps):
     """Solve function and operator of the block system in H's eigenbasis.
 
     Eliminating ``d1 = K^{-1} (R1 + sigma V A' d2)`` with ``K = I + sigma V H``
@@ -933,30 +993,44 @@ def _quadratic_eigen(H: SparseSymmetric, A, J, sigma, eps):
     (:meth:`SparseSymmetric.eigen`) the part ``I + sigma s0 H`` is diagonal
     in the eigenbasis, and ``W_H`` enters through Woodbury with a
     k_H x k_H capacitance matrix.  Building the solve takes one product of
-    Q' with the m + k_H columns of ``[V A', W_H]`` and the product ``A Q``;
-    each solve after that takes two products of Q with one vector.  Returns
-    None when s varies on H's row support or when ``k_H + m >= n``.
+    the m + k_H columns of ``[V A', W_H]`` with Q; ``A Q`` and the dense
+    ``A'`` are kept on the assembly (:meth:`NewtonAssembly.times_q`,
+    :meth:`NewtonAssembly.dense_at`).  Each solve after that takes two
+    products of Q with one vector.  Returns None when s varies on H's row
+    support or when ``k_H + m >= n``.
     """
-    m, n = A.shape
-    s, W, d, apply_v = _split_v(J)
+    m, n = asm.shape
+    s, cols, apply_v = _split_v(J)
     support = H.row_support
     s_h = s[support]
     if s_h.size and s_h.min() != s_h.max():
         return None
-    touch = abs(W).T @ support.astype(float) > 0
-    k = int(np.count_nonzero(touch))
+    touch = [np.flatnonzero(np.any((vals != 0.0) & support[rows], axis=1))
+             for rows, vals, _ in cols]
+    k = sum(t.size for t in touch)
     if k + m >= n:
         return None
     lam, Q = H.eigen()
     s0 = s_h[0] if s_h.size else 0.0
     inv = 1.0 / (1.0 + sigma * s0 * lam)
-    # eigen coordinates of V A' and of W_H, in one product with Q'
-    Y = Q.T @ np.hstack([apply_v(A.T.toarray()), W[:, touch].toarray()])
+    # [V A', W_H] in one array, and the weights of W_H
+    X = np.zeros((n, m + k))
+    X[:, :m] = apply_v(asm.dense_at())
+    j, d_h = m, [np.zeros(0)]
+    for (rows, vals, w), t in zip(cols, touch):
+        X[rows[t], j + np.arange(t.size)[:, None]] = vals[t]
+        d_h.append(w[t])
+        j += t.size
+    d_h = np.concatenate(d_h)
+    # its eigen coordinates Q' X, formed as (X' Q)', which OpenBLAS runs in
+    # half the time on a narrow X with the same bits; copied C-ordered, as
+    # Q' X is, so the products below take the same kernels
+    Y = np.ascontiguousarray((X.T @ Q).T)
     Yw = Y[:, m:]
     if k:
         # Woodbury: y -> inv*y - F C^{-1} G' y in eigen coordinates, where
         # F = Q' D0^{-1} sigma W_H D_H, G = Q' D0^{-1} H W_H, D0 = I + sigma s0 H
-        U = sigma * Yw * d[touch]
+        U = sigma * Yw * d_h
         F = inv[:, None] * U
         G = (lam * inv)[:, None] * Yw
         C = G.T @ U
@@ -972,7 +1046,7 @@ def _quadratic_eigen(H: SparseSymmetric, A, J, sigma, eps):
         return out
 
     # A Q and K^{-1} V A' stay in eigen coordinates, so a solve maps back once
-    AQ = A @ Q
+    A, AQ = asm.csc(), asm.times_q(Q)
     KVAt = kinv_eigen(Y[:, :m])
     S = sigma * (AQ @ KVAt)
     S[np.diag_indices(m)] += eps
@@ -985,7 +1059,7 @@ def _quadratic_eigen(H: SparseSymmetric, A, J, sigma, eps):
                                    check_finite=False)
         return np.concatenate([Q @ (z + sigma * (KVAt @ d2)), d2])
 
-    return solve, _quadratic_operator(H.dense_copy(), A, apply_v, sigma, eps)
+    return solve, _quadratic_operator(H.dense_copy(), asm, apply_v, sigma, eps)
 
 
 def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
@@ -998,7 +1072,10 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     ``max(tol / max(1, ||H||_F), 1e-12 ||(R1; R2)||)``.  ``||H||_F`` is
     cached on H and bounds its largest eigenvalue.  Only ``H @ d1`` and the
     quadratic form of ``d1`` are meaningful to callers; both agree with the
-    range-space projected direction, which is never formed.
+    range-space projected direction, which is never formed.  ``A`` is a
+    matrix or the :class:`NewtonAssembly` of a problem, which keeps the
+    dense ``A'`` and ``A Q`` between solves; a plain matrix gets an assembly
+    built for this one call.
 
     The storage of H picks the route:
 
@@ -1007,7 +1084,8 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
       row support and the k_H columns of W that touch that support satisfy
       ``k_H + m < n``, the solve runs in H's eigenbasis
       (:func:`_quadratic_eigen`); otherwise the blocks are built with dense
-      products and factored in place by LAPACK LU;
+      products and factored in place by LAPACK LU.  Either way V's low-rank
+      part is applied block by block from the Jacobian's arrays;
     - ``"splu"`` otherwise: sparse LU of the assembled block matrix.
 
     The solve gets at most two refinement steps.  Raises
@@ -1016,7 +1094,8 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     factorization fails.  The returned stats, or the error, name the
     factorization tried: ``eigen``, ``dense_lu`` or ``splu``.
     """
-    m, n = A.shape
+    asm = _assembly(A, J.cone)
+    m, n = asm.shape
     R1 = np.asarray(R1, dtype=float)
     R2 = np.asarray(R2, dtype=float)
     if R1.shape != (n,) or R2.shape != (m,):
@@ -1027,14 +1106,14 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
 
     Hd = H.dense_copy()
     method = "splu" if Hd is None else "dense"
-    eigen = None if Hd is None else _quadratic_eigen(H, A, J, sigma, eps)
+    eigen = None if Hd is None else _quadratic_eigen(H, asm, J, sigma, eps)
     try:
         if eigen is not None:
             route = "eigen"
             solve, matvec = eigen
         elif Hd is not None:
             route = "dense_lu"
-            M, matvec = _quadratic_dense(Hd, A, J, sigma, eps)
+            M, matvec = _quadratic_dense(Hd, asm, J, sigma, eps)
             # M' is Fortran-ordered, so LAPACK factors it in place
             lu = scipy.linalg.lu_factor(M.T, overwrite_a=True,
                                         check_finite=False)
@@ -1042,6 +1121,7 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
                                                     check_finite=False)
         else:
             route = "splu"
+            A = asm.csc()
             V = jacobian_sparse_matrix(J)
             VH = (V @ H.to_csr()).tocsr()
             VAT = (V @ A.T).tocsr()

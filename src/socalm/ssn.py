@@ -78,10 +78,12 @@ class InnerState:
     ``y + sigma (A' x2 - H x1 - c)``, ``proj`` its cone projection, which
     doubles as the candidate multiplier update, and ``norms`` the Lorentz
     tail norms of ``z`` (:func:`~socalm.cone.tail_norms`) that the
-    projection and the Newton direction's Jacobian share.  In the linear
-    case (H = 0) ``g1`` is a read-only zero vector and ``x1`` is the
-    start's ``x1``, carried through every step unchanged: no arithmetic
-    touches either.
+    projection and the Newton direction's Jacobian share.  ``Hx1`` and
+    ``Hproj`` are the products ``H x1`` and ``H proj`` that the gradient
+    took, kept for the line search, the accuracy tests and the residuals
+    at the same points.  In the linear case (H = 0) both are None, ``g1``
+    is a read-only zero vector and ``x1`` is the start's ``x1``, carried
+    through every step unchanged: no arithmetic touches either.
     """
 
     x1: np.ndarray
@@ -95,6 +97,8 @@ class InnerState:
     proj: np.ndarray
     grad_norm: float
     norms: tuple | None = None
+    Hx1: np.ndarray | None = None
+    Hproj: np.ndarray | None = None
 
 
 def _zeros(n):
@@ -108,10 +112,11 @@ def _psi(problem, x2, proj, y_sq, sigma, quad):
     return float(psi + 0.5 * quad)
 
 
-def make_state(problem, x1, x2, y, sigma) -> InnerState:
+def make_state(problem, x1, x2, y, sigma, Hx1=None) -> InnerState:
     """Evaluate the inner objective and gradient at ``(x1, x2)`` for fixed ``(y, sigma)``.
 
     The gradient blocks are ``g1 = H x1 - H P_K(z)`` and ``g2 = A P_K(z) - b``.
+    ``Hx1``, when the caller holds it, is ``H x1`` and is not formed again.
     In the linear case ``g1`` is a read-only zero vector that enters no
     arithmetic, and ``x1`` is kept as given.
     """
@@ -126,23 +131,27 @@ def make_state(problem, x1, x2, y, sigma) -> InnerState:
     z *= sigma
     z += y
     if problem.is_quadratic:
-        Hx1 = problem.H.matvec(x1)
+        if Hx1 is None:
+            Hx1 = problem.H.matvec(x1)
         z -= sigma * Hx1
         quad = float(x1 @ Hx1)
     else:
+        Hx1 = None
         quad = 0.0
     norms = tail_norms(problem.cone, z)
     proj = project(problem.cone, z, norms=norms)
     psi = _psi(problem, x2, proj, float(y @ y), sigma, quad)
     g2 = problem.matvec(proj) - problem.b
     if problem.is_quadratic:
-        g1 = Hx1 - problem.H.matvec(proj)
+        Hproj = problem.H.matvec(proj)
+        g1 = Hx1 - Hproj
         gnorm = float(np.sqrt(g1 @ g1 + g2 @ g2))
     else:
+        Hproj = None
         g1 = _zeros(x1.size)
         gnorm = float(np.sqrt(g2 @ g2))
     return InnerState(x1, x2, y, float(sigma), psi, g1, g2, z, proj, gnorm,
-                      norms)
+                      norms, Hx1, Hproj)
 
 
 def newton_direction(problem, state: InnerState, sigma, params: NewtonParams):
@@ -164,8 +173,9 @@ def newton_direction(problem, state: InnerState, sigma, params: NewtonParams):
     nu_j = min(params.nu_hat, gnorm ** (1.0 + params.tau))
     J = jacobian_element(problem.cone, state.z, norms=state.norms)
     if problem.is_quadratic:
-        d1, d2, stats = solve_quadratic(problem.H, problem.A, J, sigma, eps_j,
-                                        state.proj - state.x1, -state.g2, nu_j)
+        d1, d2, stats = solve_quadratic(
+            problem.H, problem.assembly, J, sigma, eps_j,
+            state.proj - state.x1, -state.g2, nu_j)
     else:
         sys_ = assemble_linear(problem.assembly, J, sigma, eps_j / sigma)
         d2, stats = solve_spd(sys_, -state.g2 / sigma, nu_j / sigma)
@@ -226,9 +236,9 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
     dz = full.z - state.z
     q0 = q1 = q2 = 0.0
     if quadratic:
-        Hx1 = problem.H.matvec(x1)
         Hd1 = problem.H.matvec(d1)
-        q0, q1, q2 = float(x1 @ Hx1), 2.0 * float(x1 @ Hd1), float(d1 @ Hd1)
+        q0, q1, q2 = (float(x1 @ state.Hx1), 2.0 * float(x1 @ Hd1),
+                      float(d1 @ Hd1))
     y_sq = float(y @ y)
     alpha = 1.0
     for step in range(1, params.max_linesearch_steps + 1):

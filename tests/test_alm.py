@@ -382,6 +382,45 @@ class TestSolve:
                                 "1.00e-05", "1.00e-06"]
 
 
+class TestCarriedProducts:
+    """Inner states and outer iterates carry the H products they were made
+    with, so no product is formed twice at one point."""
+
+    @staticmethod
+    def record_states(monkeypatch):
+        states = []
+        make_state = ssn.make_state
+
+        def recorded(*args, **kwargs):
+            states.append(make_state(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(ssn, "make_state", recorded)
+        monkeypatch.setattr(alm, "make_state", recorded)
+        return states
+
+    def test_quadratic_products_are_those_of_their_points(self, monkeypatch):
+        _, p = gen_trs(200, 1)
+        states = self.record_states(monkeypatch)
+        iterates = []
+        res = solve(p, callback=lambda k, it, info, d: iterates.append(it))
+        assert res.status == OPTIMAL
+        assert len(states) > res.newton_iters and len(iterates) == res.outer_iters
+        for st in states:
+            assert st.Hx1.tobytes() == p.H.matvec(st.x1).tobytes()
+            assert st.Hproj.tobytes() == p.H.matvec(st.proj).tobytes()
+        for it in iterates:
+            assert it.Hx1.tobytes() == p.H.matvec(it.x1).tobytes()
+            assert it.Hy.tobytes() == p.H.matvec(it.y).tobytes()
+
+    def test_linear_states_carry_none(self, monkeypatch):
+        _, p = gen_meb(8, 3)
+        states = self.record_states(monkeypatch)
+        assert solve(p).status == OPTIMAL
+        assert states
+        assert all(st.Hx1 is None and st.Hproj is None for st in states)
+
+
 class TestDiagnostics:
     def test_zero_x3_interior_y_is_strict(self):
         _, p = gen_meb(4, 2)

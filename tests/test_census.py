@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from invariants import solve_with_invariants
 
 import socalm
 from socalm import ssn
@@ -183,3 +184,50 @@ def test_scaled_trs_counts_its_safeguards():
         "Stagnation", 4, 43)
     assert {k: v for k, v in result.counts.items() if v} == {
         "eigen": 43, "steepest": 33, "exhausted": 9, "noise": 1}
+
+
+def test_dense_h_qsocp_takes_the_dense_lu_route(census):
+    # the extra grid's dense-H mixed-cone program: V's diagonal differs
+    # between the orthant and the Lorentz blocks on H's support, so every
+    # Newton step factors the block system by dense LU
+    _, problem = census.GENERATORS["qsocp_dense"](20, 10, 10, 40, 0)
+    assert problem.H.dense_copy() is not None
+    result = solve_with_invariants(problem, socalm.AlmOptions())
+    assert result.status == "Optimal"
+    assert result.newton_iters > 0
+    assert result.counts["dense_lu"] == route_total(result.counts) == (
+        result.newton_iters)
+    assert result.kkt_residual <= 1e-8
+
+
+def write_census(doc, path):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_self_comparison_prints_no_record(census, tiny, tmp_path, capsys):
+    doc = tiny[0]
+    path = write_census(doc, tmp_path / "self.json")
+    census.compare(doc["records"], path)
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"against {path}: 0 of 5 records differ (status 0, "
+                   "outer 0, newton 0, safeguards 0, routes 0, check 0, "
+                   "md5 0); 0 not in the file"]
+
+
+def test_against_prints_the_doctored_record(census, tiny, tmp_path, capsys):
+    # a second run of the tiny grid, against the first with one record's
+    # Newton count and md5 changed: only that record is printed
+    doc = json.loads(json.dumps(tiny[0]))
+    doctored = doc["records"][2]
+    doctored["newton"] += 1
+    doctored["md5"] = "0" * 32
+    path = write_census(doc, tmp_path / "doctored.json")
+    assert census.main(["--grid", "tiny", "--against", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = [line for line in out if line[:2] in ("- ", "+ ")]
+    assert [r.split()[1] for r in rows] == [doctored["label"]] * 2
+    assert rows[1].endswith(" newton,md5")
+    assert out[-1] == (
+        f"against {path}: 1 of 5 records differ (status 0, outer 0, "
+        "newton 1, safeguards 0, routes 0, check 0, md5 1); 0 not in the file")

@@ -992,16 +992,123 @@ class TestTransposesHeld:
             sys_.matvec(d)
         assert transposes == []
 
-    def test_quadratic_products_transpose_w_once(self, transposes):
+
+def dense_lu_problem(seed=5):
+    """A quadratic problem whose dense H spans an orthant and two Lorentz
+    blocks, so V's diagonal varies on H's support: the dense LU route."""
+    rng = np.random.default_rng(seed)
+    cone = ConeSpec.make(nonneg=6, soc=(4, 5))
+    n, m = cone.total_dim, 4
+    G = rng.standard_normal((n, n))
+    return socalm.ProblemData(G @ G.T / n, sp.csc_matrix(
+        rng.standard_normal((m, n))), rng.standard_normal(m),
+        rng.standard_normal(n), cone)
+
+
+class TestQuadraticStepConstants:
+    """The quadratic solve keeps what a problem fixes on its assembly and
+    builds no sparse matrix per step."""
+
+    @pytest.fixture
+    def sparse_builds(self, monkeypatch):
+        calls = []
+        original = sp._compressed._cs_matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(type(self).__name__)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp._compressed._cs_matrix, "__init__", counted)
+        return calls
+
+    @pytest.mark.parametrize("route", ["eigen", "dense_lu"])
+    def test_second_solve_builds_no_sparse_matrix(self, sparse_builds, route):
+        problem = (socalm.gen_trs(30, 1)[1] if route == "eigen"
+                   else dense_lu_problem())
+        asm, n, m = problem.assembly, problem.n, problem.m
+        rng = np.random.default_rng(4)
+        for i in range(2):
+            J = jacobian_element(problem.cone, 2.0 * rng.standard_normal(n))
+            R1, R2 = rng.standard_normal(n), rng.standard_normal(m)
+            sparse_builds.clear()
+            d1, d2, stats = solve_quadratic(problem.H, asm, J, 0.7, 0.05, R1,
+                                            R2, 1e-12)
+            built = list(sparse_builds)
+            assert stats.route == route
+            assert_matches_reference(problem.H, problem.A, J, 0.7, 0.05, R1,
+                                     R2, np.concatenate([d1, d2]))
+            if i == 0:
+                At = asm.dense_at()
+        assert built == []
+        assert asm.dense_at() is At and not At.flags.writeable
+        np.testing.assert_array_equal(At, problem.A.toarray().T)
+        if route == "eigen":
+            Q = problem.H.eigen()[1]
+            AQ = asm.times_q(Q)
+            assert asm.times_q(Q) is AQ and not AQ.flags.writeable
+            assert AQ.tobytes() == (problem.A @ Q).tobytes()
+
+    def test_lowrank_part_has_the_bits_of_the_sparse_products(self):
+        # V X from the Jacobian's block arrays against diag(s) X plus the
+        # sparse products W (d (W' X)), with blocks of several groups and
+        # both low-rank columns on the middle ones
         rng = np.random.default_rng(3)
-        cone = ConeSpec.make(soc=(4, 4, 5))
-        J = every_case_jacobian(cone, rng, None)
-        *_, apply_v = linsys._split_v(J)
-        assert len(transposes) == 1
-        X = rng.standard_normal((cone.total_dim, 2))
-        for _ in range(4):
-            apply_v(X)
-        assert len(transposes) == 1
+        cone = ConeSpec.make(nonneg=3, soc=(4, 4, 5, 3, 4, 6, 5, 4, 5))
+        J = every_case_jacobian(cone, rng, np.array([1.0, 0.0, 1.0]))
+        s, _, apply_v = linsys._split_v(J)
+        W, d = linsys._jacobian_lowrank(J)
+        assert d.size > 2
+        for cols in (1, 7):
+            X = rng.standard_normal((cone.total_dim, cols))
+            ref = s[:, None] * X
+            ref += W @ (d[:, None] * (W.T @ X))
+            assert apply_v(X).tobytes() == ref.tobytes()
+
+    def test_concurrent_first_uses_build_one_copy(self):
+        _, problem = socalm.gen_trs(30, 1)
+        asm = problem.assembly
+        Q = problem.H.eigen()[1]
+        barrier = threading.Barrier(6)
+        results = [None] * 6
+
+        def run(i):
+            barrier.wait()
+            results[i] = (asm.dense_at(), asm.times_q(Q))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for At, AQ in results:
+            assert At is results[0][0] and AQ is results[0][1]
+
+    def test_repeat_trs_solve_counts(self, sparse_builds, monkeypatch):
+        # the trust-region d = 400 bench instance (workload seed 0)
+        _, problem = socalm.gen_trs(400, 1)
+        first = socalm.solve(problem)
+        products = []
+        matvec = SparseSymmetric.matvec
+
+        def counted(self, v):
+            products.append(1)
+            return matvec(self, v)
+
+        monkeypatch.setattr(SparseSymmetric, "matvec", counted)
+        sparse_builds.clear()
+        again = socalm.solve(problem)
+        assert (again.status, again.outer_iters, again.newton_iters) == (
+            "Optimal", 5, 12)
+        assert again.x2.tobytes() == first.x2.tobytes()
+        assert len(products) <= 41
+        assert len(sparse_builds) <= 2
 
 
 class TestSolveSpd:
@@ -1335,7 +1442,8 @@ class TestSolveQuadratic:
         A = sp.csr_matrix(rng.standard_normal((m, n)))
         sigma, eps, tol = 0.5, 0.1, 1e-6
         if route != "splu":
-            eigen = linsys._quadratic_eigen(H, A, J, sigma, eps)
+            eigen = linsys._quadratic_eigen(H, NewtonAssembly(A, cone), J,
+                                            sigma, eps)
             assert (eigen is not None) == (route == "eigenbasis")
         R1, R2 = rng.standard_normal(n), rng.standard_normal(m)
         rhs = np.concatenate([R1, R2])
@@ -1565,7 +1673,8 @@ class TestSolveQuadratic:
         assert (exc.value.route, exc.value.refine) == ("dense_lu", 2)
         rhs = np.concatenate([R1, R2])
         assert x.shape == (n + m,)
-        _, matvec = linsys._quadratic_dense(H.dense_copy(), A, J, 1.0, 1e-12)
+        _, matvec = linsys._quadratic_dense(
+            H.dense_copy(), NewtonAssembly(A, cone), J, 1.0, 1e-12)
         assert residual == np.linalg.norm(rhs - matvec(x))
         assert residual > 1e-12 * np.linalg.norm(rhs)
 

@@ -41,8 +41,9 @@ Grids:
   check (b*f: y/f; c*f: x2/f; A*f: x2*f and y*f); a scaled trust-region
   result is not checked;
 - ``extra``: a random sparse-H quadratic cone program with H scaled by 1
-  and 1e3, seeds 0-3, and planted infeasible programs of both kinds,
-  seeds 0-1 (no checks);
+  and 1e3, seeds 0-3, a random dense-H one (the dense LU route), seeds
+  0-2, and planted infeasible programs of both kinds, seeds 0-1 (no
+  checks);
 - ``tiny``: one small instance of each kind, for the test suite.
 
 Instances come from ``perfbench/workloads.py`` (a trust-region instance of
@@ -50,6 +51,13 @@ seed s is ``gen_trs(d, 1 + s)``) and the two generators below.  Run it from a
 checkout; it imports ``socalm`` from the checkout's ``src``:
 
     python3 tools/census.py --grid base [--grid unit ...] [--json FILE]
+        [--against CENSUS_<n>.json]
+
+``--against`` prints, after the run, every record whose status, outer or
+Newton count, safeguards, routes, check verdict or md5 differs from the
+record of the same label in that file, and a one-line tally.  Md5s and
+roundoff-sensitive counts differ across machines, so this is for two runs
+on one machine; it does not change the exit code.
 
 It exits 0 whatever the statuses are.  It exits 1 when a record's route
 total is not its Newton count plus the failed solve of a
@@ -127,19 +135,25 @@ def _interior(rng, cone):
     return v
 
 
-def gen_qsocp(orthant, nsoc, socdim, m, seed):
-    """Random quadratic cone program with a sparse H.
+def gen_qsocp(orthant, nsoc, socdim, m, seed, dense_h=False):
+    """Random quadratic cone program.
 
     An orthant and ``nsoc`` Lorentz blocks of dimension ``socdim``;
-    ``H = B'B + 1e-3 I`` with B square, 2 % dense and standard normal, A
-    10 % dense, ``b = A y0`` for an interior ``y0`` and c standard normal.
+    ``H = B'B + 1e-3 I`` with B square, 2 % dense and standard normal, so H
+    is stored sparse, or with ``dense_h`` ``H = B'B/n + 1e-3 I`` with B an
+    (n/2) x n standard normal matrix, stored dense; A 10 % dense,
+    ``b = A y0`` for an interior ``y0`` and c standard normal.
     """
     rng = np.random.default_rng(seed)
     cone = socalm.ConeSpec.make(nonneg=orthant, soc=(socdim,) * nsoc)
     n = cone.total_dim
-    B = sp.csr_matrix(np.where(rng.random((n, n)) < 0.02,
-                               rng.standard_normal((n, n)), 0.0))
-    H = (B.T @ B + 1e-3 * sp.identity(n)).tocsr()
+    if dense_h:
+        B = rng.standard_normal((n // 2, n))
+        H = B.T @ B / n + 1e-3 * np.eye(n)
+    else:
+        B = sp.csr_matrix(np.where(rng.random((n, n)) < 0.02,
+                                   rng.standard_normal((n, n)), 0.0))
+        H = (B.T @ B + 1e-3 * sp.identity(n)).tocsr()
     A = np.where(rng.random((m, n)) < 0.1, rng.standard_normal((m, n)), 0.0)
     b = A @ _interior(rng, cone)
     return None, socalm.ProblemData(H, sp.csc_matrix(A), b,
@@ -178,6 +192,7 @@ def gen_infeasible(kind, m, orthant, nsoc, socdim, seed):
 GENERATORS = {
     **workloads.GENERATORS,
     "qsocp": gen_qsocp,
+    "qsocp_dense": lambda *size: gen_qsocp(*size, dense_h=True),
     "infeasible_y": lambda *size: gen_infeasible("y", *size),
     "infeasible_x": lambda *size: gen_infeasible("x", *size),
 }
@@ -216,6 +231,7 @@ GRIDS = {
     "extra": (
         [Case("extra", "qsocp", (20, 30, 10, 60), seed, scaled, f)
          for seed in range(4) for scaled, f in ((None, 1.0), ("H", 1e3))]
+        + _cases("extra", "qsocp_dense", [((20, 10, 10, 40), range(3))])
         + _cases("extra", "infeasible_y", [((40, 30, 5, 10), range(2))])
         + _cases("extra", "infeasible_x", [((40, 30, 5, 10), range(2))])),
     "tiny": [
@@ -313,6 +329,42 @@ def format_row(rec):
             + rec["md5"][:12])
 
 
+# the fields --against compares; "check" is the verdict alone
+COMPARED = ("status", "outer", "newton", "safeguards", "routes", "check",
+            "md5")
+
+
+def _compared(rec, name):
+    if name == "check":
+        return None if rec["check"] is None else rec["check"]["ok"]
+    return rec[name]
+
+
+def compare(records, path):
+    """Print each record that differs in a :data:`COMPARED` field from the
+    record of its label in the census file ``path``, as that record's row
+    (``-``) over its own (``+``, with the fields that differ), then a
+    one-line tally.  Labels not in the file are only counted."""
+    old = {r["label"]: r for r in json.loads(Path(path).read_text())["records"]}
+    tally = dict.fromkeys(COMPARED, 0)
+    differ = missing = 0
+    for rec in records:
+        was = old.get(rec["label"])
+        if was is None:
+            missing += 1
+            continue
+        fields = [f for f in COMPARED if _compared(rec, f) != _compared(was, f)]
+        if fields:
+            differ += 1
+            for f in fields:
+                tally[f] += 1
+            print("- " + format_row(was))
+            print("+ " + format_row(rec) + " " + ",".join(fields))
+    print(f"against {path}: {differ} of {len(records) - missing} records "
+          "differ (" + ", ".join(f"{f} {n}" for f, n in tally.items())
+          + f"); {missing} not in the file")
+
+
 def run(grids):
     """Census records of ``grids``, printing one table row per instance."""
     print(HEADER, flush=True)
@@ -329,6 +381,9 @@ def main(argv=None):
     p.add_argument("--grid", action="append", choices=GRIDS,
                    help="grid to run, repeatable (default: base)")
     p.add_argument("--json", help="write the records and versions here")
+    p.add_argument("--against", metavar="CENSUS_JSON",
+                   help="after the run, print the records that differ from "
+                        "this census file's")
     args = p.parse_args(argv)
     grids = args.grid or ["base"]
     t0 = time.perf_counter()
@@ -345,6 +400,8 @@ def main(argv=None):
                "numpy": np.__version__, "scipy": scipy.__version__,
                "machine": platform.machine(), "records": records}
         Path(args.json).write_text(json.dumps(doc, indent=1) + "\n")
+    if args.against:
+        compare(records, args.against)
     bad = [rec["label"] for rec in records if miscounted(rec)]
     if bad:
         print("route totals differ from the Newton counts: " + ", ".join(bad))
