@@ -186,63 +186,56 @@ class SolveResult:
         return max(self.delta1, self.delta2, self.delta3, self.delta4)
 
 
-def kkt_residuals(problem: ProblemData, x1, x2, x3, y):
+def kkt_residuals(problem: ProblemData, x1, x2, x3, y, Hx1=None, Hy=None):
     """Relative KKT residuals and the objective pair.
 
     Returns ``(d1, d2, d3, d4, pobj, dobj)``: dual feasibility, cone
     complementarity, primal feasibility, and the relative objective gap.
+    ``Hx1`` and ``Hy``, when given, are ``H x1`` and ``H y`` and are not
+    formed again; the linear case reads neither.
     """
-    return _kkt(problem, x1, x2, x3, y)[0]
-
-
-def _kkt(problem, x1, x2, x3, y, Hx1=None, Hy=None):
-    """:func:`kkt_residuals` and what it forms of :func:`natural_map`:
-    ``(H x1, H y)`` (read only in the quadratic case), ``A y - b``,
-    ``x3 - P_K(x3 - y)`` and the last block negated,
-    ``-H x1 + A' x2 + x3 - c``.  ``Hx1`` and ``Hy``, when given, are those
-    products and are not formed again."""
     Ay_b = problem.matvec(y) - problem.b
     if problem.is_quadratic:
         Hx1y = problem.H.matvec(x1 - y)
         h_fro = problem.H.fro_norm()
-        if Hx1 is None:
-            Hx1 = problem.H.matvec(x1)
-        if Hy is None:
-            Hy = problem.H.matvec(y)
+        Hx1, Hy = _h_products(problem, x1, y, Hx1, Hy)
         quad_x = 0.5 * float(x1 @ Hx1)
         quad_y = 0.5 * float(y @ Hy)
     else:
-        Hx1y = 0.0
-        h_fro = 0.0
-        quad_x = quad_y = 0.0
-        Hx1 = 0.0
-        Hy = None
+        Hx1y = h_fro = quad_x = quad_y = Hx1 = 0.0
     d1 = np.sqrt(np.linalg.norm(Ay_b) ** 2 + np.linalg.norm(Hx1y) ** 2)
     d1 /= 1.0 + np.linalg.norm(problem.b) + h_fro
-    comp = x3 - project(problem.cone, x3 - y)
-    d2 = np.linalg.norm(comp)
+    d2 = np.linalg.norm(x3 - project(problem.cone, x3 - y))
     d2 /= 1.0 + np.linalg.norm(y) + np.linalg.norm(x3)
-    dual = -Hx1 + problem.rmatvec(x2) + x3 - problem.c
-    d3 = np.linalg.norm(dual)
+    d3 = np.linalg.norm(-Hx1 + problem.rmatvec(x2) + x3 - problem.c)
     d3 /= 1.0 + np.linalg.norm(problem.c)
     pobj = quad_x - float(problem.b @ x2)
     dobj = -quad_y - float(problem.c @ y)
     d4 = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    deltas = float(d1), float(d2), float(d3), float(d4), pobj, dobj
-    return deltas, ((Hx1, Hy), Ay_b, comp, dual)
+    return float(d1), float(d2), float(d3), float(d4), pobj, dobj
 
 
-def natural_map(problem: ProblemData, x1, x2, x3, y) -> np.ndarray:
-    """Stacked fixed-point residual whose zeros are exactly the KKT points."""
-    return _natural_map(problem, _kkt(problem, x1, x2, x3, y)[1])
+def _h_products(problem, x1, y, Hx1, Hy):
+    """``(H x1, H y)``, forming only those not given."""
+    return (problem.H.matvec(x1) if Hx1 is None else Hx1,
+            problem.H.matvec(y) if Hy is None else Hy)
 
 
-def _natural_map(problem, parts):
-    """:func:`natural_map` from the vectors :func:`_kkt` formed:
-    ``(H x1 - H y, A y - b, x3 - P_K(x3 - y), H x1 - A' x2 - x3 + c)``."""
-    (Hx1, Hy), Ay_b, comp, dual = parts
-    top = Hx1 - Hy if problem.is_quadratic else np.zeros(problem.n)
-    return np.concatenate([top, Ay_b, comp, -dual])
+def natural_map(problem: ProblemData, x1, x2, x3, y, Hx1=None,
+                Hy=None) -> np.ndarray:
+    """Stacked fixed-point residual whose zeros are exactly the KKT points:
+    ``(H x1 - H y, A y - b, x3 - P_K(x3 - y), H x1 - A' x2 - x3 + c)``.
+    ``Hx1`` and ``Hy`` are taken as in :func:`kkt_residuals`."""
+    if problem.is_quadratic:
+        Hx1, Hy = _h_products(problem, x1, y, Hx1, Hy)
+        top = Hx1 - Hy
+    else:
+        Hx1 = 0.0
+        top = np.zeros(problem.n)
+    return np.concatenate([
+        top, problem.matvec(y) - problem.b,
+        x3 - project(problem.cone, x3 - y),
+        Hx1 - problem.rmatvec(x2) - x3 + problem.c])
 
 
 @dataclass
@@ -264,13 +257,16 @@ class StepInfo:
     counts: Counter
 
 
-def _criterion_rhs(problem, state, y_prev, sigma, ehat, dhat, use_b):
-    """Right-hand sides of the accuracy tests, evaluated at the candidate.
+def _criterion_rhs(problem, state, y_prev, sigma, ehat, dhat, use_b, floor):
+    """The accuracy target at the candidate and the rate-targeting test's
+    right-hand side.
 
-    The rate-targeting test shrinks quadratically in the multiplier step and
-    eventually drops below what double precision can certify, so it is floored
-    at a roundoff-scale estimate of the attainable gradient norm; the
-    summable-sequence test is never relaxed.
+    Returns ``(target, rhs_b)``: ``target`` is the least of the
+    summable-sequence test's right-hand side, ``rhs_b`` (None unless
+    ``use_b``) and ``floor``.  The rate-targeting test shrinks quadratically
+    in the multiplier step and eventually drops below what double precision
+    can certify, so it is floored at a roundoff-scale estimate of the
+    attainable gradient norm; the summable-sequence test is never relaxed.
     """
     yplus = state.proj
     x_norm = np.sqrt(
@@ -280,14 +276,14 @@ def _criterion_rhs(problem, state, y_prev, sigma, ehat, dhat, use_b):
     dy = float(np.linalg.norm(yplus - y_prev))
     factor = min(1.0, 1.0 / (hy + dy / sigma + 1.0 / sigma))
     rhs_a = (ehat * ehat / sigma) / ck * factor
-    rhs_b = None
-    if use_b:
-        proj_norm = float(np.linalg.norm(yplus))
-        mfloor = 50 * np.finfo(float).eps * (
-            1.0 + problem.a_fro * proj_norm + np.linalg.norm(problem.b)
-            + problem.H.fro_norm() * proj_norm)
-        rhs_b = max((dhat * dhat / sigma) * dy * dy / ck * factor, mfloor)
-    return rhs_a, rhs_b
+    if not use_b:
+        return min(rhs_a, floor), None
+    proj_norm = float(np.linalg.norm(yplus))
+    mfloor = 50 * np.finfo(float).eps * (
+        1.0 + problem.a_fro * proj_norm + np.linalg.norm(problem.b)
+        + problem.H.fro_norm() * proj_norm)
+    rhs_b = max((dhat * dhat / sigma) * dy * dy / ck * factor, mfloor)
+    return min(rhs_a, rhs_b, floor), rhs_b
 
 
 def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
@@ -310,9 +306,8 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
     # only ever tightens the summable-sequence tests
     floor = 0.5 * options.tol * (1.0 + np.linalg.norm(problem.b)
                                  + problem.H.fro_norm())
-    rhs_a, rhs_b = _criterion_rhs(problem, state, y, sigma, ehat, dhat,
-                                  options.use_criterion_b)
-    threshold = min(rhs_a if rhs_b is None else min(rhs_a, rhs_b), floor)
+    threshold, rhs_b = _criterion_rhs(problem, state, y, sigma, ehat, dhat,
+                                      options.use_criterion_b, floor)
     newton = 0
     accepted = False
     inner_status = ssn.CONVERGED
@@ -329,9 +324,8 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
         state = res.state
         x3 = res.x3
         inner_status = res.status
-        rhs_a, rhs_b = _criterion_rhs(problem, state, y, sigma, ehat, dhat,
-                                      options.use_criterion_b)
-        target = min(rhs_a if rhs_b is None else min(rhs_a, rhs_b), floor)
+        target, rhs_b = _criterion_rhs(problem, state, y, sigma, ehat, dhat,
+                                       options.use_criterion_b, floor)
         if state.grad_norm <= target:
             accepted = True
             break
@@ -402,7 +396,7 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
     lines = []
     newton_total = 0
     counts = Counter()
-    d, parts = _kkt(problem, iterate.x1, iterate.x2, iterate.x3, iterate.y)
+    d = kkt_residuals(problem, iterate.x1, iterate.x2, iterate.x3, iterate.y)
     status = MAX_ITERATIONS
     outer = 0
     if max(d[:4]) < options.tol:
@@ -410,15 +404,12 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
     else:
         _emit(log, LOG_HEADER)
         for k in range(options.max_outer):
-            # the residuals' vectors serve only the last natural map; an
-            # outer step must not hold them
-            parts = None
             iterate, info = outer_step(problem, iterate, options, k)
             outer = k + 1
             newton_total += info.newton_iters
             counts.update(info.counts)
-            d, parts = _kkt(problem, iterate.x1, iterate.x2, iterate.x3,
-                            iterate.y, iterate.Hx1, iterate.Hy)
+            d = kkt_residuals(problem, iterate.x1, iterate.x2, iterate.x3,
+                              iterate.y, iterate.Hx1, iterate.Hy)
             line = format_log_line(k, iterate.sigma, info.psi, info.grad_norm,
                                    info.newton_iters, d[:4])
             lines.append(line)
@@ -438,7 +429,9 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
             if d[2] > d[1]:
                 iterate.sigma = min(_SIGMA_GROWTH * iterate.sigma, _SIGMA_MAX)
 
-    nat = float(np.linalg.norm(_natural_map(problem, parts)))
+    nat = float(np.linalg.norm(natural_map(
+        problem, iterate.x1, iterate.x2, iterate.x3, iterate.y, iterate.Hx1,
+        iterate.Hy)))
     report = _complementarity_report(problem.cone, iterate.x3, iterate.y)
     return SolveResult(
         x1=iterate.x1, x2=iterate.x2, x3=iterate.x3, y=iterate.y,

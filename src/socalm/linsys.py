@@ -79,19 +79,29 @@ _SUBSET_SHARE = 0.2
 _SIGN_BIT = np.uint64(1 << 63)
 
 
-class LinearSolveError(RuntimeError):
-    """A linear solve did not reach its residual tolerance.
+# the strategy of each factorization route: the linear case's ``dense``
+# and ``augmented``, the quadratic case's ``dense`` and ``splu``
+ROUTE_STRATEGY = {
+    "cholesky": "dense", "densified": "dense",
+    "diagonal": "augmented", "sparse_lu": "augmented",
+    "eigen": "dense", "dense_lu": "dense", "splu": "splu",
+}
 
-    ``route`` names the factorization that failed or missed, and
-    ``refine`` counts the refinement steps taken before the miss, as on
-    :class:`SolveStats`.
+
+class LinearSolveError(RuntimeError):
+    """A linear solve failed to factor or did not reach its residual tolerance.
+
+    ``route`` names the factorization tried, a key of
+    :data:`ROUTE_STRATEGY`, as on :class:`SolveStats`.  A miss carries the
+    iterate ``x``, its ``residual`` norm and the ``refine`` steps taken
+    before it; a failed factorization leaves them None, None and 0.
     """
 
-    def __init__(self, message, x=None, residual=None, refine=0):
+    def __init__(self, message, route, x=None, residual=None, refine=0):
         super().__init__(message)
+        self.route = route
         self.x = x
         self.residual = residual
-        self.route = None
         self.refine = refine
 
 
@@ -205,9 +215,7 @@ class SparseSymmetric:
         """
         if self._eigen is None and self.dense_copy() is not None:
             lam, Q = np.linalg.eigh(self._matrix)
-            lam.flags.writeable = False
-            Q.flags.writeable = False
-            self._eigen = lam, Q
+            self._eigen = _read_only(lam), _read_only(Q)
         return self._eigen
 
     def __repr__(self):
@@ -216,18 +224,22 @@ class SparseSymmetric:
 
 @dataclass
 class SolveStats:
-    """One direct solve: its strategy ``method``, the residual norm reached,
-    the factorization ``route`` (``cholesky``, ``diagonal``, ``sparse_lu``
-    or ``densified`` in the linear case, ``eigen``, ``dense_lu`` or
-    ``splu`` in the quadratic one) and the refinement steps taken."""
+    """One direct solve: the factorization ``route`` (``cholesky``,
+    ``diagonal``, ``sparse_lu`` or ``densified`` in the linear case,
+    ``eigen``, ``dense_lu`` or ``splu`` in the quadratic one), the residual
+    norm reached and the refinement steps taken.  ``method`` is the route's
+    strategy, read from :data:`ROUTE_STRATEGY`."""
 
-    method: str
+    route: str
     residual: float = 0.0
-    route: str | None = None
     refine: int = 0
     # every route is direct, so this stays 0; kept because solve results and
     # the result file report the total as ``krylov_iters``
     iterations = 0
+
+    @property
+    def method(self):
+        return ROUTE_STRATEGY[self.route]
 
 
 def _jacobian_scale(J: JacobianElement) -> np.ndarray:
@@ -341,6 +353,12 @@ class NewtonSystem:
 
 def _as_array(U):
     return U.toarray() if sp.issparse(U) else U
+
+
+def _read_only(a):
+    """``a``, marked read-only."""
+    a.flags.writeable = False
+    return a
 
 
 def _dense_is_smaller(rows, cols, nnz):
@@ -535,8 +553,7 @@ class NewtonAssembly:
         self._at = self.A.T
         self.block = shared_block(self.A, cone)
         self._block_t = None if self.block is None else self.block.T
-        self._half = None
-        self._halves_t = None
+        self._halves = None
         self._structure = None
         self._dense_at = None
         self._aq = None
@@ -559,16 +576,21 @@ class NewtonAssembly:
         """``A'`` by rows, on the arrays of :meth:`csc`, so ``A' v`` is a gather."""
         return self._at
 
-    def dense_at(self) -> np.ndarray:
-        """``A'`` as a read-only C-ordered array, built on the first call,
-        under the lock."""
-        if self._dense_at is None:
+    def _once(self, name, build):
+        """The attribute ``name``, set to ``build()`` on the first call that
+        finds it None, under the lock."""
+        value = getattr(self, name)
+        if value is None:
             with self._lock:
-                if self._dense_at is None:
-                    At = self._at.toarray()
-                    At.flags.writeable = False
-                    self._dense_at = At
-        return self._dense_at
+                value = getattr(self, name)
+                if value is None:
+                    value = build()
+                    setattr(self, name, value)
+        return value
+
+    def dense_at(self) -> np.ndarray:
+        """``A'`` as a read-only C-ordered array, built on the first call."""
+        return self._once("_dense_at", lambda: _read_only(self._at.toarray()))
 
     def times_q(self, Q) -> np.ndarray:
         """``A Q`` for the eigenvector matrix ``Q`` of H, read-only, built
@@ -578,9 +600,7 @@ class NewtonAssembly:
             with self._lock:
                 held = self._aq
                 if held is None or held[0] is not Q:
-                    AQ = self.A @ Q
-                    AQ.flags.writeable = False
-                    held = self._aq = (Q, AQ)
+                    held = self._aq = (Q, _read_only(self.A @ Q))
         return held[1]
 
     def matvec(self, v) -> np.ndarray:
@@ -622,32 +642,28 @@ class NewtonAssembly:
             count = self.cone.soc_groups[0].count
             return np.broadcast_to(r, (count,) + r.shape).reshape(
                 (count * r.shape[0],) + r.shape[1:])
-        if not self.negated_half():
+        h, halves_t = self._once("_halves", self._split_halves)
+        if not h:
             return self._at @ v
-        head, tail = self._halves_t
+        head, tail = halves_t
         r = head @ v
         return np.concatenate([r, 0.0 - r[self.cone.nonneg_start:], tail @ v])
 
     def negated_half(self) -> int:
         """:func:`negated_half` of ``(A, cone)``, 0 with a shared block,
-        decided on the first call, under the lock.
+        decided on the first call."""
+        return self._once("_halves", self._split_halves)[0]
 
-        When it is nonzero the first call also keeps, as transposed views of
-        A's arrays (:func:`_columns_t`), the columns up to the orthant's
-        second half and those after it.
-        """
-        if self._half is None:
-            with self._lock:
-                if self._half is None:
-                    h = 0 if self.block is not None else negated_half(
-                        self.A, self.cone)
-                    if h:
-                        mid = self.cone.nonneg_start + h
-                        self._halves_t = (_columns_t(self.A, 0, mid),
-                                          _columns_t(self.A, mid + h,
-                                                     self.A.shape[1]))
-                    self._half = h
-        return self._half
+    def _split_halves(self):
+        """``(h, halves_t)``: :meth:`negated_half` and, when it is nonzero,
+        the columns up to the orthant's second half and those after it, as
+        transposed views of A's arrays (:func:`_columns_t`)."""
+        h = 0 if self.block is not None else negated_half(self.A, self.cone)
+        if not h:
+            return 0, None
+        mid = self.cone.nonneg_start + h
+        return h, (_columns_t(self.A, 0, mid),
+                   _columns_t(self.A, mid + h, self.A.shape[1]))
 
     def _build(self) -> _GramStructure:
         Ac, cone = self.A, self.cone
@@ -697,12 +713,7 @@ class NewtonAssembly:
         """The Newton system ``eps*I + sum_i A_i V_i A_i'`` at one element J."""
         if J.cone is not self.cone and J.cone != self.cone:
             raise ValueError("Jacobian element belongs to a different cone")
-        st = self._structure
-        if st is None:
-            with self._lock:
-                if self._structure is None:
-                    self._structure = self._build()
-                st = self._structure
+        st = self._once("_structure", self._build)
         m = self.A.shape[0]
         w = np.concatenate([0.5 * (1.0 + gj.rho) for gj in J.soc] + [np.zeros(0)])
         if self.block is not None:
@@ -783,24 +794,25 @@ def _diagonal_view(M):
     return M.data
 
 
-def _dense_factor(M):
+def _dense_factor(M, route):
     """Solve function of a dense Cholesky factorization of ``M``; raises
-    :class:`LinearSolveError` when ``M`` is not numerically positive
-    definite."""
+    :class:`LinearSolveError` of ``route`` when ``M`` is not numerically
+    positive definite."""
     try:
         cho = scipy.linalg.cho_factor(M, check_finite=False)
     except scipy.linalg.LinAlgError as err:
-        raise LinearSolveError(f"dense Cholesky failed: {err}") from err
+        raise LinearSolveError(f"dense Cholesky failed: {err}", route) from err
     return lambda r: scipy.linalg.cho_solve(cho, r, check_finite=False)
 
 
-def _refine(solve, matvec, rhs, stop, method):
-    """A direct solve followed by at most two steps of iterative refinement.
+def _refine(solve, matvec, rhs, stop, route):
+    """A direct solve by ``route`` followed by at most two steps of
+    iterative refinement.
 
     Refinement stops once the residual norm is at most ``stop``.  Returns
     ``(x, SolveStats)``.  Raises :class:`LinearSolveError`, carrying the
-    iterate, its residual norm and the steps taken, unless that norm is at
-    most ``stop``; a NaN residual is a miss.
+    route, the iterate, its residual norm and the steps taken, unless that
+    norm is at most ``stop``; a NaN residual is a miss.
     """
     x = solve(rhs)
     res = rhs - matvec(x)
@@ -812,10 +824,10 @@ def _refine(solve, matvec, rhs, stop, method):
     resnorm = float(np.linalg.norm(res))
     if not resnorm <= stop:
         raise LinearSolveError(
-            f"{method} solve missed the residual target "
-            f"({resnorm:.3e} > {stop:.3e})", x=x, residual=resnorm,
+            f"{route} solve missed the residual target "
+            f"({resnorm:.3e} > {stop:.3e})", route, x=x, residual=resnorm,
             refine=steps)
-    return x, SolveStats(method, residual=resnorm, refine=steps)
+    return x, SolveStats(route, residual=resnorm, refine=steps)
 
 
 def _lowrank_solver(sys_, solve_M):
@@ -868,42 +880,36 @@ def solve_spd(sys_: NewtonSystem, rhs, tol, strategy="auto"):
     if rhs.shape != (sys_.m,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({sys_.m},)")
     stop = max(float(tol), 1e-12 * float(np.linalg.norm(rhs)))
+    wide = sys_.k >= sys_.m
+    M = None if wide or strategy == "augmented" else _dense_view(sys_.M_sp)
     if strategy == "auto":
-        dense = sys_.k >= sys_.m or _dense_view(sys_.M_sp) is not None
-        strategy = "dense" if dense else "augmented"
+        strategy = "dense" if wide or M is not None else "augmented"
     if strategy == "dense":
-        route = "densified" if sys_.k >= sys_.m else "cholesky"
+        route = "densified" if wide else "cholesky"
     elif strategy == "augmented":
         diag = _diagonal_view(sys_.M_sp)
         route = "sparse_lu" if diag is None else "diagonal"
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    try:
-        if route == "densified":
-            solve = _dense_factor(sys_.densify())
-        elif route == "cholesky":
-            M = _dense_view(sys_.M_sp)
-            solve = _lowrank_solver(
-                sys_, _dense_factor(sys_.M_sp.toarray() if M is None else M))
-        elif route == "sparse_lu":
-            try:
-                solve_M = spla.splu(sys_.M_sp.tocsc()).solve
-            except RuntimeError as err:
-                raise LinearSolveError(
-                    f"sparse LU of M_sp failed: {err}") from err
-            solve = _lowrank_solver(sys_, solve_M)
-        elif not (np.isfinite(diag).all() and diag.all()):
-            raise LinearSolveError("diagonal M_sp has a zero or non-finite "
-                                   "entry")
-        else:
-            solve = _lowrank_solver(sys_, lambda r: r / (
-                diag[:, None] if r.ndim == 2 else diag))
-        x, stats = _refine(solve, sys_.matvec, rhs, stop, strategy)
-    except LinearSolveError as err:
-        err.route = route
-        raise
-    stats.route = route
-    return x, stats
+    if route == "densified":
+        solve = _dense_factor(sys_.densify(), route)
+    elif route == "cholesky":
+        solve = _lowrank_solver(sys_, _dense_factor(
+            sys_.M_sp.toarray() if M is None else M, route))
+    elif route == "sparse_lu":
+        try:
+            solve_M = spla.splu(sys_.M_sp.tocsc()).solve
+        except RuntimeError as err:
+            raise LinearSolveError(f"sparse LU of M_sp failed: {err}",
+                                   route) from err
+        solve = _lowrank_solver(sys_, solve_M)
+    elif not (np.isfinite(diag).all() and diag.all()):
+        raise LinearSolveError("diagonal M_sp has a zero or non-finite entry",
+                               route)
+    else:
+        solve = _lowrank_solver(sys_, lambda r: r / (
+            diag[:, None] if r.ndim == 2 else diag))
+    return _refine(solve, sys_.matvec, rhs, stop, route)
 
 
 def _split_v(J: JacobianElement):
@@ -1105,40 +1111,32 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     rhs = np.concatenate([R1, R2])
 
     Hd = H.dense_copy()
-    method = "splu" if Hd is None else "dense"
     eigen = None if Hd is None else _quadratic_eigen(H, asm, J, sigma, eps)
-    try:
-        if eigen is not None:
-            route = "eigen"
-            solve, matvec = eigen
-        elif Hd is not None:
-            route = "dense_lu"
-            M, matvec = _quadratic_dense(Hd, asm, J, sigma, eps)
-            # M' is Fortran-ordered, so LAPACK factors it in place
-            lu = scipy.linalg.lu_factor(M.T, overwrite_a=True,
-                                        check_finite=False)
-            solve = lambda r: scipy.linalg.lu_solve(lu, r, trans=1,
-                                                    check_finite=False)
-        else:
-            route = "splu"
-            A = asm.csc()
-            V = jacobian_sparse_matrix(J)
-            VH = (V @ H.to_csr()).tocsr()
-            VAT = (V @ A.T).tocsr()
-            Mhat = sp.bmat(
-                [[sp.identity(n) + sigma * VH, -sigma * VAT],
-                 [-sigma * (A @ VH),
-                  eps * sp.identity(m) + sigma * (A @ VAT)]],
-                format="csc")
-            matvec = Mhat.__matmul__
-            try:
-                solve = spla.splu(Mhat).solve
-            except RuntimeError as err:
-                raise LinearSolveError(
-                    f"sparse LU of the block system failed: {err}") from err
-        x, stats = _refine(solve, matvec, rhs, stop, method)
-    except LinearSolveError as err:
-        err.route = route
-        raise
-    stats.route = route
+    if eigen is not None:
+        route = "eigen"
+        solve, matvec = eigen
+    elif Hd is not None:
+        route = "dense_lu"
+        M, matvec = _quadratic_dense(Hd, asm, J, sigma, eps)
+        # M' is Fortran-ordered, so LAPACK factors it in place
+        lu = scipy.linalg.lu_factor(M.T, overwrite_a=True, check_finite=False)
+        solve = lambda r: scipy.linalg.lu_solve(lu, r, trans=1,
+                                                check_finite=False)
+    else:
+        route = "splu"
+        A = asm.csc()
+        V = jacobian_sparse_matrix(J)
+        VH = (V @ H.to_csr()).tocsr()
+        VAT = (V @ A.T).tocsr()
+        Mhat = sp.bmat(
+            [[sp.identity(n) + sigma * VH, -sigma * VAT],
+             [-sigma * (A @ VH), eps * sp.identity(m) + sigma * (A @ VAT)]],
+            format="csc")
+        matvec = Mhat.__matmul__
+        try:
+            solve = spla.splu(Mhat).solve
+        except RuntimeError as err:
+            raise LinearSolveError(
+                f"sparse LU of the block system failed: {err}", route) from err
+    x, stats = _refine(solve, matvec, rhs, stop, route)
     return x[:n], x[n:], stats

@@ -193,16 +193,26 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
     projection of ``z + alpha dz`` and no mat-vec.  A point accepted with
     ``alpha < 1`` is evaluated again by :func:`make_state`, so the returned
     state is always exact at its own point.  Returns
-    ``(alpha, new_state, info)``; ``info['trials']`` counts the objective
-    values tested, ``info['warned']`` is set when the full step was taken
-    on gradient decrease alone (the decrease test is below the roundoff of
-    psi) or the step budget ran out, in which case the trial with the lowest
-    objective value is returned, and ``info['steepest']`` when steepest
-    descent replaced the direction.
+    ``(alpha, new_state, info)``.  ``info['outcome']`` names how the step
+    was chosen:
+
+    - ``unit``: the full step passed the sufficient-decrease test;
+    - ``backtracked``: a shorter trial passed it, the last allowed one
+      included;
+    - ``noise``: the full step was taken on gradient decrease alone, because
+      the decrease test is below the roundoff of psi;
+    - ``exhausted``: no trial passed within ``max_linesearch_steps``
+      shorter trials, and the one with the lowest objective value is
+      returned.
+
+    ``info['step']`` is ``alpha`` times the norm of the direction searched,
+    the gradient's after a switch to steepest descent, which
+    ``info['steepest']`` reports.  ``info['trials']`` counts the objective
+    values tested and ``info['gd']`` is the directional derivative.
     """
     if state.grad_norm == 0.0:
-        return 1.0, state, {"gd": 0.0, "trials": 0, "warned": False,
-                            "steepest": False}
+        return 1.0, state, {"gd": 0.0, "trials": 0, "outcome": "unit",
+                            "step": 0.0, "steepest": False}
     quadratic = problem.is_quadratic
     gd = _dot(quadratic, state.g1, d1, state.g2, d2)
     dnorm = float(np.sqrt(_dot(quadratic, d1, d1, d2, d2)))
@@ -212,6 +222,7 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
         d1 = -state.g1
         d2 = -state.g2
         gd = -state.grad_norm ** 2
+        dnorm = state.grad_norm
     x1, x2, y, sigma = state.x1, state.x2, state.y, state.sigma
 
     def trial_state(alpha):
@@ -219,17 +230,20 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
         t1 = x1 + alpha * d1 if quadratic else x1
         return make_state(problem, t1, x2 + alpha * d2, y, sigma)
 
+    def done(alpha, new_state, trials, outcome):
+        return alpha, new_state, {"gd": gd, "trials": trials,
+                                  "outcome": outcome, "step": alpha * dnorm,
+                                  "steepest": steepest}
+
     full = trial_state(1.0)
     # when the predicted decrease cannot be resolved in the roundoff of psi,
     # the backtracking test returns noise; fall back to requiring a plain
     # gradient-norm contraction of the full step
     psi_noise = 4.0 * np.finfo(float).eps * (1.0 + abs(state.psi))
     if params.mu * abs(gd) <= psi_noise and full.grad_norm < state.grad_norm:
-        return 1.0, full, {"gd": gd, "trials": 1, "warned": True,
-                           "steepest": steepest}
+        return done(1.0, full, 1, "noise")
     if full.psi <= state.psi + params.mu * gd:
-        return 1.0, full, {"gd": gd, "trials": 1, "warned": False,
-                           "steepest": steepest}
+        return done(1.0, full, 1, "unit")
     best = (1.0, full.psi)
     # z(alpha) = z + alpha dz and <x1 + alpha d1, H (x1 + alpha d1)> are
     # affine and quadratic in alpha
@@ -249,16 +263,13 @@ def line_search(problem, state: InnerState, d1, d2, params: NewtonParams):
         psi_t = _psi(problem, x2 + alpha * d2, proj, y_sq, sigma,
                      q0 + alpha * (q1 + alpha * q2))
         if psi_t <= state.psi + params.mu * alpha * gd:
-            return alpha, trial_state(alpha), {
-                "gd": gd, "trials": step + 1, "warned": False,
-                "steepest": steepest}
+            return done(alpha, trial_state(alpha), step + 1, "backtracked")
         if psi_t < best[1]:
             best = (alpha, psi_t)
     logger.warning("line search exhausted %d steps; returning best trial",
                    params.max_linesearch_steps)
-    return best[0], trial_state(best[0]), {
-        "gd": gd, "trials": params.max_linesearch_steps + 1, "warned": True,
-        "steepest": steepest}
+    return done(best[0], trial_state(best[0]), params.max_linesearch_steps + 1,
+                "exhausted")
 
 
 def _dot(quadratic, u1, v1, u2, v2):
@@ -291,8 +302,13 @@ def run_inner(problem, y, sigma, start, stop_threshold,
     state made at this ``(y, sigma)`` is used as it is; any other start is
     evaluated at them.  On success the recovered ``x3`` is the projection of
     the subproblem argument, so it lies in the cone.  Steps that pass the
-    sufficient-decrease test lower the objective; a full step taken on
-    gradient decrease alone (see :func:`line_search`) may raise it.
+    sufficient-decrease test lower the objective; a ``noise`` or
+    ``exhausted`` step (see :func:`line_search`) may raise it.  Each step's
+    line-search outcome is counted as it is reported, and its ``step``
+    length feeds the stall rule: three steps in a row shorter than
+    ``_STAGNATION_STEP`` end the loop with ``STAGNATION``.  An exhausted
+    search whose best trial lowers neither the objective nor the gradient
+    norm ends it with ``LINESEARCH_FAILURE``.
     """
     if stop_threshold <= 0.0:
         raise ValueError("stop_threshold must be positive")
@@ -321,24 +337,19 @@ def run_inner(problem, y, sigma, start, stop_threshold,
             break
         counts[stats.route] += 1
         counts["refine"] += stats.refine
-        psi_old = state.psi
-        gnorm_old = state.grad_norm
-        alpha, new_state, info = line_search(problem, state, d1, d2, params)
+        _, new_state, info = line_search(problem, state, d1, d2, params)
         newton += 1
-        if info["trials"] > params.max_linesearch_steps:
-            counts["exhausted"] += 1
-        elif info["warned"]:
-            counts["noise"] += 1
+        outcome = info["outcome"]
+        if outcome in ("noise", "exhausted"):
+            counts[outcome] += 1
         counts["steepest"] += info["steepest"]
-        step_len = alpha * float(np.sqrt(
-            _dot(problem.is_quadratic, d1, d1, d2, d2)))
-        tiny_run = tiny_run + 1 if step_len < _STAGNATION_STEP else 0
-        if info["warned"]:
-            # the step budget ran out; keep going only while the best trial
-            # still improves the objective or the gradient norm
-            if new_state.psi >= psi_old and new_state.grad_norm >= gnorm_old:
-                status = LINESEARCH_FAILURE
-                break
+        tiny_run = tiny_run + 1 if info["step"] < _STAGNATION_STEP else 0
+        # an exhausted search goes on only while its best trial still
+        # improves the objective or the gradient norm
+        if (outcome == "exhausted" and new_state.psi >= state.psi
+                and new_state.grad_norm >= state.grad_norm):
+            status = LINESEARCH_FAILURE
+            break
         state = new_state
         if tiny_run >= _STAGNATION_RUNS:
             status = STAGNATION

@@ -14,9 +14,10 @@ import pytest
 from invariants import solve_with_invariants
 
 import socalm
-from socalm import ssn
+from socalm import linsys, ssn
 
 CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 STATUSES = {"Optimal", "MaxIterations", "InnerMaxIterations", "Stagnation",
             "LinearSolveFailure"}
 SAFEGUARDS = {"noise", "exhausted", "rounds", "refine", "steepest"}
@@ -139,6 +140,16 @@ def test_miscounted_record_fails_the_run(census, monkeypatch, capsys):
     assert "route totals differ" in capsys.readouterr().out
 
 
+def test_route_vocabulary_is_shared(census):
+    # linsys names each route once, with its strategy; the census counts
+    # exactly those routes, and the benchmark's tracer knows every strategy
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert set(linsys.ROUTE_STRATEGY) == set(census.ROUTES) == ROUTES
+    assert set(linsys.ROUTE_STRATEGY.values()) <= set(tracing.ROUTES)
+
+
 def route_total(counts):
     return sum(counts[r] for r in ROUTES)
 
@@ -174,8 +185,9 @@ def test_failed_solve_is_counted_on_its_route():
 
 def test_scaled_trs_counts_its_safeguards():
     # trust-region d = 200 with b*1e3 at seed 2 (census unit grid, seed 1)
-    # ends Stagnation 4/43 after 33 steepest-descent switches and 9
-    # exhausted line searches
+    # ends Stagnation 4/43 after 33 steepest-descent switches and 8
+    # exhausted line searches; a ninth search that passed on its last
+    # allowed trial is not one of them
     _, problem = socalm.gen_trs(200, 2)
     problem = socalm.ProblemData(problem.H, problem.A, problem.b * 1e3,
                                  problem.c, problem.cone)
@@ -183,7 +195,7 @@ def test_scaled_trs_counts_its_safeguards():
     assert (result.status, result.outer_iters, result.newton_iters) == (
         "Stagnation", 4, 43)
     assert {k: v for k, v in result.counts.items() if v} == {
-        "eigen": 43, "steepest": 33, "exhausted": 9, "noise": 1}
+        "eigen": 43, "steepest": 33, "exhausted": 8, "noise": 1}
 
 
 def test_dense_h_qsocp_takes_the_dense_lu_route(census):

@@ -886,7 +886,7 @@ class TestSkipRules:
         p = SKIP_CASES["orthant_first"](np.random.default_rng(3))
         assert p.assembly.negated_half() == 7
         # B's columns, then C's
-        head, tail = p.assembly._halves_t
+        _, (head, tail) = p.assembly._halves
         assert head.shape == (7, p.m) and tail.shape == (5, p.m)
         for part in (head, tail):
             assert np.shares_memory(part.data, p.A.data)
@@ -1157,17 +1157,19 @@ class TestSolveSpd:
         M = np.eye(6) + E
         rhs = rng.standard_normal(6)
         with pytest.raises(LinearSolveError) as exc:
-            linsys._refine(lambda r: r.copy(), lambda v: M @ v, rhs, 0.0, "id")
+            linsys._refine(lambda r: r.copy(), lambda v: M @ v, rhs, 0.0,
+                           "cholesky")
         assert exc.value.residual == pytest.approx(np.linalg.norm(
             np.linalg.matrix_power(-E, 3) @ rhs), rel=1e-8)
-        assert exc.value.refine == 2
+        assert (exc.value.route, exc.value.refine) == ("cholesky", 2)
         x, stats = linsys._refine(lambda r: r.copy(), lambda v: M @ v, rhs,
-                                  1.01 * np.linalg.norm(E @ rhs), "id")
+                                  1.01 * np.linalg.norm(E @ rhs), "cholesky")
         assert np.array_equal(x, rhs)
-        assert stats.method == "id"
+        assert (stats.route, stats.method) == ("cholesky", "dense")
         assert stats.refine == 0
         x, stats = linsys._refine(lambda r: r.copy(), lambda v: M @ v, rhs,
-                                  1.01 * np.linalg.norm(E @ E @ rhs), "id")
+                                  1.01 * np.linalg.norm(E @ E @ rhs),
+                                  "cholesky")
         assert stats.refine == 1
 
     @pytest.mark.parametrize("route, M_sp, k", [
@@ -1176,13 +1178,21 @@ class TestSolveSpd:
         ("diagonal", sp.identity(3, format="csr"), 1),
         ("sparse_lu", sp.csr_matrix([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0],
                                      [0.0, 0.0, 1.0]]), 1)])
-    def test_stats_name_the_route(self, route, M_sp, k):
+    def test_stats_name_the_route(self, route, M_sp, k, monkeypatch):
         sys_ = NewtonSystem(m=3, M_sp=M_sp,
                             U=sp.csc_matrix(np.eye(3)[:, :k]), d=np.ones(k))
         rhs = np.arange(1.0, 4.0)
+        views = []
+        dense_view = linsys._dense_view
+        monkeypatch.setattr(linsys, "_dense_view",
+                            lambda M: views.append(1) or dense_view(M))
         d, stats = solve_spd(sys_, rhs, 1e-12)
-        assert stats.route == route
+        assert (stats.route, stats.method) == (
+            route, linsys.ROUTE_STRATEGY[route])
         assert np.linalg.norm(sys_.matvec(d) - rhs) <= 1e-12
+        # the storage of M_sp is read once, and not at all when the update
+        # is as wide as the system
+        assert len(views) == (route != "densified")
 
     def test_direct_miss_raises_with_iterate(self):
         # cond ~ 1e12: two refinement steps cannot reach a 1e-13 target
@@ -1452,9 +1462,9 @@ class TestSolveQuadratic:
         stops = []
         refine = linsys._refine
 
-        def recording_refine(solve, matvec, rhs, stop, method):
+        def recording_refine(solve, matvec, rhs, stop, route):
             stops.append(stop)
-            return refine(solve, matvec, rhs, stop, method)
+            return refine(solve, matvec, rhs, stop, route)
 
         monkeypatch.setattr(linsys, "_refine", recording_refine)
         d1, d2, stats = solve_quadratic(H, A, J, sigma, eps, R1, R2, tol)
@@ -1667,7 +1677,7 @@ class TestSolveQuadratic:
         H = SparseSymmetric.from_dense(0.1 * np.ones((n, n)))
         A = sp.csr_matrix(scipy.linalg.hilbert(n))
         R1, R2 = np.ones(n), np.ones(m)
-        with pytest.raises(LinearSolveError, match="dense solve") as exc:
+        with pytest.raises(LinearSolveError, match="dense_lu solve") as exc:
             solve_quadratic(H, A, J, 1.0, 1e-12, R1, R2, 1e-13)
         x, residual = exc.value.x, exc.value.residual
         assert (exc.value.route, exc.value.refine) == ("dense_lu", 2)
@@ -1687,7 +1697,7 @@ class TestSolveQuadratic:
         H = SparseSymmetric.from_dense(np.ones((n, n)) + np.eye(n))
         A = sp.csr_matrix(np.ones((m, n)))
         with pytest.warns(scipy.linalg.LinAlgWarning), \
-                pytest.raises(LinearSolveError, match="dense solve") as exc:
+                pytest.raises(LinearSolveError, match="eigen solve") as exc:
             solve_quadratic(H, A, J, 1.0, 0.0, np.ones(n), np.ones(m), 1e-12)
         assert np.isnan(exc.value.residual)
 

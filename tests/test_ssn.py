@@ -20,8 +20,8 @@ from socalm import (
     solve,
 )
 from socalm import ssn
-from socalm.linsys import LinearSolveError
-from socalm.ssn import CONVERGED, LINEAR_SOLVE_FAILURE, NewtonParams
+from socalm.linsys import LinearSolveError, SolveStats
+from socalm.ssn import CONVERGED, LINEAR_SOLVE_FAILURE, MAX_ITERS, NewtonParams
 
 
 def toy_quadratic_problem():
@@ -247,6 +247,7 @@ class TestLineSearch:
                                        np.array([1.0]), NewtonParams())
         assert alpha == 1.0
         assert new.psi < state.psi
+        assert (info["outcome"], info["step"], info["trials"]) == ("unit", 1.0, 1)
 
     def test_toy_quadratic_backtracks_once(self):
         # psi(x1) = x1^2, start at 1 with the doubled Newton step d = -2:
@@ -262,6 +263,8 @@ class TestLineSearch:
                                        np.zeros(1), params)
         assert alpha == 0.5
         assert abs(new.psi) < 1e-14
+        assert (info["outcome"], info["step"], info["trials"]) == (
+            "backtracked", 1.0, 2)
 
     def test_zero_gradient_returns_unchanged(self):
         problem = toy_quadratic_problem()
@@ -281,6 +284,18 @@ class TestLineSearch:
         assert new.psi < state.psi  # steepest-descent fallback still decreases
         assert info["steepest"]
 
+    def test_steepest_step_is_measured_along_the_gradient(self):
+        # d1 = 5 ascends from x1 = 1, so the search runs along -g1 = -2: the
+        # step taken is alpha * ||g||, not alpha * ||d|| = 5 alpha
+        problem = toy_quadratic_problem()
+        state = make_state(problem, np.array([1.0]), np.zeros(1), np.zeros(1),
+                           1.0)
+        alpha, new, info = line_search(problem, state, np.array([5.0]),
+                                       np.zeros(1), NewtonParams())
+        assert info["steepest"] and state.grad_norm == 2.0
+        assert info["step"] == alpha * state.grad_norm
+        assert np.linalg.norm(new.x1 - state.x1) == info["step"]
+
     def test_exhausted_search_returns_best_trial(self):
         # psi = -b'x2 + |A'x2 - c|^2 / 2 while A'x2 - c stays in the orthant,
         # with AA' = diag(1, 0.01) and the gradient (1, 0) at the origin.
@@ -288,23 +303,51 @@ class TestLineSearch:
         # the soft one to -0.5: the gradient norm falls from 1 to 0.5 while
         # psi rises by 12.  Trials at 1/2 and 1/4 also fail the decrease
         # test, so the two-trial budget runs out with psi lowest at 1/4.
-        A = sp.csr_matrix(np.diag([1.0, 0.1]))
-        c = np.array([-100.0, -100.0])
-        b = A @ -c - np.array([1.0, 0.0])
-        problem = ProblemData(None, A, b, c, ConeSpec.make(nonneg=2))
+        problem, d2 = _stiff_orthant_problem()
         state = make_state(problem, np.zeros(2), np.zeros(2), np.zeros(2), 1.0)
         assert state.grad_norm == pytest.approx(1.0, abs=1e-12)
-        d2 = np.array([-1.0, -50.0])
         full = make_state(problem, np.zeros(2), d2, np.zeros(2), 1.0)
         assert full.grad_norm < 0.51 and full.psi > state.psi + 11.0
         params = NewtonParams(max_linesearch_steps=2)
         alpha, new, info = line_search(problem, state, np.zeros(2), d2, params)
         assert alpha == 0.25
-        assert info["warned"] and info["trials"] == 3
+        assert (info["outcome"], info["trials"]) == ("exhausted", 3)
+        assert info["step"] == 0.25 * np.linalg.norm(d2)
         assert not info["steepest"]
         _assert_exact_state(problem, new)
         assert new.psi < make_state(problem, np.zeros(2), 0.5 * d2,
                                     np.zeros(2), 1.0).psi < full.psi
+
+    @pytest.mark.parametrize("budget, outcome", [(3, "exhausted"),
+                                                 (4, "backtracked")])
+    def test_success_on_the_last_trial_is_not_exhausted(
+            self, monkeypatch, budget, outcome):
+        # the problem above passes the decrease test first at alpha = 1/16,
+        # the fourth shorter trial: a budget of four accepts it on the last
+        # allowed trial, with as many trials as an exhausted search reports
+        problem, d2 = _stiff_orthant_problem()
+        state = make_state(problem, np.zeros(2), np.zeros(2), np.zeros(2), 1.0)
+        params = NewtonParams(max_newton_iters=1, max_linesearch_steps=budget)
+        alpha, _, info = line_search(problem, state, np.zeros(2), d2, params)
+        assert (alpha, info["trials"], info["outcome"]) == (
+            1.0 / 2 ** budget, budget + 1, outcome)
+        # one Newton step along d2, counted by the outcome the search named
+        monkeypatch.setattr(ssn, "newton_direction", lambda *args: (
+            np.zeros(2), d2, 0.0, 0.0, SolveStats("diagonal")))
+        res = run_inner(problem, np.zeros(2), 1.0, state, 1e-12, params)
+        assert res.newton_iters == 1
+        assert res.status == MAX_ITERS
+        assert res.counts["exhausted"] == (outcome == "exhausted")
+
+
+def _stiff_orthant_problem():
+    """The problem of ``test_exhausted_search_returns_best_trial`` and its
+    direction ``d2`` from the origin."""
+    A = sp.csr_matrix(np.diag([1.0, 0.1]))
+    c = np.array([-100.0, -100.0])
+    b = A @ -c - np.array([1.0, 0.0])
+    return (ProblemData(None, A, b, c, ConeSpec.make(nonneg=2)),
+            np.array([-1.0, -50.0]))
 
 
 def _line_search_case(kind):
@@ -343,7 +386,7 @@ class TestLineSearchExactness:
         alpha, new, info = line_search(problem, state, scale * d1, scale * d2,
                                        NewtonParams())
         assert (alpha == 1.0) == (scale == 1.0)
-        assert not info["warned"]
+        assert info["outcome"] == ("unit" if scale == 1.0 else "backtracked")
         _assert_exact_state(problem, new)
 
     @pytest.mark.parametrize("kind", ["linear", "quadratic"])
@@ -412,9 +455,10 @@ class TestRunInner:
         assert dist_to_cone(problem.cone, res.x3) <= 1e-10 * (
             1 + np.linalg.norm(res.x3))
         # every step accepted through the sufficient-decrease test honours the
-        # inequality as evaluated (warned steps are the documented fallback)
+        # inequality as evaluated (noise and exhausted steps are the
+        # documented fallbacks)
         for psi_old, (alpha, new, info) in steps:
-            if info["warned"]:
+            if info["outcome"] in ("noise", "exhausted"):
                 continue
             assert new.psi <= psi_old + params.mu * alpha * info["gd"]
 
@@ -451,7 +495,7 @@ def _failing(monkeypatch, name, failures):
     def wrapped(*args, **kwargs):
         calls.append(args)
         if len(calls) <= failures:
-            raise LinearSolveError("forced miss", residual=1.0)
+            raise LinearSolveError("forced miss", "cholesky", residual=1.0)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ssn, name, wrapped)

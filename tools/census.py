@@ -9,7 +9,8 @@ solver's surviving safeguards fired:
 
 - ``noise``: line searches that took the full step on gradient decrease
   alone, because the decrease test is below the roundoff of psi;
-- ``exhausted``: line searches that ran out of trials;
+- ``exhausted``: line searches in which no trial passed the decrease test
+  within the step budget (one that passes on its last trial is not);
 - ``rounds``: fixed-point re-check rounds, the inner solves of an outer
   step beyond its first;
 - ``refine``: iterative refinement steps of the direct linear solves;
