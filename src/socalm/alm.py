@@ -27,9 +27,6 @@ INNER_MAX_ITERATIONS = "InnerMaxIterations"
 STAGNATION = "Stagnation"
 LINEAR_SOLVE_FAILURE = "LinearSolveFailure"
 
-# rounds of threshold tightening while the accuracy criteria are re-checked
-# against the realized candidate multiplier
-_MAX_FIXED_POINT_ROUNDS = 60
 # The accuracy sequences epshat_k = _EPSHAT_SCALE * _EPSHAT_RATIO**k and
 # deltahat_k (alike) are geometric, hence summable.  Their decay is
 # deliberately mild: with an aggressive ratio the inner accuracy demand
@@ -175,8 +172,8 @@ class SolveResult:
     wall_time: float
     complementarity: list
     iteration_log: list
-    # what the solve did, totalled over its Newton steps (ssn.InnerResult)
-    # and re-check rounds; a count never taken reads 0
+    # what the solve did, totalled over its Newton steps (ssn.InnerResult);
+    # a count never taken reads 0
     counts: Counter = field(default_factory=Counter)
     # every linear solve is direct; result-file format 1 still has the line
     krylov_iters = 0
@@ -240,10 +237,9 @@ def natural_map(problem: ProblemData, x1, x2, x3, y, Hx1=None,
 
 @dataclass
 class StepInfo:
-    """Bookkeeping of one outer step (counters and the realized criteria).
-
-    ``counts`` totals the counts of its inner solves, and ``rounds`` the
-    inner solves beyond the first that the re-checks asked for."""
+    """Bookkeeping of one outer step (counters and the realized criteria),
+    read at the state its one inner solve returned.  ``counts`` are that
+    solve's counts (:class:`~socalm.ssn.InnerResult`)."""
 
     newton_iters: int
     psi: float
@@ -290,10 +286,13 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
                k: int):
     """One multiplier update at penalty ``iterate.sigma``.
 
-    The inner solve runs until the gradient norm clears the accuracy test
-    evaluated at its own candidate multiplier; failed re-checks tighten the
-    inner threshold (halving) and resume from the warm iterate.  Returns
-    ``(new_iterate, StepInfo)``.
+    One inner solve from the warm iterate stops at the first state whose
+    gradient norm is at most both the threshold set at the start state and
+    the accuracy test evaluated at that state's own candidate multiplier;
+    the cheap comparison with the threshold comes first.  The step is
+    accepted when the returned state passes the accuracy test, so one outer
+    step takes at most ``NewtonParams.max_newton_iters`` Newton steps.
+    Returns ``(new_iterate, StepInfo)``.
     """
     sigma = iterate.sigma
     y = iterate.y
@@ -306,38 +305,22 @@ def outer_step(problem: ProblemData, iterate: Iterate, options: AlmOptions,
     # only ever tightens the summable-sequence tests
     floor = 0.5 * options.tol * (1.0 + np.linalg.norm(problem.b)
                                  + problem.H.fro_norm())
-    threshold, rhs_b = _criterion_rhs(problem, state, y, sigma, ehat, dhat,
-                                      options.use_criterion_b, floor)
-    newton = 0
-    accepted = False
-    inner_status = ssn.CONVERGED
-    x3 = None
-    counts = Counter()
-    for rnd in range(_MAX_FIXED_POINT_ROUNDS):
-        if state.grad_norm == 0.0:
-            accepted = True
-            break
-        res = run_inner(problem, y, sigma, state, max(threshold, 1e-300), _NEWTON)
-        newton += res.newton_iters
-        counts.update(res.counts)
-        counts["rounds"] += rnd > 0
-        state = res.state
-        x3 = res.x3
-        inner_status = res.status
-        target, rhs_b = _criterion_rhs(problem, state, y, sigma, ehat, dhat,
-                                       options.use_criterion_b, floor)
-        if state.grad_norm <= target:
-            accepted = True
-            break
-        if res.status != ssn.CONVERGED:
-            break
-        threshold = min(threshold * 0.5, target)
-    if x3 is None:
-        x3 = project(problem.cone, -state.z / sigma)
-    new_iterate = Iterate(state.x1, state.x2, x3, state.proj, sigma,
+
+    def rhs(st):
+        return _criterion_rhs(problem, st, y, sigma, ehat, dhat,
+                              options.use_criterion_b, floor)
+
+    threshold = rhs(state)[0]
+    res = run_inner(problem, y, sigma, state,
+                    lambda st: (st.grad_norm <= threshold
+                                and st.grad_norm <= rhs(st)[0]), _NEWTON)
+    state = res.state
+    target, rhs_b = rhs(state)
+    new_iterate = Iterate(state.x1, state.x2, res.x3, state.proj, sigma,
                           state.Hx1, state.Hproj)
-    info = StepInfo(newton, state.psi, state.grad_norm, ehat, dhat,
-                    rhs_b, y, inner_status, accepted, counts)
+    info = StepInfo(res.newton_iters, state.psi, state.grad_norm, ehat, dhat,
+                    rhs_b, y, res.status, state.grad_norm <= target,
+                    res.counts)
     return new_iterate, info
 
 
@@ -366,7 +349,9 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
     """Run the outer loop until the relative KKT residual drops below ``tol``.
 
     A cold start begins at the origin with penalty 1, a warm ``start`` at
-    its own point and ``sigma`` (positive and finite).
+    its own point and ``sigma``: ``sigma`` positive and finite, and
+    ``x1``, ``x2``, ``x3`` and ``y`` finite vectors of lengths n, m, n and
+    n; anything else raises ``ValueError`` naming the field.
     ``log`` may be a callable or a file-like object receiving the fixed-width
     per-iteration lines; ``callback(k, iterate, info, deltas)`` is invoked on
     the solving thread after every outer step (used by diagnostics and tests).
@@ -390,8 +375,17 @@ def solve(problem: ProblemData, options: AlmOptions | None = None,
             raise ValueError("start.sigma must be positive and finite")
         # copies: in the linear case x1 never moves, so the result's x1
         # would otherwise be the caller's own array
-        iterate = Iterate(*(np.array(v, dtype=float) for v in (
-            start.x1, start.x2, start.x3, start.y)), sigma)
+        vecs = []
+        for name, size in (("x1", problem.n), ("x2", problem.m),
+                           ("x3", problem.n), ("y", problem.n)):
+            v = np.array(getattr(start, name), dtype=float)
+            if v.shape != (size,):
+                raise ValueError(
+                    f"start.{name} has shape {v.shape}, expected ({size},)")
+            if not np.isfinite(v).all():
+                raise ValueError(f"start.{name} holds a non-finite value")
+            vecs.append(v)
+        iterate = Iterate(*vecs, sigma)
 
     lines = []
     newton_total = 0

@@ -369,11 +369,7 @@ def parse_problem(path) -> ProblemData:
         toks = r.keyword("nonneg", "soc")
         if len(toks) != 2:
             r.error("cone block line must be '<kind> <dim>'")
-        try:
-            dim = int(toks[1])
-        except ValueError:
-            r.error(f"cone block dim {toks[1]!r} is not an integer")
-        blocks.append(Block(toks[0], dim))
+        blocks.append(Block(toks[0], r.integer(toks[1], "cone block dim")))
     total = sum(blk.dim for blk in blocks)
     if total != n:
         r.error(f"cone dims sum to {total}, expected n = {n}")

@@ -42,7 +42,10 @@ _STAGNATION_RUNS = 3
 
 @dataclass(frozen=True)
 class NewtonParams:
-    """Parameters of the inexact semismooth Newton iteration."""
+    """Parameters of the inexact semismooth Newton iteration.
+
+    ``max_newton_iters`` bounds the steps of one :func:`run_inner` call,
+    which is the whole inner solve of one outer step."""
 
     nu_hat: float = 0.9
     tau: float = 0.5
@@ -294,14 +297,17 @@ class InnerResult:
     counts: Counter
 
 
-def run_inner(problem, y, sigma, start, stop_threshold,
+def run_inner(problem, y, sigma, start, done,
               params: NewtonParams) -> InnerResult:
-    """Drive the Newton iteration until ``||grad psi|| <= stop_threshold``.
+    """Drive the Newton iteration until ``done(state)`` holds.
 
     ``start`` is either an :class:`InnerState` or an ``(x1, x2)`` pair.  A
     state made at this ``(y, sigma)`` is used as it is; any other start is
-    evaluated at them.  On success the recovered ``x3`` is the projection of
-    the subproblem argument, so it lies in the cone.  Steps that pass the
+    evaluated at them.  ``done`` is called once on each state the loop
+    reaches, the start included, and the loop ends ``CONVERGED`` at the
+    first state for which it holds; ``params.max_newton_iters`` bounds the
+    steps taken.  The recovered ``x3`` is the projection of the subproblem
+    argument, so it lies in the cone.  Steps that pass the
     sufficient-decrease test lower the objective; a ``noise`` or
     ``exhausted`` step (see :func:`line_search`) may raise it.  Each step's
     line-search outcome is counted as it is reported, and its ``step``
@@ -310,8 +316,6 @@ def run_inner(problem, y, sigma, start, stop_threshold,
     search whose best trial lowers neither the objective nor the gradient
     norm ends it with ``LINESEARCH_FAILURE``.
     """
-    if stop_threshold <= 0.0:
-        raise ValueError("stop_threshold must be positive")
     if (isinstance(start, InnerState) and start.sigma == sigma
             and np.array_equal(start.y, y)):
         state = start
@@ -320,12 +324,9 @@ def run_inner(problem, y, sigma, start, stop_threshold,
         state = make_state(problem, x1, x2, y, sigma)
     newton = 0
     tiny_run = 0
-    status = MAX_ITERS
+    status = CONVERGED if done(state) else MAX_ITERS
     counts = Counter()
-    for _ in range(params.max_newton_iters):
-        if state.grad_norm <= stop_threshold:
-            status = CONVERGED
-            break
+    while status == MAX_ITERS and newton < params.max_newton_iters:
         try:
             d1, d2, _, _, stats = newton_direction(problem, state, sigma,
                                                    params)
@@ -351,10 +352,9 @@ def run_inner(problem, y, sigma, start, stop_threshold,
             status = LINESEARCH_FAILURE
             break
         state = new_state
-        if tiny_run >= _STAGNATION_RUNS:
+        if done(state):
+            status = CONVERGED
+        elif tiny_run >= _STAGNATION_RUNS:
             status = STAGNATION
-            break
-    if state.grad_norm <= stop_threshold:
-        status = CONVERGED
     x3 = project(problem.cone, -state.z / sigma)
     return InnerResult(state, x3, newton, status, counts)

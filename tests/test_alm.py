@@ -66,6 +66,12 @@ def _assert_trs_matches_oracle(instance, res):
     assert abs(val - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
+def _zero_start(p):
+    """The fields of a warm start at the origin, by name."""
+    return {"x1": np.zeros(p.n), "x2": np.zeros(p.m), "x3": np.zeros(p.n),
+            "y": np.zeros(p.n)}
+
+
 def infeasible_toy():
     # the two equality rows force y = 1 and y = -1 simultaneously
     cone = ConeSpec.make(nonneg=1)
@@ -214,6 +220,26 @@ class TestSolve:
         solve(p, AlmOptions(max_outer=1), start=start,
               callback=lambda k, it, info, d: steps.append(it.sigma))
         assert steps == [7.5]
+
+    @pytest.mark.parametrize("name", ["x1", "x2", "x3", "y"])
+    def test_warm_start_vectors_must_have_their_lengths(self, name):
+        # x1, x2, x3 and y have lengths n, m, n and n; one element short is
+        # refused by name before any arithmetic
+        _, p = gen_meb(8, 3)
+        vecs = _zero_start(p)
+        vecs[name] = vecs[name][1:]
+        with pytest.raises(ValueError, match=f"^start.{name} has shape"):
+            solve(p, AlmOptions(), start=Iterate(**vecs, sigma=1.0))
+
+    @pytest.mark.parametrize("name", ["x1", "x2", "x3", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_warm_start_vectors_must_be_finite(self, name, bad):
+        _, p = gen_meb(8, 3)
+        vecs = _zero_start(p)
+        vecs[name][1] = bad
+        with pytest.raises(ValueError,
+                           match=f"^start.{name} holds a non-finite value$"):
+            solve(p, AlmOptions(), start=Iterate(**vecs, sigma=1.0))
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
     def test_warm_start_sigma_must_be_positive_and_finite(self, sigma):

@@ -20,7 +20,7 @@ CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 STATUSES = {"Optimal", "MaxIterations", "InnerMaxIterations", "Stagnation",
             "LinearSolveFailure"}
-SAFEGUARDS = {"noise", "exhausted", "rounds", "refine", "steepest"}
+SAFEGUARDS = {"noise", "exhausted", "refine", "steepest"}
 ROUTES = {"cholesky", "diagonal", "sparse_lu", "densified", "eigen",
           "dense_lu", "splu"}
 
@@ -243,3 +243,34 @@ def test_against_prints_the_doctored_record(census, tiny, tmp_path, capsys):
     assert out[-1] == (
         f"against {path}: 1 of 5 records differ (status 0, outer 0, "
         "newton 1, safeguards 0, routes 0, check 0, md5 1); 0 not in the file")
+
+
+def test_against_leaves_zero_counts_out(census, tiny, tmp_path, capsys):
+    # a count that a file holds as zero, or does not hold, is the same
+    # count: a record from before a safeguard was retired still matches,
+    # unless the retired safeguard fired there
+    doc = json.loads(json.dumps(tiny[0]))
+    first, second = doc["records"][:2]
+    first["safeguards"]["retired"] = 0
+    del second["routes"]["sparse_lu"]
+    path = write_census(doc, tmp_path / "zeros.json")
+    census.compare(tiny[0]["records"], path)
+    assert capsys.readouterr().out.startswith(
+        f"against {path}: 0 of 5 records differ")
+    first["safeguards"]["retired"] = 1
+    path = write_census(doc, tmp_path / "fired.json")
+    census.compare(tiny[0]["records"], path)
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split()[1] == first["label"]
+    assert out[1].endswith(" safeguards")
+
+
+def test_one_inner_solve_per_outer_step(census):
+    # square-root Lasso 500x150 with b*1e3 at seed 0 (census unit grid):
+    # the first outer step's inner solve runs out of its Newton budget, and
+    # that budget bounds the whole outer step
+    rec = census.run_case(census.Case("unit", "srlasso", (500, 150), 0, "b",
+                                      1e3))
+    assert socalm.NewtonParams().max_newton_iters == 200
+    assert (rec["status"], rec["outer"], rec["newton"]) == (
+        "InnerMaxIterations", 1, 200)

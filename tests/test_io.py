@@ -643,12 +643,15 @@ class TestParserErrorContract:
         f.write_text(text)
         return f
 
-    @pytest.mark.parametrize("line, message", [
-        ("H", "line 20: field 'H' needs exactly one integer$"),
-        ("H x", "line 20: field 'H': 'x' is not an integer$"),
+    @pytest.mark.parametrize("old, new, message", [
+        ("H 5\n", "H\n", "line 20: field 'H' needs exactly one integer$"),
+        ("H 5\n", "H x\n", "line 20: field 'H': 'x' is not an integer$"),
+        ("soc 5\n", "soc 5.0\n",
+         "line 6: cone block dim: '5.0' is not an integer$"),
     ])
-    def test_malformed_h_count(self, tmp_path, capsys, line, message):
-        f = self._fixed_file(tmp_path, "H 5\n", line + "\n")
+    def test_malformed_integer_field(self, tmp_path, capsys, old, new,
+                                     message):
+        f = self._fixed_file(tmp_path, old, new)
         with pytest.raises(ProblemFormatError, match=message):
             parse_problem(f)
         assert cli_main(["check", str(f)]) == 2

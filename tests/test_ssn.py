@@ -33,6 +33,11 @@ def toy_quadratic_problem():
     return ProblemData(H, A, np.zeros(1), np.array([100.0]), cone)
 
 
+def below(threshold):
+    """The stop test ``||grad psi|| <= threshold`` for :func:`run_inner`."""
+    return lambda state: state.grad_norm <= threshold
+
+
 def linear_1d_problem():
     cone = ConeSpec.make(nonneg=1)
     A = sp.csr_matrix(np.array([[1.0]]))
@@ -334,7 +339,7 @@ class TestLineSearch:
         # one Newton step along d2, counted by the outcome the search named
         monkeypatch.setattr(ssn, "newton_direction", lambda *args: (
             np.zeros(2), d2, 0.0, 0.0, SolveStats("diagonal")))
-        res = run_inner(problem, np.zeros(2), 1.0, state, 1e-12, params)
+        res = run_inner(problem, np.zeros(2), 1.0, state, below(1e-12), params)
         assert res.newton_iters == 1
         assert res.status == MAX_ITERS
         assert res.counts["exhausted"] == (outcome == "exhausted")
@@ -358,7 +363,7 @@ def _line_search_case(kind):
         _, problem = gen_trs(6, 2)
     params = NewtonParams()
     state = run_inner(problem, np.zeros(problem.n), 1.0,
-                      (np.zeros(problem.n), np.zeros(problem.m)), 0.1,
+                      (np.zeros(problem.n), np.zeros(problem.m)), below(0.1),
                       params).state
     d1, d2, _, _, _ = newton_direction(problem, state, 1.0, params)
     return problem, state, d1, d2
@@ -419,18 +424,26 @@ class TestRunInner:
         problem = linear_1d_problem()
         y = np.array([0.0])
         sigma = 1.0
-        # closed form: the gradient vanishes at x2 = (1 - y)/sigma
+        # closed form: the gradient vanishes at x2 = (1 - y)/sigma; the stop
+        # test is called once, on the start
+        seen = []
+
+        def done(state):
+            seen.append(state)
+            return state.grad_norm <= 1e-12
+
         res = run_inner(problem, y, sigma, (np.zeros(1), np.array([1.0])),
-                        1e-12, NewtonParams())
+                        done, NewtonParams())
         assert res.newton_iters == 0
         assert res.status == CONVERGED
+        assert len(seen) == 1 and seen[0] is res.state
 
     def test_linear_1d_closed_form(self):
         problem = linear_1d_problem()
         for y0, sigma in ((0.4, 1.0), (-0.3, 2.5), (0.0, 1.0)):
             y = np.array([y0])
             res = run_inner(problem, y, sigma, (np.zeros(1), np.zeros(1)),
-                            1e-12, NewtonParams())
+                            below(1e-12), NewtonParams())
             assert res.state.grad_norm <= 1e-12
             assert abs(res.state.x2[0] - (1.0 - y0) / sigma) <= 1e-10
 
@@ -447,7 +460,7 @@ class TestRunInner:
         params = NewtonParams()
         res = run_inner(problem, np.zeros(problem.n), 1.0,
                         (np.zeros(problem.n), np.zeros(problem.m)),
-                        1e-10, params)
+                        below(1e-10), params)
         assert res.status == CONVERGED
         assert res.state.grad_norm <= 1e-10
         assert len(steps) == res.newton_iters > 0
@@ -471,19 +484,44 @@ class TestRunInner:
         y = project(problem.cone, rng.standard_normal(problem.n))
         x1 = np.zeros(problem.n)
         params = NewtonParams()
-        ref = run_inner(problem, y, 2.0, (x1, x2), 1e-10, params)
+        ref = run_inner(problem, y, 2.0, (x1, x2), below(1e-10), params)
         for y0, sigma0 in ((np.zeros(problem.n), 2.0), (y, 1.0), (y, 2.0)):
             start = make_state(problem, x1, x2, y0, sigma0)
-            res = run_inner(problem, y, 2.0, start, 1e-10, params)
+            res = run_inner(problem, y, 2.0, start, below(1e-10), params)
             assert res.newton_iters == ref.newton_iters
             assert np.array_equal(res.state.x2, ref.state.x2)
             assert np.array_equal(res.state.proj, ref.state.proj)
 
-    def test_invalid_threshold(self):
-        problem = linear_1d_problem()
-        with pytest.raises(ValueError):
-            run_inner(problem, np.zeros(1), 1.0, (np.zeros(1), np.zeros(1)),
-                      0.0, NewtonParams())
+    @pytest.mark.parametrize("budget", [3, 200])
+    def test_done_is_called_once_per_state(self, monkeypatch, budget):
+        # the start, then each state a line search returned, each once and
+        # in order; the loop ends at the first state that passes, or after
+        # the step budget with the last state tested
+        inst, problem = gen_meb(10, 3)
+        reached = []
+
+        def recording_line_search(*args):
+            out = line_search(*args)
+            reached.append(out[1])
+            return out
+
+        monkeypatch.setattr(ssn, "line_search", recording_line_search)
+        start = make_state(problem, np.zeros(problem.n), np.zeros(problem.m),
+                           np.zeros(problem.n), 1.0)
+        seen = []
+
+        def done(state):
+            seen.append(state)
+            return state.grad_norm <= 1e-10
+
+        res = run_inner(problem, np.zeros(problem.n), 1.0, start, done,
+                        NewtonParams(max_newton_iters=budget))
+        assert [id(st) for st in seen] == [id(st) for st in [start] + reached]
+        assert len(seen) == res.newton_iters + 1
+        assert res.state is seen[-1]
+        passed = [st.grad_norm <= 1e-10 for st in seen]
+        assert passed.count(True) == (res.status == CONVERGED)
+        assert res.status == (CONVERGED if budget == 200 else MAX_ITERS)
 
 
 def _failing(monkeypatch, name, failures):
@@ -517,8 +555,8 @@ class TestLinearSolveFailure:
         inst, problem = gen_meb(10, 3)
         _failing(monkeypatch, "solve_spd", 2)
         res = run_inner(problem, np.zeros(problem.n), 1.0,
-                        (np.zeros(problem.n), np.zeros(problem.m)), 1e-10,
-                        NewtonParams())
+                        (np.zeros(problem.n), np.zeros(problem.m)),
+                        below(1e-10), NewtonParams())
         assert res.status == LINEAR_SOLVE_FAILURE
         assert res.newton_iters == 0
 

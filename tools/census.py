@@ -11,8 +11,6 @@ solver's surviving safeguards fired:
   alone, because the decrease test is below the roundoff of psi;
 - ``exhausted``: line searches in which no trial passed the decrease test
   within the step budget (one that passes on its last trial is not);
-- ``rounds``: fixed-point re-check rounds, the inner solves of an outer
-  step beyond its first;
 - ``refine``: iterative refinement steps of the direct linear solves;
 - ``steepest``: non-descent Newton directions replaced by steepest descent.
 
@@ -56,7 +54,9 @@ checkout; it imports ``socalm`` from the checkout's ``src``:
 
 ``--against`` prints, after the run, every record whose status, outer or
 Newton count, safeguards, routes, check verdict or md5 differs from the
-record of the same label in that file, and a one-line tally.  Md5s and
+record of the same label in that file, and a one-line tally.  Safeguard
+and route counts are compared with their zero entries left out, so a
+count that one of the two files does not hold reads as zero.  Md5s and
 roundoff-sensitive counts differ across machines, so this is for two runs
 on one machine; it does not change the exit code.
 
@@ -300,8 +300,8 @@ def run_case(case):
         "seconds": seconds, "kkt": result.kkt_residual,
         "md5": hashlib.md5(result.x2.tobytes() + result.y.tobytes()).hexdigest(),
         "check": check(case, instance, x2, y),
-        "safeguards": {k: counts[k] for k in ("noise", "exhausted", "rounds",
-                                              "refine", "steepest")},
+        "safeguards": {k: counts[k] for k in ("noise", "exhausted", "refine",
+                                              "steepest")},
         "routes": {r: counts[r] for r in ROUTES}}
 
 
@@ -313,7 +313,7 @@ def miscounted(rec):
 
 
 HEADER = (f"{'instance':32s} {'status':18s} {'outer/newton':>12s} {'s':>6s} "
-          f"{'kkt':>8s} {'check':>5s} {'noise':>5s} {'exh':>4s} {'rnds':>4s} "
+          f"{'kkt':>8s} {'check':>5s} {'noise':>5s} {'exh':>4s} "
           f"{'refn':>4s} {'stp':>4s} "
           + " ".join(f"{h:>4s}" for h in ROUTES.values()) + " md5")
 
@@ -325,12 +325,13 @@ def format_row(rec):
     return (f"{rec['label']:32s} {rec['status']:18s} "
             f"{rec['outer']:>5d}/{rec['newton']:<6d} {rec['seconds']:6.2f} "
             f"{rec['kkt']:8.1e} {ok:>5s} {g['noise']:5d} {g['exhausted']:4d} "
-            f"{g['rounds']:4d} {g['refine']:4d} {g['steepest']:4d} "
+            f"{g['refine']:4d} {g['steepest']:4d} "
             + "".join(f"{rec['routes'][r]:4d} " for r in ROUTES)
             + rec["md5"][:12])
 
 
-# the fields --against compares; "check" is the verdict alone
+# the fields --against compares; "check" is the verdict alone, and the
+# safeguard and route counts leave their zero entries out
 COMPARED = ("status", "outer", "newton", "safeguards", "routes", "check",
             "md5")
 
@@ -338,6 +339,8 @@ COMPARED = ("status", "outer", "newton", "safeguards", "routes", "check",
 def _compared(rec, name):
     if name == "check":
         return None if rec["check"] is None else rec["check"]["ok"]
+    if name in ("safeguards", "routes"):
+        return {k: v for k, v in rec[name].items() if v}
     return rec[name]
 
 
