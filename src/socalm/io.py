@@ -88,6 +88,9 @@ def _value_table(values):
     are distinct.
 
     Values are told apart by their bits, so +0.0 and -0.0 keep their texts.
+    The table takes the write of the enclosing ball 1000x400 problem file
+    from 0.382 to 0.162 s (median of 10 alternating pairs, all won, 2-core
+    machine).
     """
     if not values.size:
         return None
@@ -127,7 +130,13 @@ def _write_rows(fh, line, table, texts=None):
 
 def _write_array(fh, values, table=False):
     """Six values a line; with ``table`` set, through a value table when
-    the section repeats its values enough for one to pay."""
+    the section repeats its values enough for one to pay.
+
+    A run of rows of +0.0 is written as one repeated constant line: the
+    enclosing ball 1000x400 result file, whose x1 is all zero, is written
+    in 0.266 s against 0.352 s when every row is formatted (median of 10
+    alternating pairs, all won, 2-core machine).
+    """
     values = _finite(values).ravel()
     texts, cells = (table and _value_table(values)) or (None, values)
     full = values.size - values.size % _VALUES_PER_LINE
@@ -170,7 +179,9 @@ def _line_bounds(text):
 
     The lines are those of ``str.splitlines``.  ASCII text that breaks lines
     at "\\n" alone is kept as it is and scanned once with numpy; any other
-    text is rebuilt from its ``splitlines`` first.
+    text is rebuilt from its ``splitlines`` first.  The scan takes the parse
+    of the enclosing ball 1000x400 problem file from 0.346 to 0.233 s
+    (median of 10 alternating pairs, all won, 2-core machine).
     """
     if text.isascii():
         codes = np.frombuffer(text.encode("ascii"), np.uint8)
@@ -610,9 +621,12 @@ def _cmd_diag(args):
     for rep in report:
         print(f"  block {rep.block_id:4d} [{rep.kind}] x3={rep.x3_status} "
               f"y={rep.y_status} {rep.category} margin={rep.margin:.3e}")
-    if not agree:
-        print("warning: stored residuals disagree with recomputation")
-    return EXIT_OK
+    if agree:
+        return EXIT_OK
+    # a result that does not belong to its problem is bad input
+    print("error: stored residuals disagree with recomputation",
+          file=sys.stderr)
+    return EXIT_INPUT
 
 
 def cli_main(argv) -> int:

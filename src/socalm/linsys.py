@@ -41,13 +41,14 @@ When H is stored dense, the solve eliminates the first block in H's
 eigenbasis (:meth:`SparseSymmetric.eigen`, one ``eigh`` per problem, kept):
 where V's diagonal weights are constant on H's row support,
 ``I + sigma V H`` is diagonal there plus the few low-rank columns that touch
-H, so a step costs O(n^2), with the dense ``A'`` and ``A Q`` kept on the
-problem's :class:`NewtonAssembly`.  Where they are not, or where those
-columns and the m rows are together at least n, the block matrix is formed
-from the diagonal and low-rank parts of V with dense products into one
-array and factored by LAPACK LU in place.  Both dense routes apply V's
-low-rank part block by block from the Jacobian's arrays, summed in the
-order of the sparse products, so a step builds no sparse matrix.  When H is
+H, so a step costs products of the eigenvector matrix with ``A`` and those
+few columns, O(m n^2) for m rows, instead of an O(n^3) factorization.
+Where they are not, or where those columns and the m rows are together at
+least n, the block matrix is formed from the diagonal and low-rank parts of
+V with dense products into one array and factored by LAPACK LU in place.
+Both dense routes apply V's low-rank part block by block from the
+Jacobian's arrays, summed in the order of the sparse products, so a step
+builds no sparse matrix.  When H is
 stored sparse, the assembled sparse block matrix goes to sparse LU.  Misses
 and failed factorizations raise :class:`LinearSolveError` as in the linear
 case.
@@ -391,7 +392,11 @@ def _block_grams(Ac, block_of_col, nblocks):
 
     Returns ``(keys, G)``: the pattern as sorted row-major positions
     ``r*m + c`` and ``G[p, b] = (A_b A_b')[keys[p]]``.  Column pairs are
-    expanded in chunks of at most ``_PAIR_CHUNK`` products (or one column).
+    expanded in chunks of at most ``_PAIR_CHUNK`` products (or one column),
+    which bounds the chunk's index and product arrays to a few tens of MB
+    whatever the Lorentz columns' fill.  It is a memory bound only: no
+    bench or census instance expands more than 80 000 pairs in all, so
+    each takes one chunk.
     """
     m = Ac.shape[0]
     counts = np.diff(Ac.indptr)
@@ -426,7 +431,15 @@ def _block_grams(Ac, block_of_col, nblocks):
 
 @dataclass(frozen=True)
 class _GramStructure:
-    """What :class:`NewtonAssembly` keeps between assemblies."""
+    """What :class:`NewtonAssembly` keeps between assemblies.
+
+    Two of its storage choices pay on the square-root Lasso bench (both
+    instances solved once, median of 10 alternating pairs against a copy
+    without the choice, 2-core machine): ``lowrank0`` takes it from 0.454
+    to 0.308 s, and ``full`` (a dense ``M_sp``, factored by dense Cholesky)
+    from 0.670 to 0.312 s, where the sparse ``M_sp`` also moves 200x1000's
+    Newton count from 96 to 173.
+    """
 
     keys: np.ndarray         # row-major positions r*m + c of the Lorentz pattern
     indptr: np.ndarray       # that pattern in CSR form
@@ -446,7 +459,10 @@ def shared_block(A, cone):
     orthant qualifies, and then only when each block's columns of the
     canonical CSC ``A`` have the same counts, row indices and value bits,
     so ``A = [A_g, ..., A_g]``.  ``A_g`` is the first block's columns; one
-    vectorized pass over ``A``'s arrays decides.
+    vectorized pass over ``A``'s arrays decides.  Reading only ``A_g``
+    takes the enclosing ball 1000x400 solve from 0.864 to 0.548 s against
+    the general path (median of 10 alternating pairs, all won, 2-core
+    machine).
     """
     if cone.nonneg_dim or len(cone.soc_groups) != 1:
         return None
@@ -495,7 +511,9 @@ def _columns_t(A, lo, hi):
     data and indices are views of ``A``'s arrays.
 
     The arrays are set on the matrix rather than passed to the constructor,
-    which copies a view of less than half its base.
+    which copies a view of less than half its base.  That bounds the memory
+    of the views to their index pointers: a copy of the square-root Lasso
+    200x1000 bench matrix's halves would hold 2.4 of its 4.8 MB.
     """
     p0, p1 = A.indptr[lo], A.indptr[hi]
     T = sp.csr_matrix((hi - lo, A.shape[0]), dtype=A.dtype)
@@ -536,9 +554,7 @@ class NewtonAssembly:
     Dense and fewer than the m rows of ``A``, the active ones become
     low-rank columns of weight 1 in a dense ``U``, so ``M_sp`` holds only
     ``eps*I`` and the Lorentz Grams; otherwise their Gram is added to
-    ``M_sp``.  For the quadratic case it keeps, likewise built on first use
-    under the lock, the dense ``A'`` (:meth:`dense_at`) and ``A Q`` for the
-    eigenvectors Q of H (:meth:`times_q`).
+    ``M_sp``.  The quadratic case reads only :meth:`csc` and :meth:`at`.
     Nothing is modified once built, so threads may assemble concurrently.
     A pickled copy starts unbuilt.
     """
@@ -555,8 +571,6 @@ class NewtonAssembly:
         self._block_t = None if self.block is None else self.block.T
         self._halves = None
         self._structure = None
-        self._dense_at = None
-        self._aq = None
         self._lock = threading.Lock()
 
     def __reduce__(self):
@@ -588,21 +602,6 @@ class NewtonAssembly:
                     setattr(self, name, value)
         return value
 
-    def dense_at(self) -> np.ndarray:
-        """``A'`` as a read-only C-ordered array, built on the first call."""
-        return self._once("_dense_at", lambda: _read_only(self._at.toarray()))
-
-    def times_q(self, Q) -> np.ndarray:
-        """``A Q`` for the eigenvector matrix ``Q`` of H, read-only, built
-        under the lock on the first call with that ``Q`` and kept with it."""
-        held = self._aq
-        if held is None or held[0] is not Q:
-            with self._lock:
-                held = self._aq
-                if held is None or held[0] is not Q:
-                    held = self._aq = (Q, _read_only(self.A @ Q))
-        return held[1]
-
     def matvec(self, v) -> np.ndarray:
         """``A v``; with a shared block, ``A_g`` times the blocks of v summed
         in block order.
@@ -612,7 +611,9 @@ class NewtonAssembly:
         bits are those of ``A @ v``: the kernel adds each row in column
         order from +0.0, a skipped term ``A_ij * (+-0)`` of finite ``A_ij``
         is a zero, and adding a zero to a sum that started at +0.0 leaves it
-        as it is.
+        as it is.  The subset takes the square-root Lasso bench (both
+        instances solved once) from 0.415 to 0.335 s (median of 10
+        alternating pairs, 9 won, 2-core machine).
         """
         if self.block is not None:
             g = self.cone.soc_groups[0]
@@ -635,7 +636,10 @@ class NewtonAssembly:
         ``r`` the first half's dots.  That is the kernel's sum for a negated
         column bit for bit: each partial sum is the first half's negated,
         and a zero sum is +0.0 in both, since a sum from +0.0 never reaches
-        -0.0 under round-to-nearest.
+        -0.0 under round-to-nearest.  The negated half takes the square-root
+        Lasso bench (both instances solved once) from 0.307 to 0.281 s
+        (median of 10 alternating pairs, best of 5 passes in each, all won,
+        2-core machine).
         """
         if self.block is not None:
             r = self._block_t @ v
@@ -785,7 +789,13 @@ def _dense_view(M):
 
 
 def _diagonal_view(M):
-    """Diagonal of a CSR matrix that stores its diagonal alone, else None."""
+    """Diagonal of a CSR matrix that stores its diagonal alone, else None.
+
+    A division by it in place of sparse LU (the ``diagonal`` route) takes
+    the linear solves of one enclosing ball 1000x400 solve from 0.146 to
+    0.105 s (median of 10 alternating pairs, best of 3 solves in each, all
+    won, 2-core machine).
+    """
     m = M.shape[0]
     if (M.format != "csr" or M.nnz != m
             or not np.array_equal(M.indptr, np.arange(m + 1))
@@ -960,20 +970,19 @@ def _quadratic_operator(Hd, asm, apply_v, sigma, eps):
     return matvec
 
 
-def _quadratic_dense(Hd, asm, J, sigma, eps):
+def _quadratic_dense(Hd, asm, apply_v, sigma, eps):
     """Dense quadratic-case block matrix (C-ordered) and its structured operator.
 
-    The blocks ``V H`` and ``V A'`` are formed by scaling rows of the dense
-    ``H`` and ``A'`` (:meth:`NewtonAssembly.dense_at`) and adding the
-    low-rank part of V block by block.  The operator
+    The blocks ``V H`` and ``V A'`` are formed by ``apply_v`` of
+    :func:`_split_v`, which scales rows of the dense ``H`` and ``A'`` and
+    adds the low-rank part of V block by block.  The operator
     (:func:`_quadratic_operator`) stays valid once the array has been
     factored in place.
     """
     m, n = asm.shape
     A = asm.csc()
-    *_, apply_v = _split_v(J)
     VH = apply_v(Hd)
-    VAt = apply_v(asm.dense_at())
+    VAt = apply_v(asm.at().toarray())
     M = np.empty((n + m, n + m))
     np.multiply(VH, sigma, out=M[:n, :n])
     np.multiply(VAt, -sigma, out=M[:n, n:])
@@ -985,7 +994,7 @@ def _quadratic_dense(Hd, asm, J, sigma, eps):
     return M, _quadratic_operator(Hd, asm, apply_v, sigma, eps)
 
 
-def _quadratic_eigen(H: SparseSymmetric, asm, J, sigma, eps):
+def _quadratic_eigen(H: SparseSymmetric, asm, split, sigma, eps):
     """Solve function and operator of the block system in H's eigenbasis.
 
     Eliminating ``d1 = K^{-1} (R1 + sigma V A' d2)`` with ``K = I + sigma V H``
@@ -998,15 +1007,17 @@ def _quadratic_eigen(H: SparseSymmetric, asm, J, sigma, eps):
     columns that touch that support.  With ``H = Q diag(lam) Q'``
     (:meth:`SparseSymmetric.eigen`) the part ``I + sigma s0 H`` is diagonal
     in the eigenbasis, and ``W_H`` enters through Woodbury with a
-    k_H x k_H capacitance matrix.  Building the solve takes one product of
-    the m + k_H columns of ``[V A', W_H]`` with Q; ``A Q`` and the dense
-    ``A'`` are kept on the assembly (:meth:`NewtonAssembly.times_q`,
-    :meth:`NewtonAssembly.dense_at`).  Each solve after that takes two
-    products of Q with one vector.  Returns None when s varies on H's row
+    k_H x k_H capacitance matrix.  ``split`` is :func:`_split_v` of the
+    Jacobian.  Building the solve takes one product of the m + k_H columns
+    of ``[V A', W_H]`` with Q and one of A with Q, O((m + k_H) n^2) in all,
+    and forms the dense ``A'``.  Keeping ``A'`` and ``A Q`` on the problem
+    saved at most 4 ms of the trust-region bench's 51 ms solve, inside the
+    spread of its runs.  Each solve after that takes two products of Q
+    with one vector.  Returns None when s varies on H's row
     support or when ``k_H + m >= n``.
     """
     m, n = asm.shape
-    s, cols, apply_v = _split_v(J)
+    s, cols, apply_v = split
     support = H.row_support
     s_h = s[support]
     if s_h.size and s_h.min() != s_h.max():
@@ -1021,7 +1032,7 @@ def _quadratic_eigen(H: SparseSymmetric, asm, J, sigma, eps):
     inv = 1.0 / (1.0 + sigma * s0 * lam)
     # [V A', W_H] in one array, and the weights of W_H
     X = np.zeros((n, m + k))
-    X[:, :m] = apply_v(asm.dense_at())
+    X[:, :m] = apply_v(asm.at().toarray())
     j, d_h = m, [np.zeros(0)]
     for (rows, vals, w), t in zip(cols, touch):
         X[rows[t], j + np.arange(t.size)[:, None]] = vals[t]
@@ -1052,7 +1063,8 @@ def _quadratic_eigen(H: SparseSymmetric, asm, J, sigma, eps):
         return out
 
     # A Q and K^{-1} V A' stay in eigen coordinates, so a solve maps back once
-    A, AQ = asm.csc(), asm.times_q(Q)
+    A = asm.csc()
+    AQ = A @ Q
     KVAt = kinv_eigen(Y[:, :m])
     S = sigma * (AQ @ KVAt)
     S[np.diag_indices(m)] += eps
@@ -1079,9 +1091,8 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     cached on H and bounds its largest eigenvalue.  Only ``H @ d1`` and the
     quadratic form of ``d1`` are meaningful to callers; both agree with the
     range-space projected direction, which is never formed.  ``A`` is a
-    matrix or the :class:`NewtonAssembly` of a problem, which keeps the
-    dense ``A'`` and ``A Q`` between solves; a plain matrix gets an assembly
-    built for this one call.
+    matrix or the :class:`NewtonAssembly` of a problem; a plain matrix gets
+    an assembly built for this one call.
 
     The storage of H picks the route:
 
@@ -1111,13 +1122,16 @@ def solve_quadratic(H: SparseSymmetric, A, J: JacobianElement, sigma, eps,
     rhs = np.concatenate([R1, R2])
 
     Hd = H.dense_copy()
-    eigen = None if Hd is None else _quadratic_eigen(H, asm, J, sigma, eps)
+    # V's split serves the eigenbasis test and, when that declines, the
+    # dense blocks
+    split = None if Hd is None else _split_v(J)
+    eigen = None if Hd is None else _quadratic_eigen(H, asm, split, sigma, eps)
     if eigen is not None:
         route = "eigen"
         solve, matvec = eigen
     elif Hd is not None:
         route = "dense_lu"
-        M, matvec = _quadratic_dense(Hd, asm, J, sigma, eps)
+        M, matvec = _quadratic_dense(Hd, asm, split[2], sigma, eps)
         # M' is Fortran-ordered, so LAPACK factors it in place
         lu = scipy.linalg.lu_factor(M.T, overwrite_a=True, check_finite=False)
         solve = lambda r: scipy.linalg.lu_solve(lu, r, trans=1,

@@ -291,7 +291,7 @@ class TestKernelsBitExact:
                     assert_same_bits(getattr(gn, name), getattr(gj, name))
 
     def test_tail_norms_agree_with_linalg_norm(self):
-        # 200 blocks of dimension 401 are squared in three chunks of rows
+        # many small blocks, and a few of the enclosing ball's dimension
         for count, dim in ((50, 7), (200, 401)):
             cone = ConeSpec.make(soc=[dim] * count)
             x = np.random.default_rng(dim).standard_normal(count * dim)

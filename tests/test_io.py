@@ -161,6 +161,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert "MISMATCH" not in captured.out
 
+    def test_diag_mismatch_exits_2(self, tmp_path, capsys):
+        prob = str(tmp_path / "m.prob")
+        out = tmp_path / "m.res"
+        assert cli_main(["gen", "meb", "--m", "6", "--d", "3", "-o", prob]) == 0
+        assert cli_main(["solve", prob, "--out", str(out), "--solution"]) == 0
+        lines = out.read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("delta2 "))
+        lines[i] = "delta2 0.5"
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["diag", prob, str(out)]) == 2
+        captured = capsys.readouterr()
+        rows = [ln for ln in captured.out.splitlines() if "MISMATCH" in ln]
+        assert len(rows) == 1 and rows[0].startswith("delta2 ")
+        assert "5.00000000e-01" in rows[0]
+        assert "disagree" in captured.err
+
     def test_gen_trs_and_solve(self, tmp_path):
         prob = str(tmp_path / "t.prob")
         assert cli_main(["gen", "trs", "--d", "10", "--seed", "2",

@@ -1006,8 +1006,8 @@ def dense_lu_problem(seed=5):
 
 
 class TestQuadraticStepConstants:
-    """The quadratic solve keeps what a problem fixes on its assembly and
-    builds no sparse matrix per step."""
+    """The quadratic solve builds no sparse matrix per step, splits V once
+    and forms each H product once."""
 
     @pytest.fixture
     def sparse_builds(self, monkeypatch):
@@ -1027,7 +1027,7 @@ class TestQuadraticStepConstants:
                    else dense_lu_problem())
         asm, n, m = problem.assembly, problem.n, problem.m
         rng = np.random.default_rng(4)
-        for i in range(2):
+        for _ in range(2):
             J = jacobian_element(problem.cone, 2.0 * rng.standard_normal(n))
             R1, R2 = rng.standard_normal(n), rng.standard_normal(m)
             sparse_builds.clear()
@@ -1037,16 +1037,30 @@ class TestQuadraticStepConstants:
             assert stats.route == route
             assert_matches_reference(problem.H, problem.A, J, 0.7, 0.05, R1,
                                      R2, np.concatenate([d1, d2]))
-            if i == 0:
-                At = asm.dense_at()
         assert built == []
-        assert asm.dense_at() is At and not At.flags.writeable
-        np.testing.assert_array_equal(At, problem.A.toarray().T)
-        if route == "eigen":
-            Q = problem.H.eigen()[1]
-            AQ = asm.times_q(Q)
-            assert asm.times_q(Q) is AQ and not AQ.flags.writeable
-            assert AQ.tobytes() == (problem.A @ Q).tobytes()
+
+    @pytest.mark.parametrize("route", ["eigen", "dense_lu"])
+    def test_each_step_splits_v_once(self, monkeypatch, route):
+        # the dense LU route follows the eigenbasis test's refusal and
+        # reuses its split of V
+        problem = (socalm.gen_trs(30, 1)[1] if route == "eigen"
+                   else dense_lu_problem())
+        n, m = problem.n, problem.m
+        calls = []
+        split_v = linsys._split_v
+
+        def counted(J):
+            calls.append(J)
+            return split_v(J)
+
+        monkeypatch.setattr(linsys, "_split_v", counted)
+        rng = np.random.default_rng(6)
+        J = jacobian_element(problem.cone, 2.0 * rng.standard_normal(n))
+        R1, R2 = rng.standard_normal(n), rng.standard_normal(m)
+        *_, stats = solve_quadratic(problem.H, problem.assembly, J, 0.7, 0.05,
+                                    R1, R2, 1e-12)
+        assert stats.route == route
+        assert calls == [J]
 
     def test_lowrank_part_has_the_bits_of_the_sparse_products(self):
         # V X from the Jacobian's block arrays against diag(s) X plus the
@@ -1063,32 +1077,6 @@ class TestQuadraticStepConstants:
             ref = s[:, None] * X
             ref += W @ (d[:, None] * (W.T @ X))
             assert apply_v(X).tobytes() == ref.tobytes()
-
-    def test_concurrent_first_uses_build_one_copy(self):
-        _, problem = socalm.gen_trs(30, 1)
-        asm = problem.assembly
-        Q = problem.H.eigen()[1]
-        barrier = threading.Barrier(6)
-        results = [None] * 6
-
-        def run(i):
-            barrier.wait()
-            results[i] = (asm.dense_at(), asm.times_q(Q))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=run, args=(i,))
-                       for i in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for At, AQ in results:
-            assert At is results[0][0] and AQ is results[0][1]
 
     def test_repeat_trs_solve_counts(self, sparse_builds, monkeypatch):
         # the trust-region d = 400 bench instance (workload seed 0)
@@ -1452,8 +1440,8 @@ class TestSolveQuadratic:
         A = sp.csr_matrix(rng.standard_normal((m, n)))
         sigma, eps, tol = 0.5, 0.1, 1e-6
         if route != "splu":
-            eigen = linsys._quadratic_eigen(H, NewtonAssembly(A, cone), J,
-                                            sigma, eps)
+            eigen = linsys._quadratic_eigen(H, NewtonAssembly(A, cone),
+                                            linsys._split_v(J), sigma, eps)
             assert (eigen is not None) == (route == "eigenbasis")
         R1, R2 = rng.standard_normal(n), rng.standard_normal(m)
         rhs = np.concatenate([R1, R2])
@@ -1684,7 +1672,8 @@ class TestSolveQuadratic:
         rhs = np.concatenate([R1, R2])
         assert x.shape == (n + m,)
         _, matvec = linsys._quadratic_dense(
-            H.dense_copy(), NewtonAssembly(A, cone), J, 1.0, 1e-12)
+            H.dense_copy(), NewtonAssembly(A, cone), linsys._split_v(J)[2],
+            1.0, 1e-12)
         assert residual == np.linalg.norm(rhs - matvec(x))
         assert residual > 1e-12 * np.linalg.norm(rhs)
 
