@@ -161,7 +161,16 @@ def build_trs(H, c):
     pinned to 1 by the single equality row.  The solution lives in the
     equality-constrained (dual) variable of the solver.  The eigenvalue
     computation runs with one BLAS thread (:func:`socalm.blas.single_thread`),
-    so the shift does not depend on the thread count.
+    so the shift does not depend on the thread count.  A non-finite entry of
+    ``H`` or ``c`` raises ``ValueError`` before any eigenvalue work.
+
+    Besides the caller's ``H``, the build holds at most three d x d arrays
+    at once: ``0.5 (H + H')`` (kept as ``TrsInstance.H``) with either the
+    two work arrays of ``eigh`` (d <= 500) or, afterwards, the lifted
+    ``blockdiag(0, H - shift I)`` and the storage's gather of its nonzeros.
+    The lifted array is exactly symmetric, so it is stored without
+    :meth:`SparseSymmetric.from_dense`'s check and ``0.5 (M + M')``, which
+    would return it bit for bit.
     Returns ``(TrsInstance, ProblemData)``.
     """
     H = np.asarray(H, dtype=float)
@@ -171,21 +180,33 @@ def build_trs(H, c):
     d = H.shape[0]
     if c.size != d:
         raise ValueError("c length does not match H")
-    if np.abs(H - H.T).max(initial=0.0) > 1e-10 * (1.0 + np.abs(H).max(initial=0.0)):
+    for name, vals in (("H", H), ("c", c)):
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{name} holds a non-finite value")
+    scale = 1.0 + np.abs(H).max(initial=0.0)
+    asym = H - H.T
+    np.abs(asym, out=asym)
+    if asym.max(initial=0.0) > 1e-10 * scale:
         raise ValueError("H must be symmetric")
-    H = 0.5 * (H + H.T)
-    lam_min, v = _smallest_eigpair(H)
+    del asym
+    S = H + H.T
+    S *= 0.5
+    lam_min, v = _smallest_eigpair(S)
     shift = min(lam_min, 0.0)
-    instance = TrsInstance(H=H, c=c, lam_min=lam_min, shift=shift, eigvec=v)
+    instance = TrsInstance(H=S, c=c, lam_min=lam_min, shift=shift, eigvec=v)
 
+    # blockdiag(0, S - shift I) with the per-entry operations of
+    # S - shift * np.eye(d): shift * 0.0 off the diagonal (a signed zero),
+    # shift * 1.0 on it
     big_h = np.zeros((d + 1, d + 1))
-    big_h[1:, 1:] = H - shift * np.eye(d)
+    np.subtract(S, shift * 0.0, out=big_h[1:, 1:])
+    big_h.reshape(-1)[d + 2::d + 2] = S.diagonal() - shift * 1.0
     big_c = np.concatenate(([0.0], c))
     A = sp.csc_matrix((np.ones(1), (np.zeros(1, dtype=int), np.zeros(1, dtype=int))),
                       shape=(1, d + 1))
     cone = ConeSpec([Block("soc", d + 1)])
-    problem = ProblemData(SparseSymmetric.from_dense(big_h), A,
-                          np.ones(1), big_c, cone)
+    storage = SparseSymmetric.__new__(SparseSymmetric)._hold(big_h)
+    problem = ProblemData(storage, A, np.ones(1), big_c, cone)
     return instance, problem
 
 
@@ -220,7 +241,9 @@ def gen_trs(d: int, seed: int = 0):
     ``H = (P diag(g)) P'`` with P uniform entries and g standard normal,
     produced by the documented 64-bit congruential generator; ``c`` is
     standard normal.  The product and :func:`build_trs` run with one BLAS
-    thread, so the instance is the same at any BLAS thread count.
+    thread, so the instance is the same at any BLAS thread count.  ``P`` is
+    dropped once the product is formed, so generation holds at most four
+    d x d arrays at once (the product and :func:`build_trs`'s three).
     Returns ``(TrsInstance, ProblemData)``.
     """
     if d < 2:
@@ -229,8 +252,10 @@ def gen_trs(d: int, seed: int = 0):
     P = rng.uniforms(d * d).reshape(d, d)
     g = np.array([rng.normal() for _ in range(d)])
     c = np.array([rng.normal() for _ in range(d)])
+    H = (P * g) @ P.T
+    del P
     # build_trs symmetrizes the product
-    return build_trs((P * g) @ P.T, c)
+    return build_trs(H, c)
 
 
 class _Lcg64:
@@ -263,21 +288,23 @@ class _Lcg64:
     def uniforms(self, n):
         """The next ``n`` uniforms, leaving the state where n uniform() calls
         would.  Step j of a block maps s to A_j s + C_j with A_j = MUL^j and
-        C_j = INC (MUL^(j-1) + ... + 1); uint64 arithmetic wraps mod 2^64."""
+        C_j = INC (MUL^(j-1) + ... + 1); uint64 arithmetic, products and sums
+        alike, wraps mod 2^64, so both tables come from numpy accumulations.
+        The states become floats in place, through one n-sized conversion."""
         k = min(n, self.BLOCK)
-        mul = np.empty(k, dtype=np.uint64)
-        inc = np.empty(k, dtype=np.uint64)
-        a, c = 1, 0
-        for j in range(k):
-            a = (a * self.MUL) & self.MASK
-            c = (c * self.MUL + self.INC) & self.MASK
-            mul[j], inc[j] = a, c
+        mul = np.multiply.accumulate(np.full(k, self.MUL, dtype=np.uint64))
+        powers = np.concatenate((np.ones(1, dtype=np.uint64), mul[:-1]))[:k]
+        inc = np.uint64(self.INC) * np.cumsum(powers, dtype=np.uint64)
         states = np.empty(n, dtype=np.uint64)
         for i in range(0, n, self.BLOCK):
             j = min(k, n - i)
             states[i:i + j] = mul[:j] * np.uint64(self.state) + inc[:j]
             self.state = int(states[i + j - 1])
-        return ((states >> np.uint64(11)) + 0.5) / 9007199254740992.0
+        states >>= np.uint64(11)
+        u = states.astype(np.float64)
+        u += 0.5
+        u /= 9007199254740992.0
+        return u
 
     def normal(self):
         if self._spare is not None:

@@ -1,5 +1,7 @@
 """Instance builders, the pseudo-random generator, and solution extractors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,10 @@ from socalm import (
     prand_sequence,
     solve,
 )
-from socalm.problems import _Lcg64, meb_problem
+from socalm import problems
+from socalm.blas import single_thread
+from socalm.linsys import SparseSymmetric
+from socalm.problems import _Lcg64, _smallest_eigpair, meb_problem
 
 
 class TestPrand:
@@ -162,7 +167,7 @@ class TestBuildTrs:
         assert abs(y[0]) < 1e-5
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^H must be symmetric$"):
             build_trs(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
 
     def test_psd_case_extraction_is_identity(self):
@@ -228,11 +233,186 @@ class TestGenTrs:
         inst, _ = gen_trs(d, seed)
         np.testing.assert_array_equal(inst.H, 0.5 * (H + H.T))
         np.testing.assert_array_equal(inst.c, c)
+        # empty, one state, either side of a block edge, and many blocks;
+        # the next draw checks the state as well
+        for n in (0, 1, 4095, 4096, 4097, 160000, 640000):
+            scalar, blocked = _Lcg64(seed), _Lcg64(seed)
+            ref = np.array([scalar.uniform() for _ in range(n + 1)])
+            got = np.append(blocked.uniforms(n), blocked.uniform())
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+            assert blocked.state == scalar.state
 
     def test_sign_mixed_spectrum(self):
         inst, _ = gen_trs(20, seed=1)
         w = np.linalg.eigvalsh(inst.H)
         assert w[0] < 0 < w[-1]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _uniforms_reference(rng, n):
+    """``_Lcg64.uniforms`` as first written: Python-int step tables."""
+    k = min(n, rng.BLOCK)
+    mul = np.empty(k, dtype=np.uint64)
+    inc = np.empty(k, dtype=np.uint64)
+    a, c = 1, 0
+    for j in range(k):
+        a = (a * rng.MUL) & rng.MASK
+        c = (c * rng.MUL + rng.INC) & rng.MASK
+        mul[j], inc[j] = a, c
+    states = np.empty(n, dtype=np.uint64)
+    for i in range(0, n, rng.BLOCK):
+        j = min(k, n - i)
+        states[i:i + j] = mul[:j] * np.uint64(rng.state) + inc[:j]
+        rng.state = int(states[i + j - 1])
+    return ((states >> np.uint64(11)) + 0.5) / 9007199254740992.0
+
+
+def _build_trs_reference(H, c):
+    """``build_trs`` as first written: 0.5 (H + H'), ``np.eye`` and
+    ``SparseSymmetric.from_dense``.  Returns the instance's fields and the
+    storage."""
+    H = np.asarray(H, dtype=float)
+    c = np.asarray(c, dtype=float).ravel()
+    d = H.shape[0]
+    if np.abs(H - H.T).max(initial=0.0) > 1e-10 * (1.0 + np.abs(H).max(initial=0.0)):
+        raise ValueError("H must be symmetric")
+    H = 0.5 * (H + H.T)
+    with single_thread():
+        lam_min, v = _smallest_eigpair(H)
+    shift = min(lam_min, 0.0)
+    big_h = np.zeros((d + 1, d + 1))
+    big_h[1:, 1:] = H - shift * np.eye(d)
+    return H, c, lam_min, shift, v, SparseSymmetric.from_dense(big_h)
+
+
+def _gen_trs_reference(d, seed):
+    rng = _Lcg64(seed)
+    P = _uniforms_reference(rng, d * d).reshape(d, d)
+    g = np.array([rng.normal() for _ in range(d)])
+    c = np.array([rng.normal() for _ in range(d)])
+    with single_thread():
+        H = (P * g) @ P.T
+    return _build_trs_reference(H, c)
+
+
+def _assert_trs_bits(got, ref):
+    inst, problem = got
+    H, c, lam_min, shift, v, storage = ref
+    for name, want in (("H", H), ("c", c), ("lam_min", lam_min),
+                       ("shift", shift), ("eigvec", v)):
+        np.testing.assert_array_equal(_bits(getattr(inst, name)), _bits(want),
+                                      err_msg=name)
+    stored, want = problem.H.dense_copy(), storage.dense_copy()
+    assert (stored is None) == (want is None)
+    if want is None:
+        got_csr, want_csr = problem.H.to_csr(), storage.to_csr()
+        np.testing.assert_array_equal(got_csr.indptr, want_csr.indptr)
+        np.testing.assert_array_equal(got_csr.indices, want_csr.indices)
+        np.testing.assert_array_equal(_bits(got_csr.data), _bits(want_csr.data))
+    else:
+        assert not stored.flags.writeable
+        np.testing.assert_array_equal(_bits(stored), _bits(want))
+    np.testing.assert_array_equal(_bits(problem.H.fro_norm()),
+                                  _bits(storage.fro_norm()))
+    np.testing.assert_array_equal(problem.H.row_support, storage.row_support)
+
+
+def _signed_zero_h():
+    """Indefinite H whose off-diagonal holds exact +0.0 and -0.0 entries,
+    some mirrored with the other sign."""
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((8, 8))
+    H = G + G.T
+    H[0, 1] = H[1, 0] = -0.0
+    H[2, 5] = H[5, 2] = 0.0
+    H[3, 6], H[6, 3] = -0.0, 0.0
+    return H
+
+
+def _near_symmetric_h():
+    """Symmetric H plus an asymmetric part inside build_trs's tolerance."""
+    rng = np.random.default_rng(6)
+    G = rng.standard_normal((30, 30))
+    return G + G.T + 1e-12 * rng.standard_normal((30, 30))
+
+
+class TestTrsBuildBits:
+    """The build holds fewer arrays than its first form and keeps its bits."""
+
+    @pytest.mark.parametrize("d, seed", [(40, 1), (520, 1)])
+    def test_gen_trs_matches_first_form(self, d, seed):
+        # d = 40 takes eigh, d = 520 ARPACK
+        _assert_trs_bits(gen_trs(d, seed), _gen_trs_reference(d, seed))
+
+    @pytest.mark.parametrize("case", ["psd", "signed_zeros", "near_symmetric", "zero"])
+    def test_build_trs_matches_first_form(self, case):
+        H = {"psd": lambda: np.diag([0.5, 2.0, 1.0]) + 0.1,
+             "signed_zeros": _signed_zero_h,
+             "near_symmetric": _near_symmetric_h,
+             "zero": lambda: np.zeros((3, 3))}[case]()
+        c = np.linspace(-1.0, 1.0, H.shape[0])
+        ref = _build_trs_reference(H, c)
+        got = build_trs(H, c)
+        _assert_trs_bits(got, ref)
+        lam_min, shift = ref[2], ref[3]
+        if case == "psd":
+            assert lam_min > 0.0 and shift == 0.0 and not np.signbit(shift)
+        if case == "signed_zeros":
+            # with shift < 0, H - shift I subtracts shift * 0.0 = -0.0 off the
+            # diagonal, which turns each -0.0 of H into +0.0 in the store
+            assert lam_min < 0.0
+            zeros = got[0].H == 0.0
+            assert np.signbit(got[0].H[zeros]).any()
+            stored = got[1].H.dense_copy()[1:, 1:]
+            assert not np.signbit(stored[zeros]).any()
+        if case == "near_symmetric":
+            assert not np.array_equal(H, H.T)
+
+    @pytest.mark.parametrize("d", [2, 600])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_quietly(self, d, bad, capfd, monkeypatch):
+        # refused before the eigenvalue computation, which printed LAPACK
+        # errors (eigh) or raised ArpackError (d > 500) on such input
+        def no_eigpair(H):
+            raise AssertionError("eigenvalue computation reached")
+
+        monkeypatch.setattr(problems, "_smallest_eigpair", no_eigpair)
+        H = np.eye(d)
+        H[0, 1] = H[1, 0] = bad
+        c = np.ones(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^H holds a non-finite value$"):
+                build_trs(H, c)
+            c[d - 1] = bad
+            with pytest.raises(ValueError, match="^c holds a non-finite value$"):
+                build_trs(np.eye(d), c)
+        out, err = capfd.readouterr()
+        assert err == ""
+
+    def test_peaks_in_dxd_arrays(self):
+        # gen_trs holds the product and build_trs's three arrays; build_trs
+        # holds 0.5 (H + H'), and eigh's two arrays or the lifted block
+        tracemalloc = pytest.importorskip("tracemalloc")
+        d = 300
+        unit = 8.0 * d * d
+        tracemalloc.start()
+        try:
+            inst, problem = gen_trs(d, 1)
+            gen_peak = tracemalloc.get_traced_memory()[1]
+            H, c = inst.H.copy(), inst.c.copy()
+            del inst, problem
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            build_trs(H, c)
+            build_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert gen_peak <= 4.5 * unit, gen_peak / unit
+        assert build_peak <= 3.5 * unit, build_peak / unit
 
 
 class TestBuildSrlasso:
